@@ -272,11 +272,7 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     subsystem = args.subsystem or cfg.subsystem
     start = time.perf_counter()
-    try:
-        sol, p, spec = run_scenario(cfg, subsystem)
-    except IntegrationFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol, p, spec = run_scenario(cfg, subsystem)
     elapsed = time.perf_counter() - start
     if sol.status == "jump_budget_exhausted":
         print("numerical failure: jump budget exhausted (possible Zeno)", file=sys.stderr)
@@ -297,11 +293,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
-    try:
-        sol, p, spec = run_scenario(cfg, cfg.subsystem)
-    except IntegrationFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol, p, spec = run_scenario(cfg, cfg.subsystem)
     if sol.status == "jump_budget_exhausted":
         print("numerical failure: jump budget exhausted (possible Zeno)", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -13,7 +13,7 @@ the same 11-vector with the unused channels simply absent from the jump list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,9 @@ class AttractorSpec:
 
     def __post_init__(self):
         if self.which not in SUBSYSTEM_CHANNELS:
-            raise ValueError(f"unknown attractor {self.which!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"unknown subsystem {self.which!r}")
+        if not self.epsilon > 0:
+            raise ValueError(f"convergence_eps must be positive, got {self.epsilon}")
 
 
 def make_state(
@@ -165,38 +165,25 @@ def v_alpha(state: np.ndarray, p: OrbitParams) -> float:
 
 def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float]:
     """All three per-channel Lyapunov values at a state."""
-    return {"z": v_z(state, p), "beta": v_beta(state, p), "alpha": v_alpha(state, p)}
+    x, y, al, beta = zeta_of(state, p)
+    lyap_alpha = ctl.alpha_lyapunov(x, y, al, p.n)
+    return {"z": v_z(state, p), "beta": ctl.beta_lyapunov(beta), "alpha": lyap_alpha}
 
 
 def distance_to_attractor(
     state: np.ndarray,
     p: OrbitParams,
     spec: AttractorSpec,
-    weighted: bool = True,
 ) -> float:
     """Distance of a state to the rest set named by ``spec.which``.
 
-    With ``weighted=True`` (default) this is the Lyapunov-consistent form:
-    ``distance**2`` is the sum of the selected channels' Lyapunov functions,
-    which makes convergence thresholds scale-free across orbit rates.  With
-    ``weighted=False`` it is the plain Euclidean norm of the zeroed
-    components (r_z, v_z, x, y, alpha, beta as applicable).
+    This is the Lyapunov-consistent form: ``distance**2`` is the sum of the
+    selected channels' Lyapunov functions, which makes convergence
+    thresholds scale-free across orbit rates.
     """
-    zeta = zeta_of(state, p)
-    if weighted:
-        total = 0.0
-        if spec.which in ("z", "full"):
-            total += v_z(state, p)
-        if spec.which in ("inplane", "full"):
-            total += ctl.beta_lyapunov(zeta[3])
-            total += ctl.alpha_lyapunov(zeta[0], zeta[1], zeta[2], p.n)
-        return float(np.sqrt(total))
-    comps = []
-    if spec.which in ("z", "full"):
-        comps += [state[RZ], state[VZ]]
-    if spec.which in ("inplane", "full"):
-        comps += list(zeta)
-    return float(np.linalg.norm(comps))
+    values = lyapunov_values(state, p)
+    total = sum(values[name] for name in SUBSYSTEM_CHANNELS[spec.which])
+    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +193,7 @@ def distance_to_attractor(
 
 def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     guard = GuardConjunction(
-        terms=(
-            lambda s: s[RZ] * (s[VZ] - p.n * s[RZ]),
-            lambda s: s[QZ] * s[VZ],
-            lambda s: s[TAUZ] - tau_m,
-        )
+        terms=lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m)
     )
 
     def jump(state: np.ndarray) -> JumpOutcome:
@@ -234,7 +217,7 @@ def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
 
 
 def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    guard = GuardConjunction(terms=(lambda s: s[TAUB] - tau_m,))
+    guard = GuardConjunction(terms=lambda s: ctl.beta_guard(s[TAUB], tau_m))
 
     def jump(state: np.ndarray) -> JumpOutcome:
         beta = zeta_of(state, p)[3]
@@ -255,39 +238,25 @@ def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     return JumpChannel(name="beta", guard=guard, jump=jump)
 
 
-def make_alpha_channel(
-    p: OrbitParams, tau_m: float, corrupt_sign: bool = False
-) -> JumpChannel:
-    """Alpha channel adapter.
-
-    ``corrupt_sign`` is a test hook that flips the sign of the applied
-    radial impulse, breaking the jump-decrease certificate on purpose so the
-    verifier's violation path can be exercised.
-    """
-
-    def h1(s: np.ndarray) -> float:
+def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
+    def terms(s: np.ndarray) -> tuple[float, float, float]:
         x, y, al, _ = zeta_of(s, p)
-        return (y - p.n * al / 2.0 - p.n * x) * x
+        return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
 
-    def h2(s: np.ndarray) -> float:
-        _, y, al, _ = zeta_of(s, p)
-        return s[QA] * (y - p.n * al / 2.0)
-
-    guard = GuardConjunction(terms=(h1, h2, lambda s: s[TAUA] - tau_m))
+    guard = GuardConjunction(terms=terms)
 
     def jump(state: np.ndarray) -> JumpOutcome:
         _, y, al, _ = zeta_of(state, p)
         u_cmd = ctl.alpha_input(y, al, p)
         _, _, q_plus, s = ctl.alpha_jump(y, al, state[QA], p)
-        applied = -s if corrupt_sign else s
         out = np.array(state)
-        out[VX] += applied
+        out[VX] += s
         out[QA] = q_plus
         out[TAUA] = 0.0
         return JumpOutcome(
             state=out,
             u_commanded=u_cmd,
-            u_applied=applied,
+            u_applied=s,
             lyap_pre=v_alpha(state, p),
             lyap_post=v_alpha(out, p),
             bound=-2.0 * s * u_cmd,  # -2 sat(u_x) * u_x
@@ -296,24 +265,10 @@ def make_alpha_channel(
     return JumpChannel(name="alpha", guard=guard, jump=jump)
 
 
-def full_jump_sets(
-    state: np.ndarray, p: OrbitParams, thresholds: DwellThresholds
-) -> set[str]:
-    """Names of the channels whose guard conjunction is satisfied at a state."""
-    channels = (
-        make_z_channel(p, thresholds.z),
-        make_beta_channel(p, thresholds.beta),
-        make_alpha_channel(p, thresholds.alpha),
-    )
-    return {ch.name for ch in channels if ch.guard.margin(state) >= 0.0}
-
-
 def build_system(
     p: OrbitParams,
     thresholds: DwellThresholds,
     subsystem: str = "full",
-    attractor: AttractorSpec | None = None,
-    corrupt_alpha_sign: bool = False,
 ) -> HybridSystem:
     """Assemble the closed-loop hybrid system for a subsystem variant.
 
@@ -326,19 +281,11 @@ def build_system(
     factories = {
         "z": lambda: make_z_channel(p, thresholds.z),
         "beta": lambda: make_beta_channel(p, thresholds.beta),
-        "alpha": lambda: make_alpha_channel(
-            p, thresholds.alpha, corrupt_sign=corrupt_alpha_sign
-        ),
+        "alpha": lambda: make_alpha_channel(p, thresholds.alpha),
     }
     channels = tuple(factories[name]() for name in SUBSYSTEM_CHANNELS[subsystem])
-    spec = attractor or AttractorSpec(which=subsystem)
-
-    def distance(state: np.ndarray) -> float:
-        return distance_to_attractor(state, p, spec)
-
     return HybridSystem(
         flow=make_flow(p),
         channels=channels,
         flow_to=make_flow_to(p),
-        distance=distance,
     )

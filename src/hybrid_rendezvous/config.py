@@ -29,12 +29,12 @@ Initial timers default to the channel's own threshold (written as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .closed_loop import AttractorSpec, DwellThresholds, make_state
+from .closed_loop import AttractorSpec, DwellThresholds, distance_to_attractor, make_state
 from .engine import SimulationOptions
 from .hcw import OrbitParams
 
@@ -95,8 +95,7 @@ class ScenarioConfig:
             tau_alpha=self.tau_m_alpha if self.tau_alpha is None else self.tau_alpha,
         )
 
-    def options(self, subsystem: str | None = None) -> SimulationOptions:
-        del subsystem  # options are subsystem-independent; kept for symmetry
+    def options(self) -> SimulationOptions:
         return SimulationOptions(
             step_h=self.step_h,
             t_max=self.t_max_orbits * 2.0 * np.pi / self.n,
@@ -111,8 +110,6 @@ class ScenarioConfig:
         which = subsystem or self.subsystem
         if self.convergence_eps is not None:
             return AttractorSpec(which=which, epsilon=self.convergence_eps)
-        from .closed_loop import distance_to_attractor
-
         d0 = distance_to_attractor(
             self.initial_state(), self.params(), AttractorSpec(which=which, epsilon=1.0)
         )
@@ -167,11 +164,14 @@ def _convert(key: str, value: str, path: Path, lineno: int) -> object:
     try:
         if key in _INT_KEYS:
             return int(value)
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(
             f"{path}:{lineno}: field {key!r}: cannot parse {value!r}"
         ) from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"{path}:{lineno}: field {key!r}: must be finite, got {value!r}")
+    return number
 
 
 def _validate(cfg: ScenarioConfig) -> None:
@@ -181,28 +181,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         cfg.params()
         cfg.thresholds()
         cfg.initial_state()
-    except ConfigError:
-        raise
+        cfg.options()
+        cfg.attractor()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.subsystem not in ("z", "inplane", "full"):
-        raise ConfigError(f"field 'subsystem': must be z, inplane or full, got {cfg.subsystem!r}")
-    if cfg.integrator not in ("closed_form", "rk4"):
-        raise ConfigError(f"field 'integrator': must be closed_form or rk4, got {cfg.integrator!r}")
-    if cfg.t_max_orbits < 0:
-        raise ConfigError(f"field 't_max_orbits': must be non-negative, got {cfg.t_max_orbits}")
-    if cfg.step_h <= 0:
-        raise ConfigError(f"field 'step_h': must be positive, got {cfg.step_h}")
-    if cfg.event_tol <= 0 or cfg.event_tol >= cfg.step_h:
-        raise ConfigError(
-            f"field 'event_tol': must satisfy 0 < event_tol < step_h, got {cfg.event_tol}"
-        )
-    if cfg.j_max <= 0:
-        raise ConfigError(f"field 'j_max': must be positive, got {cfg.j_max}")
-    if cfg.convergence_eps is not None and cfg.convergence_eps <= 0:
-        raise ConfigError(
-            f"field 'convergence_eps': must be positive, got {cfg.convergence_eps}"
-        )
 
 
 def replace(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:

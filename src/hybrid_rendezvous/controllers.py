@@ -96,9 +96,9 @@ def z_jump(
     ``q_z`` toggles iff the firing was unsaturated (``|v_z| <= umax``, so
     ``v_z+ = 0``).
     """
-    s = sat(v_z, p.umax)
+    u = z_input(v_z, p.umax)
     q_plus = -q_z if abs(v_z) <= p.umax else q_z
-    return (v_z - s, q_plus, -s)
+    return (v_z + u, q_plus, u)
 
 
 def z_lyapunov(r_z: float, v_z: float, n: float) -> float:

@@ -13,12 +13,13 @@ executor alternates fixed-step flow integration with jump application:
   bisection, re-integrating from the step's start state at each probe.
 
 Jump sets are closed: margins are compared against zero with exact
-floating-point ``>=`` after localization, with no epsilon inflation.
+floating-point ``>=`` after localization, with no epsilon inflation.  A run
+ends at ``t_max`` or when ``j_max`` jumps are spent, never on convergence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,18 +51,19 @@ class HybridTime(NamedTuple):
 
 @dataclass(frozen=True)
 class GuardConjunction:
-    """A jump-set membership test: conjunction of scalar margin functions.
+    """A jump-set membership test: conjunction of scalar margins.
 
-    The state is in the jump set iff ``min_i terms[i](state) >= 0``.
+    ``terms`` maps a state to the tuple of margins; the state is in the jump
+    set iff every margin is ``>= 0``.
     """
 
-    terms: tuple[Callable[[np.ndarray], float], ...]
+    terms: Callable[[np.ndarray], tuple[float, ...]]
 
     def margins(self, state: np.ndarray) -> np.ndarray:
-        return np.array([g(state) for g in self.terms])
+        return np.array(self.terms(state))
 
     def margin(self, state: np.ndarray) -> float:
-        return min(g(state) for g in self.terms)
+        return min(self.terms(state))
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,7 @@ class SimulationOptions:
 
     ``jump_priority`` orders channel names for resolving simultaneous guard
     activations; channels not listed keep their construction order after the
-    listed ones.  ``convergence_eps`` (paired with a system distance function)
-    enables early stopping once the distance stays below the threshold.
+    listed ones.  A run always lasts until ``t_max`` or ``j_max``.
     """
 
     step_h: float
@@ -128,18 +129,18 @@ class SimulationOptions:
     event_tol: float = 1e-6
     jump_priority: tuple[str, ...] = ("z", "beta", "alpha")
     integrator: str = "closed_form"
-    convergence_eps: float | None = None
 
     def __post_init__(self):
-        if self.step_h <= 0:
+        # Written as negated comparisons so that NaN fails them too.
+        if not self.step_h > 0:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
-        if self.t_max < 0:
+        if not self.t_max >= 0:
             raise ValueError(f"t_max must be non-negative, got {self.t_max}")
-        if self.event_tol <= 0 or self.event_tol >= self.step_h:
+        if not 0 < self.event_tol < self.step_h:
             raise ValueError(
                 f"event_tol must satisfy 0 < event_tol < step_h, got {self.event_tol}"
             )
-        if self.j_max <= 0:
+        if not self.j_max > 0:
             raise ValueError(f"j_max must be a positive integer, got {self.j_max}")
         if self.integrator not in ("closed_form", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
@@ -147,12 +148,11 @@ class SimulationOptions:
 
 @dataclass(frozen=True)
 class HybridSystem:
-    """Flow + jump channels + optional exact propagator and distance metric."""
+    """Flow + jump channels + exact propagator."""
 
     flow: Callable[[np.ndarray], np.ndarray]
     channels: tuple[JumpChannel, ...]
-    flow_to: Callable[[np.ndarray, float], np.ndarray] | None = None
-    distance: Callable[[np.ndarray], float] | None = None
+    flow_to: Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass
@@ -161,8 +161,7 @@ class HybridSolution:
 
     Samples include every integration step endpoint and the pre/post state of
     every jump (jumps contribute two samples at the same ``t`` with ``j``
-    incremented).  ``status`` is one of ``"t_max"``, ``"converged"``,
-    ``"jump_budget_exhausted"``.
+    incremented).  ``status`` is ``"t_max"`` or ``"jump_budget_exhausted"``.
     """
 
     t: np.ndarray
@@ -184,14 +183,6 @@ class HybridSolution:
                 start = i
         out.append((start, len(self.j)))
         return out
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> HybridTime:
-        return HybridTime(float(self.t[-1]), int(self.j[-1]))
 
 
 def rk4_step(state: np.ndarray, derivative_fn, h: float) -> np.ndarray:
@@ -307,14 +298,11 @@ def resolve_jumps(
 def simulate(
     system: HybridSystem, x0: np.ndarray, opts: SimulationOptions
 ) -> HybridSolution:
-    """Run the hybrid executor from ``x0`` until ``t_max``, ``j_max``, or the
-    optional convergence criterion.
+    """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
     if opts.integrator == "closed_form":
-        if system.flow_to is None:
-            raise ValueError("closed_form integrator requires system.flow_to")
         flow_to = system.flow_to
     else:
         flow = system.flow
@@ -333,17 +321,7 @@ def simulate(
     def union_margin(s: np.ndarray) -> float:
         return max(ch.guard.margin(s) for ch in system.channels)
 
-    def converged(s: np.ndarray) -> bool:
-        return (
-            opts.convergence_eps is not None
-            and system.distance is not None
-            and system.distance(s) <= opts.convergence_eps
-        )
-
-    while True:
-        if t >= opts.t_max:
-            status = "t_max"
-            break
+    while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
         if any(ch.guard.margin(state) >= 0.0 for ch in system.channels):
             state, new_events, budget_hit = resolve_jumps(
@@ -358,9 +336,6 @@ def simulate(
             if budget_hit:
                 status = "jump_budget_exhausted"
                 break
-        if converged(state):
-            status = "converged"
-            break
         h = min(opts.step_h, opts.t_max - t)
         candidate = flow_to(state, h)
         if not np.all(np.isfinite(candidate)):

@@ -130,29 +130,11 @@ def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
     return m
 
 
-def apply_impulse(state: np.ndarray, u: np.ndarray, p: OrbitParams) -> np.ndarray:
-    """Apply a saturated velocity impulse ``v+ = v + sat(u)`` componentwise.
-
-    Position is unchanged.  ``u`` is the commanded ``(u_x, u_y, u_z)`` in m/s.
-    """
-    out = np.array(state, dtype=float)
-    out[VX] += sat(float(u[0]), p.umax)
-    out[VY] += sat(float(u[1]), p.umax)
-    out[VZ] += sat(float(u[2]), p.umax)
-    return out
-
-
 def transform_matrix(n: float) -> np.ndarray:
     """The in-plane change of coordinates T mapping (r_x, v_x, r_y, v_y) to
-    (x, y, alpha, beta)."""
-    return np.array(
-        [
-            [-3.0, 0.0, 0.0, -2.0 / n],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, -2.0 / n, 1.0, 0.0],
-            [-6.0 * n, 0.0, 0.0, -3.0],
-        ]
-    )
+    (x, y, alpha, beta): :func:`to_zeta` applied to the identity, column by
+    column."""
+    return to_zeta(np.eye(4), OrbitParams(n=n))
 
 
 def transform_matrix_inv(n: float) -> np.ndarray:
@@ -218,7 +200,8 @@ def zeta_b(n: float) -> np.ndarray:
 
 
 def to_zeta(inplane: np.ndarray, p: OrbitParams) -> np.ndarray:
-    """Map an in-plane state (r_x, v_x, r_y, v_y) to (x, y, alpha, beta)."""
+    """Map an in-plane state (r_x, v_x, r_y, v_y), or each column of a
+    (4, k) array, to (x, y, alpha, beta)."""
     n = p.n
     rx, vx, ry, vy = inplane
     return np.array(
@@ -227,19 +210,5 @@ def to_zeta(inplane: np.ndarray, p: OrbitParams) -> np.ndarray:
             vx,
             -2.0 * vx / n + ry,
             -6.0 * n * rx - 3.0 * vy,
-        ]
-    )
-
-
-def from_zeta(zeta: np.ndarray, p: OrbitParams) -> np.ndarray:
-    """Exact inverse of :func:`to_zeta`."""
-    n = p.n
-    x, y, al, be = zeta
-    return np.array(
-        [
-            x - 2.0 * be / (3.0 * n),
-            y,
-            2.0 * y / n + al,
-            -2.0 * n * x + be,
         ]
     )

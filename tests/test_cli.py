@@ -6,8 +6,9 @@ import pytest
 
 from hybrid_rendezvous import cli
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
+from hybrid_rendezvous.engine import IntegrationFailure
 
-from conftest import scenario_path
+from conftest import flip_alpha_sign, scenario_path
 
 
 def run(argv):
@@ -107,6 +108,20 @@ class TestExitCodes:
                  "--values", "0.001"]) == 1
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_integration_failure_is_numerical_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def failing(cfg, subsystem=None):
+            raise IntegrationFailure("non-finite state during flow")
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        argv = [command, "--config", scenario_path("z_fast")]
+        if command == "simulate":
+            argv += ["--out", tmp_path / "o"]
+        assert run(argv) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_bad_sweep_values_is_usage_error(self):
         assert (
             run(["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
@@ -129,15 +144,12 @@ class TestVerify:
     def test_corrupted_jump_map_fails_with_certificate_code(
         self, tmp_path, monkeypatch, capsys
     ):
-        # Force the sign-flipped radial impulse through the test hook and
+        # Force a sign-flipped radial impulse into the built system and
         # check the violation is reported with the dedicated exit code.
-        import hybrid_rendezvous.closed_loop as cl
+        original = cli.build_system
 
-        original = cl.build_system
-
-        def corrupted(*args, **kwargs):
-            kwargs["corrupt_alpha_sign"] = True
-            return original(*args, **kwargs)
+        def corrupted(p, thresholds, subsystem="full"):
+            return flip_alpha_sign(original(p, thresholds, subsystem), p)
 
         monkeypatch.setattr(cli, "build_system", corrupted)
         code = run(["verify", "--config", scenario_path("inplane_ref")])

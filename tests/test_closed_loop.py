@@ -8,6 +8,8 @@ from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
 from hybrid_rendezvous.hcw import RX, RY, RZ, VX, VY, VZ, OrbitParams, hcw_derivative
 
+from conftest import flip_alpha_sign
+
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
 
@@ -83,11 +85,6 @@ class TestLyapunovAndDistance:
             expected, rel=1e-12
         )
 
-    def test_unweighted_distance(self):
-        s = cl.make_state(v=(0, 0, 0.5))
-        spec = cl.AttractorSpec(which="z", epsilon=1.0)
-        assert cl.distance_to_attractor(s, P, spec, weighted=False) == 0.5
-
     def test_zeta_view_consistency(self):
         rng = np.random.default_rng(1)
         s = cl.make_state(r=rng.uniform(-100, 100, 3), v=rng.uniform(-1, 1, 3))
@@ -99,18 +96,24 @@ class TestLyapunovAndDistance:
         )
 
 
+def jump_sets(state):
+    """Names of the full system's channels whose guard holds at ``state``."""
+    system = cl.build_system(P, THRESHOLDS, "full")
+    return {ch.name for ch in system.channels if ch.guard.margin(state) >= 0.0}
+
+
 class TestJumpSets:
     def test_flowing_state_has_empty_active_set(self):
         s = cl.make_state(r=(0, 0, 100.0))  # all timers at 0
-        assert cl.full_jump_sets(s, P, THRESHOLDS) == set()
+        assert jump_sets(s) == set()
 
     def test_beta_only(self):
         s = cl.make_state(r=(0, 0, 100.0), tau_beta=0.02)
-        assert cl.full_jump_sets(s, P, THRESHOLDS) == {"beta"}
+        assert jump_sets(s) == {"beta"}
 
     def test_simultaneous_z_and_alpha(self):
         s = cl.make_state(v=(1.0, 0, 0.1), tau_z=0.01, tau_alpha=0.01)
-        assert cl.full_jump_sets(s, P, THRESHOLDS) == {"z", "alpha"}
+        assert jump_sets(s) == {"z", "alpha"}
 
     def test_build_system_rejects_unknown_subsystem(self):
         with pytest.raises(ValueError):
@@ -168,9 +171,7 @@ class TestCompositionProperties:
                 assert ev.delta_lyap == pytest.approx(0.0, abs=1e-12)
 
     def test_corrupted_alpha_sign_breaks_certificate(self):
-        system = cl.build_system(
-            P, THRESHOLDS, subsystem="inplane", corrupt_alpha_sign=True
-        )
+        system = flip_alpha_sign(cl.build_system(P, THRESHOLDS, subsystem="inplane"), P)
         x0 = cl.make_state(
             r=(-60.0, 1000.0, 0.0), q_alpha=-1.0,
             tau_beta=THRESHOLDS.beta, tau_alpha=THRESHOLDS.alpha,

@@ -76,11 +76,17 @@ class TestErrors:
             ("n = -0.001", "n must be positive"),
             ("umax = 0", "umax must be positive"),
             ("convergence_eps = -1", "convergence_eps"),
+            ("t_max_orbits = nan", "t_max_orbits"),
+            ("r_x = inf", "r_x"),
         ],
     )
     def test_field_level_messages(self, tmp_path, line, fragment):
+        # The line replaces MINIMAL's own setting of its key, so the error is
+        # never the duplicate-key one, whose message names the field too.
+        key = line.partition("=")[0].strip()
+        base = [row for row in MINIMAL.splitlines() if row.partition("=")[0].strip() != key]
         with pytest.raises(ConfigError, match=fragment):
-            parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
+            parse_config(write_cfg(tmp_path, "\n".join(base + [line]) + "\n"))
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):

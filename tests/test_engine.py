@@ -136,6 +136,7 @@ class TestSimulationOptions:
             {"event_tol": 60.0},  # must stay below step_h
             {"j_max": 0},
             {"integrator": "euler"},
+            {"t_max": float("nan")},
         ],
     )
     def test_validation(self, bad):
@@ -264,13 +265,6 @@ class TestSimulate:
         min_gap = THRESHOLDS.z * P.period - o.event_tol
         assert all(b - a >= min_gap for a, b in zip(times, times[1:]))
 
-    def test_convergence_early_stop(self):
-        system = build_system(P, THRESHOLDS, subsystem="z")
-        x0 = make_state(r=(0, 0, 100.0), v=(0, 0, 0.05), tau_z=THRESHOLDS.z)
-        sol = simulate(system, x0, opts(convergence_eps=1e-3, t_max=5 * P.period))
-        assert sol.status == "converged"
-        assert system.distance(sol.final_state) <= 1e-3
-
     def test_nonfinite_initial_state_raises(self):
         system = build_system(P, THRESHOLDS, subsystem="z")
         x0 = make_state()
@@ -284,6 +278,6 @@ class TestSimulate:
         h = P.period / 10_000
         o_rk = opts(step_h=h, event_tol=1e-8, t_max=0.5 * P.period, integrator="rk4")
         o_cf = opts(step_h=h, event_tol=1e-8, t_max=0.5 * P.period)
-        final_rk = simulate(system, x0, o_rk).final_state
-        final_cf = simulate(system, x0, o_cf).final_state
+        final_rk = simulate(system, x0, o_rk).states[-1]
+        final_cf = simulate(system, x0, o_cf).states[-1]
         assert np.max(np.abs(final_rk - final_cf)) <= 1e-6
