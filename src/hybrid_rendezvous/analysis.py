@@ -106,12 +106,8 @@ def check_flow_invariance(
     """
     report = CertificateReport(name="flow_invariance")
     names = ("z", "beta", "alpha")
-    values = np.array(
-        [
-            [lyapunov_values(s, p)[name] for name in names]
-            for s in sol.states
-        ]
-    )
+    lyap = lyapunov_values(sol.states, p)
+    values = np.column_stack([lyap[name] for name in names])
     worst = {name: 0.0 for name in names}
     for start, stop in sol.arcs():
         ref = values[start]
@@ -222,10 +218,7 @@ def convergence_time(
 ) -> HybridTime | None:
     """First hybrid time after which the attractor distance stays within
     ``spec.epsilon`` for the rest of the horizon; ``None`` if never."""
-    dist = np.array(
-        [distance_to_attractor(s, p, spec) for s in sol.states]
-    )
-    inside = dist <= spec.epsilon
+    inside = distance_to_attractor(sol.states, p, spec) <= spec.epsilon
     if not inside[-1]:
         return None
     # Last sample outside the ball; convergence is the next sample.

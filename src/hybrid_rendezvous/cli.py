@@ -23,7 +23,9 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,24 +36,17 @@ from .analysis import (
     check_jump_decrease,
     convergence_time,
 )
-from .closed_loop import (
-    QA,
-    QZ,
-    TAUA,
-    TAUB,
-    TAUZ,
-    build_system,
-    lyapunov_values,
-    zeta_of,
-)
+from .closed_loop import build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config, replace
-from .engine import HybridSolution, IntegrationFailure, simulate
+from .engine import HybridSolution, ImpulseEvent, IntegrationFailure, simulate
 from .hcw import RX, RY, RZ, VX, VY, VZ, OrbitParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
+
+BUDGET_EXHAUSTED = "jump budget exhausted (possible Zeno)"
 
 SWEEPABLE = ("tau_m_z", "tau_m_beta", "tau_m_alpha", "umax")
 
@@ -109,57 +104,83 @@ EVENT_COLUMNS = (
 )
 
 
-def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
-    lines = [TRAJECTORY_COLUMNS]
-    orbit = 2.0 * np.pi / p.n
-    for t, j, s in zip(sol.t, sol.j, sol.states):
-        zeta = zeta_of(s, p)
-        lyap = lyapunov_values(s, p)
-        row = (
-            [_fmt(t), _fmt(t / orbit), str(int(j))]
-            + [_fmt(s[i]) for i in (RX, RY, RZ, VX, VY, VZ)]
-            + [_fmt(s[QZ]), _fmt(s[TAUZ]), _fmt(s[TAUB]), _fmt(s[QA]), _fmt(s[TAUA])]
-            + [_fmt(z) for z in zeta]
-            + [_fmt(lyap["z"]), _fmt(lyap["beta"]), _fmt(lyap["alpha"])]
+#: Rows formatted and written per file write: output memory stays bounded
+#: by one chunk, whatever the length of the run.
+CHUNK_ROWS = 1024
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header`` and one line per row of formatted fields to ``path``,
+    :data:`CHUNK_ROWS` rows per write; ``rows`` is consumed lazily."""
+    rows = iter(rows)
+    with path.open("w") as f:
+        f.write(header + "\n")
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            f.write("".join(",".join(row) + "\n" for row in chunk))
+
+
+def _trajectory_rows(sol: HybridSolution, p: OrbitParams) -> Iterator[tuple[str, ...]]:
+    """Formatted trajectory rows, computed from whole-array calls on blocks
+    of :data:`CHUNK_ROWS` samples.  ``repr`` of a ``.tolist()`` float is
+    :func:`_fmt` of it, so the bytes equal a per-sample formatting."""
+    for start in range(0, len(sol.t), CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        t, states = sol.t[part], sol.states[part]
+        lyap = lyapunov_values(states, p)
+        floats = np.column_stack(
+            # the 11-vector's layout is the column order r_x .. tau_alpha
+            [t, t / p.period, states, zeta_of(states, p)]
+            + [lyap["z"], lyap["beta"], lyap["alpha"]]
         )
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+        columns = [map(repr, col) for col in floats.T.tolist()]
+        columns.insert(2, map(str, sol.j[part].tolist()))
+        yield from zip(*columns)
+
+
+def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
+    """Write ``trajectory.csv``: one row per sample with hybrid time, the
+    11-vector, the in-plane view (x, y, alpha, beta) and the three Lyapunov
+    values (columns :data:`TRAJECTORY_COLUMNS`)."""
+    _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(sol, p))
+
+
+def _event_row(ev: ImpulseEvent, p: OrbitParams, event_tol: float) -> list[str]:
+    if ev.channel == "beta":
+        h1, h2, h3 = "", "", _fmt(ev.margins[0])
+        classification = ""
+    else:
+        h1, h2, h3 = _fmt(ev.margins[0]), _fmt(ev.margins[1]), _fmt(ev.margins[2])
+        classification = (
+            classify_z_event(float(ev.margins[2]), p, event_tol)
+            if ev.channel == "z"
+            else ""
+        )
+    return [
+        _fmt(ev.t),
+        _fmt(ev.t / p.period),
+        str(ev.j_pre + 1),
+        ev.channel,
+        _fmt(ev.u_commanded),
+        _fmt(ev.u_applied),
+        _fmt(ev.delta_lyap),
+        _fmt(ev.bound),
+        h1,
+        h2,
+        h3,
+        _fmt(ev.lyap_pre),
+        _fmt(ev.lyap_post),
+        classification,
+    ] + [_fmt(ev.state_pre[i]) for i in (RX, RY, RZ, VX, VY, VZ)]
 
 
 def write_events(
     path: Path, sol: HybridSolution, p: OrbitParams, event_tol: float
 ) -> None:
-    lines = [EVENT_COLUMNS]
-    orbit = 2.0 * np.pi / p.n
-    for ev in sol.events:
-        if ev.channel == "beta":
-            h1, h2, h3 = "", "", _fmt(ev.margins[0])
-            classification = ""
-        else:
-            h1, h2, h3 = _fmt(ev.margins[0]), _fmt(ev.margins[1]), _fmt(ev.margins[2])
-            classification = (
-                classify_z_event(float(ev.margins[2]), p, event_tol)
-                if ev.channel == "z"
-                else ""
-            )
-        row = [
-            _fmt(ev.t),
-            _fmt(ev.t / orbit),
-            str(ev.j_pre + 1),
-            ev.channel,
-            _fmt(ev.u_commanded),
-            _fmt(ev.u_applied),
-            _fmt(ev.delta_lyap),
-            _fmt(ev.bound),
-            h1,
-            h2,
-            h3,
-            _fmt(ev.lyap_pre),
-            _fmt(ev.lyap_post),
-            classification,
-        ] + [_fmt(ev.state_pre[i]) for i in (RX, RY, RZ, VX, VY, VZ)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``events.csv``: one row per applied jump with its input, the
+    Lyapunov change against its bound, the guard margins, the z firing's
+    classification and the pre-jump plant state (columns
+    :data:`EVENT_COLUMNS`)."""
+    _write_csv(path, EVENT_COLUMNS, (_event_row(ev, p, event_tol) for ev in sol.events))
 
 
 def build_summary(
@@ -275,7 +296,7 @@ def cmd_simulate(args) -> int:
     sol, p, spec = run_scenario(cfg, subsystem)
     elapsed = time.perf_counter() - start
     if sol.status == "jump_budget_exhausted":
-        print("numerical failure: jump budget exhausted (possible Zeno)", file=sys.stderr)
+        print(f"numerical failure: {BUDGET_EXHAUSTED}", file=sys.stderr)
         return EXIT_NUMERICAL
     out_dir = Path(args.out or cfg.output_dir)
     summary = write_outputs(out_dir, cfg, subsystem, sol, p, spec)
@@ -295,7 +316,7 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     sol, p, spec = run_scenario(cfg, cfg.subsystem)
     if sol.status == "jump_budget_exhausted":
-        print("numerical failure: jump budget exhausted (possible Zeno)", file=sys.stderr)
+        print(f"numerical failure: {BUDGET_EXHAUSTED}", file=sys.stderr)
         return EXIT_NUMERICAL
     flow_report = check_flow_invariance(sol, p, tol=flow_drift_tolerance(cfg))
     jump_report = check_jump_decrease(sol)
@@ -371,6 +392,12 @@ def cmd_sweep(args) -> int:
             f"{value:>12.6g} {count:>9d} {bud.total_delta_v:>10.4f} "
             f"{conv_str:>12} {sol.status:>10}"
         )
+        if sol.status == "jump_budget_exhausted":
+            print(
+                f"numerical failure at {args.param}={value}: {BUDGET_EXHAUSTED}",
+                file=sys.stderr,
+            )
+            return EXIT_NUMERICAL
         csv_lines.append(
             f"{_fmt(value)},{count},{_fmt(bud.total_delta_v)},"
             f"{'' if conv_orbits is None else _fmt(conv_orbits)},{sol.status}"

@@ -7,8 +7,14 @@ by the controller variables of each channel::
     value  r_x  r_y  r_z  v_x  v_y  v_z  q_z  tau_z  tau_beta  q_alpha  tau_alpha
 
 The transformed in-plane view (x, y, alpha, beta) is always recomputed from
-the plant, never stored.  Subsystem variants (z only, in-plane only) run on
-the same 11-vector with the unused channels simply absent from the jump list.
+the plant, never stored.  The views (``zeta_of``, the Lyapunov functions and
+``distance_to_attractor``) take one state ``(11,)`` or a block ``(N, 11)``
+through one definition: they read components as ``state.T[k]``, a scalar
+for one state and a column for a block.  (``state[..., k]`` would give a 0-d
+array for one state, whose arithmetic is several times slower.)
+
+Subsystem variants (z only, in-plane only) run on the same 11-vector with the
+unused channels simply absent from the jump list.
 """
 
 from __future__ import annotations
@@ -106,8 +112,13 @@ def make_state(
 
 
 def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
-    """Transformed in-plane view (x, y, alpha, beta) of a full state."""
-    return to_zeta(state[list(INPLANE)], p)
+    """Transformed in-plane view (x, y, alpha, beta) of a full state.
+
+    ``state`` is one state of shape ``(11,)``, giving shape ``(4,)``, or a
+    block of states ``(N, 11)``, giving ``(N, 4)`` with row ``i`` equal, bit
+    for bit, to the view of ``state[i]``.
+    """
+    return to_zeta(state.T[list(INPLANE)], p).T
 
 
 def full_flow(state: np.ndarray, p: OrbitParams) -> np.ndarray:
@@ -150,22 +161,30 @@ def make_flow_to(p: OrbitParams):
 # ---------------------------------------------------------------------------
 
 
-def v_z(state: np.ndarray, p: OrbitParams) -> float:
-    return ctl.z_lyapunov(state[RZ], state[VZ], p.n)
+def v_z(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
+    plant = state.T
+    return ctl.z_lyapunov(plant[RZ], plant[VZ], p.n)
 
 
-def v_beta(state: np.ndarray, p: OrbitParams) -> float:
-    return ctl.beta_lyapunov(zeta_of(state, p)[3])
+def v_beta(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
+    return ctl.beta_lyapunov(zeta_of(state, p).T[3])
 
 
-def v_alpha(state: np.ndarray, p: OrbitParams) -> float:
-    x, y, al, _ = zeta_of(state, p)
+def v_alpha(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
+    x, y, al, _ = zeta_of(state, p).T
     return ctl.alpha_lyapunov(x, y, al, p.n)
 
 
-def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float]:
-    """All three per-channel Lyapunov values at a state."""
-    x, y, al, beta = zeta_of(state, p)
+def lyapunov_values(
+    state: np.ndarray, p: OrbitParams
+) -> dict[str, float | np.ndarray]:
+    """All three per-channel Lyapunov values at a state.
+
+    For one state ``(11,)`` each value is a scalar; for a block ``(N, 11)``
+    each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
+    value at ``state[i]``.
+    """
+    x, y, al, beta = zeta_of(state, p).T
     lyap_alpha = ctl.alpha_lyapunov(x, y, al, p.n)
     return {"z": v_z(state, p), "beta": ctl.beta_lyapunov(beta), "alpha": lyap_alpha}
 
@@ -174,16 +193,20 @@ def distance_to_attractor(
     state: np.ndarray,
     p: OrbitParams,
     spec: AttractorSpec,
-) -> float:
+) -> float | np.ndarray:
     """Distance of a state to the rest set named by ``spec.which``.
 
     This is the Lyapunov-consistent form: ``distance**2`` is the sum of the
     selected channels' Lyapunov functions, which makes convergence
     thresholds scale-free across orbit rates.
+
+    One state ``(11,)`` gives a Python ``float``; a block ``(N, 11)`` gives
+    an ``(N,)`` array of the per-row distances, bit for bit.
     """
     values = lyapunov_values(state, p)
     total = sum(values[name] for name in SUBSYSTEM_CHANNELS[spec.which])
-    return float(np.sqrt(total))
+    dist = np.sqrt(total)
+    return float(dist) if state.ndim == 1 else dist
 
 
 # ---------------------------------------------------------------------------

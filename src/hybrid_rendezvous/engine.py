@@ -175,14 +175,8 @@ class HybridSolution:
         """Index ranges [start, stop) of maximal constant-``j`` sample runs
         (the flow arcs, including zero-duration ones between immediate
         jumps)."""
-        out = []
-        start = 0
-        for i in range(1, len(self.j)):
-            if self.j[i] != self.j[i - 1]:
-                out.append((start, i))
-                start = i
-        out.append((start, len(self.j)))
-        return out
+        bounds = [0, *(np.flatnonzero(np.diff(self.j)) + 1).tolist(), len(self.j)]
+        return list(zip(bounds[:-1], bounds[1:]))
 
 
 def rk4_step(state: np.ndarray, derivative_fn, h: float) -> np.ndarray:

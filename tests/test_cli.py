@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hybrid_rendezvous import cli
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
+from hybrid_rendezvous.closed_loop import lyapunov_values, zeta_of
+from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import IntegrationFailure
 
 from conftest import flip_alpha_sign, scenario_path
@@ -67,6 +70,8 @@ class TestSimulate:
         assert events == [cli.EVENT_COLUMNS]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["budget"]["event_counts"] == {}
+        trajectory = (out / "trajectory.csv").read_text().splitlines()
+        assert len(trajectory) == 2 and trajectory[0] == cli.TRAJECTORY_COLUMNS
 
     def test_subsystem_flag_overrides_config(self, tmp_path):
         out = tmp_path / "zfull"
@@ -85,6 +90,64 @@ class TestSimulate:
             "r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n"
         )
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def per_sample_trajectory_rows(sol, p):
+    """Reference formatting: one sample at a time, single-state views."""
+    fmt = cli._fmt
+    orbit = 2.0 * np.pi / p.n
+    for t, j, s in zip(sol.t, sol.j, sol.states):
+        lyap = lyapunov_values(s, p)
+        yield ",".join(
+            [fmt(t), fmt(t / orbit), str(int(j))]
+            + [fmt(x) for x in s]
+            + [fmt(z) for z in zeta_of(s, p)]
+            + [fmt(lyap["z"]), fmt(lyap["beta"]), fmt(lyap["alpha"])]
+        )
+
+
+def per_event_rows(sol, p, event_tol):
+    """Reference formatting of events.csv, one event at a time."""
+    fmt = cli._fmt
+    orbit = 2.0 * np.pi / p.n
+    for ev in sol.events:
+        m = ev.margins
+        if ev.channel == "beta":
+            h, cls = ["", "", fmt(m[0])], ""
+        else:
+            h = [fmt(m[0]), fmt(m[1]), fmt(m[2])]
+            cls = cli.classify_z_event(m[2], p, event_tol) if ev.channel == "z" else ""
+        values = (ev.u_commanded, ev.u_applied, ev.delta_lyap, ev.bound)
+        yield ",".join(
+            [fmt(ev.t), fmt(ev.t / orbit), str(ev.j_pre + 1), ev.channel]
+            + [fmt(v) for v in values]
+            + h
+            + [fmt(ev.lyap_pre), fmt(ev.lyap_post), cls]
+            + [fmt(x) for x in ev.state_pre[:6]]
+        )
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "name, orbits", [("z_fast", None), ("full_ref", 2)], ids=["z_fast", "full_ref"]
+    )
+    def test_rows_match_per_sample_formatting(self, name, orbits, tmp_path):
+        text = scenario_path(name).read_text()
+        if orbits is not None:
+            assert "t_max_orbits = 20\n" in text
+            text = text.replace("t_max_orbits = 20\n", f"t_max_orbits = {orbits}\n")
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg_path, "--out", out]) == 0
+        cfg = parse_config(cfg_path)
+        sol, p, _ = cli.run_scenario(cfg)
+        if name == "full_ref":
+            assert len(sol.t) > cli.CHUNK_ROWS  # rows span a chunk boundary
+        expected = [cli.TRAJECTORY_COLUMNS, *per_sample_trajectory_rows(sol, p)]
+        assert (out / "trajectory.csv").read_text() == "\n".join(expected) + "\n"
+        expected = [cli.EVENT_COLUMNS, *per_event_rows(sol, p, cfg.event_tol)]
+        assert (out / "events.csv").read_text() == "\n".join(expected) + "\n"
 
 
 class TestExitCodes:
@@ -121,6 +184,19 @@ class TestExitCodes:
             argv += ["--out", tmp_path / "o"]
         assert run(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sweep_jump_budget_exhaustion_is_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "zeno.cfg"
+        cfg.write_text(
+            "r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n"
+        )
+        argv = ["sweep", "--config", cfg, "--param", "umax", "--values", "0.1,0.2"]
+        assert run(argv + ["--out", tmp_path / "o"]) == 2
+        captured = capsys.readouterr()
+        assert "jump_budget_exhausted" in captured.out.splitlines()[1]
+        assert captured.err == (
+            "numerical failure at umax=0.1: jump budget exhausted (possible Zeno)\n"
+        )
 
     def test_bad_sweep_values_is_usage_error(self):
         assert (

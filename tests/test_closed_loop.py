@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
@@ -94,6 +97,32 @@ class TestLyapunovAndDistance:
         assert np.max(np.abs(cl.zeta_of(s, P) - direct)) <= 1e-12 * max(
             1.0, np.max(np.abs(direct))
         )
+
+
+STATE_BLOCKS = st.integers(1, 6).flatmap(
+    lambda n: arrays(
+        np.float64, (n, cl.DIM), elements=st.floats(-1e4, 1e4, allow_nan=False)
+    )
+)
+
+
+class TestBlockViews:
+    @given(states=STATE_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_block_rows_equal_single_state_calls(self, states):
+        zeta = cl.zeta_of(states, P)
+        lyap = cl.lyapunov_values(states, P)
+        specs = [cl.AttractorSpec(which=w) for w in cl.SUBSYSTEM_CHANNELS]
+        dists = [cl.distance_to_attractor(states, P, spec) for spec in specs]
+        assert zeta.shape == (len(states), 4)
+        for i, s in enumerate(states):
+            assert (zeta[i] == cl.zeta_of(s, P)).all()
+            for name, value in cl.lyapunov_values(s, P).items():
+                assert lyap[name][i] == value
+            for spec, dist in zip(specs, dists):
+                single = cl.distance_to_attractor(s, P, spec)
+                assert type(single) is float
+                assert dist[i] == single
 
 
 def jump_sets(state):

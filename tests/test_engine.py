@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
     QZ,
     TAUZ,
@@ -23,7 +24,10 @@ from hybrid_rendezvous.engine import (
     rk4_step,
     simulate,
 )
+from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams, hcw_stm
+
+from conftest import scenario_path
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -281,3 +285,27 @@ class TestSimulate:
         final_rk = simulate(system, x0, o_rk).states[-1]
         final_cf = simulate(system, x0, o_cf).states[-1]
         assert np.max(np.abs(final_rk - final_cf)) <= 1e-6
+
+
+def arcs_by_loop(j):
+    """Reference arc split: walk the jump counters sample by sample."""
+    out = []
+    start = 0
+    for i in range(1, len(j)):
+        if j[i] != j[i - 1]:
+            out.append((start, i))
+            start = i
+    out.append((start, len(j)))
+    return out
+
+
+class TestArcs:
+    @pytest.mark.parametrize("t_max_orbits", [20.0, 0.0])
+    def test_matches_sample_loop(self, t_max_orbits):
+        cfg = parse_config(scenario_path("full_ref"))
+        sol, _, _ = run_scenario(replace(cfg, t_max_orbits=t_max_orbits))
+        arcs = sol.arcs()
+        assert arcs == arcs_by_loop(sol.j)
+        assert all(type(i) is int for arc in arcs for i in arc)
+        if t_max_orbits == 0.0:
+            assert arcs == [(0, 1)]
