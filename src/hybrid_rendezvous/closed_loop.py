@@ -143,11 +143,21 @@ def make_flow(p: OrbitParams):
 
 def make_flow_to(p: OrbitParams):
     """Exact flow propagator: HCW transition matrix on the plant, closed-form
-    timer advance, constant logic variables."""
+    timer advance, constant logic variables.
+
+    The propagator keeps a one-entry memo ``(dt, hcw_stm(p, dt))`` of the
+    last matrix it built, so consecutive full steps of one ``dt`` share one
+    matrix; any other ``dt`` builds its own and takes the entry.  The matrix
+    is a pure function of ``(p, dt)``, so reuse gives the same bits.
+    """
+    memo_dt, memo_stm = None, None
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
+        nonlocal memo_dt, memo_stm
+        if dt != memo_dt:
+            memo_dt, memo_stm = dt, hcw_stm(p, dt)
         out = np.array(state)
-        out[:6] = hcw_stm(p, dt) @ state[:6]
+        out[:6] = memo_stm @ state[:6]
         out[TAUZ] = ctl.timer_advance(state[TAUZ], dt, p.n)
         out[TAUB] = ctl.timer_advance(state[TAUB], dt, p.n)
         out[TAUA] = ctl.timer_advance(state[TAUA], dt, p.n)

@@ -12,6 +12,10 @@ executor alternates fixed-step flow integration with jump application:
 * guard activations inside a flow step are localized in time by left-biased
   bisection, re-integrating from the step's start state at each probe.
 
+Each flow sample's membership in the union of the jump sets is evaluated
+once, and the union stops at the first active channel: an accepted step end
+is already known to lie outside every jump set, and a drained state too.
+
 Jump sets are closed: margins are compared against zero with exact
 floating-point ``>=`` after localization, with no epsilon inflation.  A run
 ends at ``t_max`` or when ``j_max`` jumps are spent, never on convergence.
@@ -169,7 +173,6 @@ class HybridSolution:
     states: np.ndarray
     events: list[ImpulseEvent]
     status: str
-    options: SimulationOptions
 
     def arcs(self) -> list[tuple[int, int]]:
         """Index ranges [start, stop) of maximal constant-``j`` sample runs
@@ -187,7 +190,7 @@ def rk4_step(state: np.ndarray, derivative_fn, h: float) -> np.ndarray:
     k2 = derivative_fn(state + 0.5 * h * k1)
     k3 = derivative_fn(state + 0.5 * h * k2)
     k4 = derivative_fn(state + h * k3)
-    if not np.all(np.isfinite(k4)):
+    if not np.isfinite(k4).all():
         raise IntegrationFailure("non-finite derivative encountered", state)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -250,23 +253,27 @@ def resolve_jumps(
 ) -> tuple[np.ndarray, list[ImpulseEvent], bool]:
     """Apply jumps while any guard is active, one at a time by priority.
 
-    Guards are re-evaluated on the post-jump state after every applied jump,
-    so a lower-priority channel still active after a higher-priority jump
-    fires next at the same ``t``.  Returns the post-jump state, the events in
-    application order, and a flag set when ``j_max`` was hit while guards were
-    still active (the Zeno guard).
+    Each jump fires the first active channel in priority order; guards after
+    it are not evaluated.  Guards are re-evaluated on the post-jump state
+    after every applied jump, so a lower-priority channel still active after
+    a higher-priority jump fires next at the same ``t``.  Returns the
+    post-jump state, the events in application order, and a flag set when
+    ``j_max`` was hit while guards were still active (the Zeno guard).
     """
     ordered = order_channels(channels, priority)
-    active = [ch for ch in ordered if ch.guard.margin(state) >= 0.0]
-    if not active:
+
+    def first_active(s: np.ndarray) -> JumpChannel | None:
+        return next((ch for ch in ordered if ch.guard.margin(s) >= 0.0), None)
+
+    ch = first_active(state)
+    if ch is None:
         raise ValueError("resolve_jumps requires at least one active channel")
     events: list[ImpulseEvent] = []
     budget_hit = False
-    while active:
+    while ch is not None:
         if j + len(events) >= j_max:
             budget_hit = True
             break
-        ch = active[0]
         margins = ch.guard.margins(state)
         outcome = ch.jump(state)
         events.append(
@@ -285,7 +292,7 @@ def resolve_jumps(
             )
         )
         state = outcome.state
-        active = [ch for ch in ordered if ch.guard.margin(state) >= 0.0]
+        ch = first_active(state)
     return state, events, budget_hit
 
 
@@ -293,6 +300,12 @@ def simulate(
     system: HybridSystem, x0: np.ndarray, opts: SimulationOptions
 ) -> HybridSolution:
     """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
+
+    Each sample's membership in the union jump set is evaluated once: ``x0``
+    before the loop, and each step's candidate end state after integrating
+    it.  Jumps are drained at ``t = 0`` when ``x0`` is in the union, and
+    after every landing on a guard before ``t_max``; a landing at exactly
+    ``t_max`` is not drained.  The union stops at the first active channel.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
@@ -305,7 +318,7 @@ def simulate(
             return rk4_step(state, flow, dt)
 
     state = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise IntegrationFailure("non-finite initial state", state)
     t, j = 0.0, 0
     ts, js, samples = [t], [j], [state]
@@ -313,11 +326,20 @@ def simulate(
     status = "t_max"
 
     def union_margin(s: np.ndarray) -> float:
-        return max(ch.guard.margin(s) for ch in system.channels)
+        # The first margin >= 0 if any, else the largest: the sign of the
+        # max over all channels, which is all that callers compare.
+        best = -np.inf
+        for ch in system.channels:
+            m = ch.guard.margin(s)
+            if m >= 0.0:
+                return m
+            best = max(best, m)
+        return best
 
+    in_jump_set = union_margin(state) >= 0.0
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
-        if any(ch.guard.margin(state) >= 0.0 for ch in system.channels):
+        if in_jump_set:
             state, new_events, budget_hit = resolve_jumps(
                 state, t, j, system.channels, opts.jump_priority, opts.j_max
             )
@@ -332,11 +354,13 @@ def simulate(
                 break
         h = min(opts.step_h, opts.t_max - t)
         candidate = flow_to(state, h)
-        if not np.all(np.isfinite(candidate)):
+        if not np.isfinite(candidate).all():
             raise IntegrationFailure("non-finite state during flow", candidate)
-        if union_margin(candidate) >= 0.0:
+        in_jump_set = union_margin(candidate) >= 0.0
+        if in_jump_set:
             # A guard activates inside this step; land exactly on it.  The
-            # top-of-loop drain guarantees union_margin(state) < 0 here.
+            # step's start state was accepted or drained, so
+            # union_margin(state) < 0 here.
             t_star, state = locate_event(
                 union_margin, flow_to, state, candidate, t, t + h, opts.event_tol
             )
@@ -354,5 +378,4 @@ def simulate(
         states=np.array(samples),
         events=events,
         status=status,
-        options=opts,
     )

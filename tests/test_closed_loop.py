@@ -8,8 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
+from hybrid_rendezvous.controllers import timer_advance
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
-from hybrid_rendezvous.hcw import RX, RY, RZ, VX, VY, VZ, OrbitParams, hcw_derivative
+from hybrid_rendezvous.hcw import (
+    RX, RY, RZ, VX, VY, VZ, OrbitParams, hcw_derivative, hcw_stm,
+)
 
 from conftest import flip_alpha_sign
 
@@ -64,6 +67,32 @@ class TestFullFlow:
         for _ in range(100):
             stepped = rk4_step(stepped, cl.make_flow(P), dt / 100)
         assert np.max(np.abs(exact - stepped)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
+
+    def test_transition_matrix_memo_is_exact(self, monkeypatch):
+        # Each step equals a freshly built matrix and timer advance; only a
+        # change of dt builds a new matrix.
+        stm_calls = []
+
+        def counted_stm(p, dt):
+            stm_calls.append(dt)
+            return hcw_stm(p, dt)
+
+        monkeypatch.setattr(cl, "hcw_stm", counted_stm)
+        flow_to = cl.make_flow_to(P)
+        s = cl.make_state(
+            r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05),
+            tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
+        )
+        h = 10.0
+        for dt in (h, h, h / 3, h, 2 * h):
+            expected = np.array(s)
+            expected[:6] = hcw_stm(P, dt) @ s[:6]
+            for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
+                expected[idx] = timer_advance(s[idx], dt, P.n)
+            out = flow_to(s, dt)
+            assert np.array_equal(out, expected)
+            s = out
+        assert len(stm_calls) == 4
 
 
 class TestLyapunovAndDistance:

@@ -276,6 +276,32 @@ class TestSimulate:
         with pytest.raises(IntegrationFailure):
             simulate(system, x0, opts())
 
+    def test_one_guard_evaluation_per_flow_sample(self):
+        # x0 and each of the five step ends are checked once; from tau_z = 0
+        # the dwell timer vetoes the z jump for the whole 50 s horizon.
+        system = build_system(P, THRESHOLDS, subsystem="z")
+        evals = []
+
+        def counting(guard):
+            def terms(state):
+                evals.append(1)
+                return guard.terms(state)
+
+            return GuardConjunction(terms)
+
+        system = dataclasses.replace(
+            system,
+            channels=tuple(
+                dataclasses.replace(ch, guard=counting(ch.guard))
+                for ch in system.channels
+            ),
+        )
+        x0 = make_state(r=(0, 0, 100), v=(0, 0, 0.05), tau_z=0.0)
+        sol = simulate(system, x0, SimulationOptions(step_h=10, t_max=50))
+        assert sol.events == []
+        assert len(sol.t) == 6
+        assert len(evals) == 6
+
     def test_rk4_integrator_matches_closed_form_between_jumps(self):
         system = build_system(P, THRESHOLDS, subsystem="z")
         x0 = make_state(r=(0, 0, 300.0), tau_z=THRESHOLDS.z)
