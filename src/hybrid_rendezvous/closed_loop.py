@@ -13,6 +13,10 @@ through one definition: they read components as ``state.T[k]``, a scalar
 for one state and a column for a block.  (``state[..., k]`` would give a 0-d
 array for one state, whose arithmetic is several times slower.)
 
+The per-sample hot path (the propagator's timers, the guards and the jump
+maps) reads a state once with ``tolist()`` and works on Python floats, which
+round exactly as NumPy's float64 scalars do, without NumPy's per-call cost.
+
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
 """
@@ -20,6 +24,7 @@ unused channels simply absent from the jump list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,6 +46,10 @@ from .hcw import (
 
 QZ, TAUZ, TAUB, QA, TAUA = 6, 7, 8, 9, 10
 DIM = 11
+
+#: The in-plane components ``(r_x, v_x, r_y, v_y)`` of anything indexed by
+#: state component, as a tuple.
+_inplane_of = itemgetter(*INPLANE)
 
 SUBSYSTEM_CHANNELS = {
     "z": ("z",),
@@ -111,6 +120,13 @@ def make_state(
     return state
 
 
+def zeta_components(s, p: OrbitParams) -> tuple:
+    """``(x, y, alpha, beta)`` of ``s``, indexed by state component: a list
+    of 11 floats gives four floats, and ``state.T`` of a block gives four
+    columns."""
+    return to_zeta(_inplane_of(s), p)
+
+
 def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     """Transformed in-plane view (x, y, alpha, beta) of a full state.
 
@@ -118,7 +134,7 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     block of states ``(N, 11)``, giving ``(N, 4)`` with row ``i`` equal, bit
     for bit, to the view of ``state[i]``.
     """
-    return to_zeta(state.T[list(INPLANE)], p).T
+    return np.array(zeta_components(state.T, p)).T
 
 
 def full_flow(state: np.ndarray, p: OrbitParams) -> np.ndarray:
@@ -148,7 +164,11 @@ def make_flow_to(p: OrbitParams):
     The propagator keeps a one-entry memo ``(dt, hcw_stm(p, dt))`` of the
     last matrix it built, so consecutive full steps of one ``dt`` share one
     matrix; any other ``dt`` builds its own and takes the entry.  The matrix
-    is a pure function of ``(p, dt)``, so reuse gives the same bits.
+    is a pure function of ``(p, dt)``, so reuse gives the same bits.  Each
+    call reads the five controller entries with one ``tolist()`` and
+    advances the three timers on Python floats.  The plant product is
+    ``np.dot``: the same BLAS matrix-vector product as ``@``, with less
+    dispatch cost per call.
     """
     memo_dt, memo_stm = None, None
 
@@ -156,11 +176,12 @@ def make_flow_to(p: OrbitParams):
         nonlocal memo_dt, memo_stm
         if dt != memo_dt:
             memo_dt, memo_stm = dt, hcw_stm(p, dt)
-        out = np.array(state)
-        out[:6] = memo_stm @ state[:6]
-        out[TAUZ] = ctl.timer_advance(state[TAUZ], dt, p.n)
-        out[TAUB] = ctl.timer_advance(state[TAUB], dt, p.n)
-        out[TAUA] = ctl.timer_advance(state[TAUA], dt, p.n)
+        _, tau_z, tau_b, _, tau_a = state[QZ:].tolist()
+        out = state.copy()
+        out[:6] = np.dot(memo_stm, state[:6])
+        out[TAUZ] = ctl.timer_advance(tau_z, dt, p.n)
+        out[TAUB] = ctl.timer_advance(tau_b, dt, p.n)
+        out[TAUA] = ctl.timer_advance(tau_a, dt, p.n)
         return out
 
     return flow_to
@@ -169,20 +190,6 @@ def make_flow_to(p: OrbitParams):
 # ---------------------------------------------------------------------------
 # Lyapunov functions and attractor distance
 # ---------------------------------------------------------------------------
-
-
-def v_z(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
-    plant = state.T
-    return ctl.z_lyapunov(plant[RZ], plant[VZ], p.n)
-
-
-def v_beta(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
-    return ctl.beta_lyapunov(zeta_of(state, p).T[3])
-
-
-def v_alpha(state: np.ndarray, p: OrbitParams) -> float | np.ndarray:
-    x, y, al, _ = zeta_of(state, p).T
-    return ctl.alpha_lyapunov(x, y, al, p.n)
 
 
 def lyapunov_values(
@@ -194,9 +201,13 @@ def lyapunov_values(
     each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
     value at ``state[i]``.
     """
-    x, y, al, beta = zeta_of(state, p).T
-    lyap_alpha = ctl.alpha_lyapunov(x, y, al, p.n)
-    return {"z": v_z(state, p), "beta": ctl.beta_lyapunov(beta), "alpha": lyap_alpha}
+    plant = state.T
+    x, y, al, beta = zeta_components(plant, p)
+    return {
+        "z": ctl.z_lyapunov(plant[RZ], plant[VZ], p.n),
+        "beta": ctl.beta_lyapunov(beta),
+        "alpha": ctl.alpha_lyapunov(x, y, al, p.n),
+    }
 
 
 def distance_to_attractor(
@@ -221,6 +232,10 @@ def distance_to_attractor(
 
 # ---------------------------------------------------------------------------
 # channel adapters over the 11-vector
+#
+# Guard terms take a list of 11 floats (the engine passes ``state.tolist()``);
+# jump maps take the state array, read it once with ``tolist()`` and build
+# the post-jump array from the edited list.
 # ---------------------------------------------------------------------------
 
 
@@ -230,19 +245,17 @@ def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     )
 
     def jump(state: np.ndarray) -> JumpOutcome:
-        vz = state[VZ]
-        vz_plus, q_plus, u_applied = ctl.z_jump(state[RZ], vz, state[QZ], p)
-        out = np.array(state)
-        out[VZ] = vz_plus
-        out[QZ] = q_plus
-        out[TAUZ] = 0.0
+        s = state.tolist()
+        rz, vz = s[RZ], s[VZ]
+        vz_plus, q_plus, u_applied = ctl.z_jump(rz, vz, s[QZ], p)
+        s[VZ], s[QZ], s[TAUZ] = vz_plus, q_plus, 0.0
         u_cmd = -vz
         return JumpOutcome(
-            state=out,
+            state=np.array(s),
             u_commanded=u_cmd,
             u_applied=u_applied,
-            lyap_pre=v_z(state, p),
-            lyap_post=v_z(out, p),
+            lyap_pre=ctl.z_lyapunov(rz, vz, p.n),
+            lyap_post=ctl.z_lyapunov(rz, vz_plus, p.n),
             bound=-u_cmd * u_applied,  # -v_z * sat(v_z)
         )
 
@@ -253,18 +266,18 @@ def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     guard = GuardConjunction(terms=lambda s: ctl.beta_guard(s[TAUB], tau_m))
 
     def jump(state: np.ndarray) -> JumpOutcome:
-        beta = zeta_of(state, p)[3]
+        s = state.tolist()
+        beta = zeta_components(s, p)[3]
         u_cmd = beta / 3.0
         u_applied = ctl.beta_input(beta, p.umax)
-        out = np.array(state)
-        out[VY] += u_applied
-        out[TAUB] = 0.0
+        s[VY] += u_applied
+        s[TAUB] = 0.0
         return JumpOutcome(
-            state=out,
+            state=np.array(s),
             u_commanded=u_cmd,
             u_applied=u_applied,
-            lyap_pre=v_beta(state, p),
-            lyap_post=v_beta(out, p),
+            lyap_pre=ctl.beta_lyapunov(beta),
+            lyap_post=ctl.beta_lyapunov(zeta_components(s, p)[3]),
             bound=-u_applied * u_cmd,  # -sat(beta/3) * (beta/3)
         )
 
@@ -272,27 +285,28 @@ def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
 
 
 def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    def terms(s: np.ndarray) -> tuple[float, float, float]:
-        x, y, al, _ = zeta_of(s, p)
+    def terms(s) -> tuple[float, float, float]:
+        x, y, al, _ = zeta_components(s, p)
         return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
 
     guard = GuardConjunction(terms=terms)
 
     def jump(state: np.ndarray) -> JumpOutcome:
-        _, y, al, _ = zeta_of(state, p)
+        s = state.tolist()
+        x, y, al, _ = zeta_components(s, p)
         u_cmd = ctl.alpha_input(y, al, p)
-        _, _, q_plus, s = ctl.alpha_jump(y, al, state[QA], p)
-        out = np.array(state)
-        out[VX] += s
-        out[QA] = q_plus
-        out[TAUA] = 0.0
+        _, _, q_plus, u_applied = ctl.alpha_jump(y, al, s[QA], p)
+        lyap_pre = ctl.alpha_lyapunov(x, y, al, p.n)
+        s[VX] += u_applied
+        s[QA], s[TAUA] = q_plus, 0.0
+        x, y, al, _ = zeta_components(s, p)
         return JumpOutcome(
-            state=out,
+            state=np.array(s),
             u_commanded=u_cmd,
-            u_applied=s,
-            lyap_pre=v_alpha(state, p),
-            lyap_post=v_alpha(out, p),
-            bound=-2.0 * s * u_cmd,  # -2 sat(u_x) * u_x
+            u_applied=u_applied,
+            lyap_pre=lyap_pre,
+            lyap_post=ctl.alpha_lyapunov(x, y, al, p.n),
+            bound=-2.0 * u_applied * u_cmd,  # -2 sat(u_x) * u_x
         )
 
     return JumpChannel(name="alpha", guard=guard, jump=jump)

@@ -103,112 +103,47 @@ def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
     Built from the trigonometric closed-form solution rather than a matrix
     exponential.  Negative ``dt`` propagates backward.  Satisfies the group
     property ``hcw_stm(a) @ hcw_stm(b) = hcw_stm(a + b)``.
+
+    ``cos`` and ``sin`` are taken once, as Python floats, and the matrix is
+    one array literal of float expressions in them, laid out row by row.
+    (A flat literal reshaped to 6 x 6 is built faster than a nested one.)
     """
     n = p.n
-    c = np.cos(n * dt)
-    s = np.sin(n * dt)
-    m = np.zeros((6, 6))
-    # In-plane block (secular drift lives in the r_y row).
-    m[RX, RX] = 4.0 - 3.0 * c
-    m[RX, VX] = s / n
-    m[RX, VY] = 2.0 * (1.0 - c) / n
-    m[RY, RX] = 6.0 * (s - n * dt)
-    m[RY, RY] = 1.0
-    m[RY, VX] = 2.0 * (c - 1.0) / n
-    m[RY, VY] = (4.0 * s - 3.0 * n * dt) / n
-    m[VX, RX] = 3.0 * n * s
-    m[VX, VX] = c
-    m[VX, VY] = 2.0 * s
-    m[VY, RX] = 6.0 * n * (c - 1.0)
-    m[VY, VX] = -2.0 * s
-    m[VY, VY] = 4.0 * c - 3.0
-    # Out-of-plane block: a pure oscillator.
-    m[RZ, RZ] = c
-    m[RZ, VZ] = s / n
-    m[VZ, RZ] = -n * s
-    m[VZ, VZ] = c
-    return m
+    c = float(np.cos(n * dt))
+    s = float(np.sin(n * dt))
+    # Rows and columns in state order (r_x, r_y, r_z, v_x, v_y, v_z).  The
+    # in-plane block couples r_x, r_y, v_x, v_y (secular drift lives in the
+    # r_y row); the out-of-plane block is a pure oscillator.
+    return np.array([
+        4.0 - 3.0 * c, 0.0, 0.0, s / n, 2.0 * (1.0 - c) / n, 0.0,
+        6.0 * (s - n * dt), 1.0, 0.0, 2.0 * (c - 1.0) / n, (4.0 * s - 3.0 * n * dt) / n, 0.0,
+        0.0, 0.0, c, 0.0, 0.0, s / n,
+        3.0 * n * s, 0.0, 0.0, c, 2.0 * s, 0.0,
+        6.0 * n * (c - 1.0), 0.0, 0.0, -2.0 * s, 4.0 * c - 3.0, 0.0,
+        0.0, 0.0, -n * s, 0.0, 0.0, c,
+    ]).reshape(6, 6)
 
 
 def transform_matrix(n: float) -> np.ndarray:
     """The in-plane change of coordinates T mapping (r_x, v_x, r_y, v_y) to
     (x, y, alpha, beta): :func:`to_zeta` applied to the identity, column by
     column."""
-    return to_zeta(np.eye(4), OrbitParams(n=n))
+    return np.array(to_zeta(np.eye(4), OrbitParams(n=n)))
 
 
-def transform_matrix_inv(n: float) -> np.ndarray:
-    """Exact closed-form inverse of :func:`transform_matrix`."""
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, -2.0 / (3.0 * n)],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 2.0 / n, 1.0, 0.0],
-            [-2.0 * n, 0.0, 0.0, 1.0],
-        ]
-    )
+def to_zeta(inplane, p: OrbitParams) -> tuple:
+    """Map an in-plane state (r_x, v_x, r_y, v_y) to the four rows
+    (x, y, alpha, beta).
 
-
-def inplane_a0(n: float) -> np.ndarray:
-    """In-plane drift matrix on (r_x, v_x, r_y, v_y)."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [3.0 * n * n, 0.0, 0.0, 2.0 * n],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, -2.0 * n, 0.0, 0.0],
-        ]
-    )
-
-
-def inplane_b0() -> np.ndarray:
-    """In-plane input matrix on (r_x, v_x, r_y, v_y): impulses hit velocities."""
-    return np.array(
-        [
-            [0.0, 0.0],
-            [1.0, 0.0],
-            [0.0, 0.0],
-            [0.0, 1.0],
-        ]
-    )
-
-
-def zeta_a(n: float) -> np.ndarray:
-    """Transformed drift matrix: oscillator (x, y) plus double integrator
-    (alpha, beta)."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-n * n, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-
-
-def zeta_b(n: float) -> np.ndarray:
-    """Transformed input matrix: u_x enters (y, alpha) with gains (1, -2/n);
-    u_y enters (x, beta) with gains (-2/n, -3)."""
-    return np.array(
-        [
-            [0.0, -2.0 / n],
-            [1.0, 0.0],
-            [-2.0 / n, 0.0],
-            [0.0, -3.0],
-        ]
-    )
-
-
-def to_zeta(inplane: np.ndarray, p: OrbitParams) -> np.ndarray:
-    """Map an in-plane state (r_x, v_x, r_y, v_y), or each column of a
-    (4, k) array, to (x, y, alpha, beta)."""
+    ``inplane`` is any sequence of four entries: Python floats give a tuple
+    of floats, and the four rows of a (4, k) array give a tuple of length-k
+    rows.  Callers that need an array wrap the tuple in ``np.array``.
+    """
     n = p.n
     rx, vx, ry, vy = inplane
-    return np.array(
-        [
-            -3.0 * rx - 2.0 * vy / n,
-            vx,
-            -2.0 * vx / n + ry,
-            -6.0 * n * rx - 3.0 * vy,
-        ]
+    return (
+        -3.0 * rx - 2.0 * vy / n,
+        vx,
+        -2.0 * vx / n + ry,
+        -6.0 * n * rx - 3.0 * vy,
     )

@@ -38,15 +38,17 @@ from hybrid_rendezvous.hcw import (
     OrbitParams,
     hcw_derivative,
     hcw_stm,
+    transform_matrix,
+)
+
+from conftest import (
     inplane_a0,
     inplane_b0,
-    transform_matrix,
+    scenario_path,
     transform_matrix_inv,
     zeta_a,
     zeta_b,
 )
-
-from conftest import scenario_path
 
 BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
 

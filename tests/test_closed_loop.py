@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous import closed_loop as cl
+from hybrid_rendezvous import controllers as ctl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
@@ -103,7 +104,7 @@ class TestLyapunovAndDistance:
     def test_z_distance_is_sqrt_vz(self):
         s = cl.make_state(v=(0, 0, 0.5))
         spec = cl.AttractorSpec(which="z", epsilon=1.0)
-        assert cl.v_z(s, P) == 0.25
+        assert cl.lyapunov_values(s, P)["z"] == 0.25
         assert cl.distance_to_attractor(s, P, spec) == 0.5
 
     def test_reference_inplane_energy(self):
@@ -152,6 +153,47 @@ class TestBlockViews:
                 single = cl.distance_to_attractor(s, P, spec)
                 assert type(single) is float
                 assert dist[i] == single
+
+    @given(states=STATE_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_hot_path_equals_array_views(self, states):
+        # Guards on a state's tolist() give the margins of the array itself;
+        # each jump map equals its formula evaluated through the block views.
+        channels = cl.build_system(P, THRESHOLDS, "full").channels
+        zeta = cl.zeta_of(states, P)
+        lyap = cl.lyapunov_values(states, P)
+        expected = {ch.name: [] for ch in channels}
+        for i, s in enumerate(states):
+            for ch in channels:
+                assert ch.guard.terms(s.tolist()) == ch.guard.terms(s)
+                assert (ch.guard.margins(s.tolist()) == ch.guard.margins(s)).all()
+                assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
+            _, y, al, beta = zeta[i]
+            post = np.array(s)
+            post[VZ], post[cl.QZ], u_z = ctl.z_jump(s[RZ], s[VZ], s[cl.QZ], P)
+            post[cl.TAUZ] = 0.0
+            expected["z"].append((post, -s[VZ], u_z, lyap["z"][i]))
+            u_beta = ctl.beta_input(beta, P.umax)
+            post = np.array(s)
+            post[VY] += u_beta
+            post[cl.TAUB] = 0.0
+            expected["beta"].append((post, beta / 3.0, u_beta, lyap["beta"][i]))
+            _, _, q_plus, u_alpha = ctl.alpha_jump(y, al, s[cl.QA], P)
+            post = np.array(s)
+            post[VX] += u_alpha
+            post[cl.QA], post[cl.TAUA] = q_plus, 0.0
+            u_cmd = ctl.alpha_input(y, al, P)
+            expected["alpha"].append((post, u_cmd, u_alpha, lyap["alpha"][i]))
+        for ch in channels:
+            posts = np.array([post for post, *_ in expected[ch.name]])
+            lyap_post = cl.lyapunov_values(posts, P)[ch.name]
+            gain = 2.0 if ch.name == "alpha" else 1.0
+            for i, (post, u_cmd, u, pre) in enumerate(expected[ch.name]):
+                out = ch.jump(states[i])
+                assert np.array_equal(out.state, post)
+                assert out.u_commanded == u_cmd and out.u_applied == u
+                assert out.lyap_pre == pre and out.lyap_post == lyap_post[i]
+                assert out.bound == -gain * u * u_cmd
 
 
 def jump_sets(state):
@@ -209,16 +251,16 @@ class TestCompositionProperties:
     def test_composite_certificate_monotone(self, sol):
         # V_z + beta^2 never increases across any jump.
         for ev in sol.events:
-            pre = cl.v_z(ev.state_pre, P) + cl.v_beta(ev.state_pre, P)
-            post = cl.v_z(ev.state_post, P) + cl.v_beta(ev.state_post, P)
+            pre = sum(cl.lyapunov_values(ev.state_pre, P)[k] for k in ("z", "beta"))
+            post = sum(cl.lyapunov_values(ev.state_post, P)[k] for k in ("z", "beta"))
             assert post <= pre + 1e-12 * max(1.0, pre)
 
     def test_alpha_certificate_monotone_at_alpha_jumps(self, sol):
         for ev in sol.events:
             if ev.channel == "alpha":
-                assert cl.v_alpha(ev.state_post, P) <= cl.v_alpha(
-                    ev.state_pre, P
-                ) + 1e-12
+                post = cl.lyapunov_values(ev.state_post, P)["alpha"]
+                pre = cl.lyapunov_values(ev.state_pre, P)["alpha"]
+                assert post <= pre + 1e-12
 
     def test_no_zeno_termination(self, sol):
         assert sol.status != "jump_budget_exhausted"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybrid_rendezvous.hcw import (
@@ -16,17 +16,64 @@ from hybrid_rendezvous.hcw import (
     dz,
     hcw_derivative,
     hcw_stm,
-    inplane_a0,
-    inplane_b0,
     sat,
     to_zeta,
     transform_matrix,
-    transform_matrix_inv,
-    zeta_a,
-    zeta_b,
 )
 
+from conftest import inplane_a0, inplane_b0, transform_matrix_inv, zeta_a, zeta_b
+
 P = OrbitParams()
+
+#: Unit roundoff of float64.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def stm_scale(n):
+    """Entry scales K of the transition matrix: ``K[i, j] = w_i / w_j`` with
+    ``w = 1`` for positions and ``n`` for velocities, so that every entry of
+    ``hcw_stm`` is ``K[i, j]`` times a combination of 1, cos, sin and n t."""
+    w = np.array([1.0, 1.0, 1.0, n, n, n])
+    return w[:, None] / w[None, :]
+
+
+def stm_entry_error(n, t):
+    """Entrywise bound ``48 u (1 + n |t|)`` on ``|hcw_stm(t) - Phi(t)| / K``.
+
+    cos and sin of the rounded argument n t are off by at most u n |t|
+    (the rounding of n t) plus 2 u (one ulp of the library).  In units of
+    K the worst entry is ``6 n (c - 1)``: 6 times that error, plus three
+    roundings of operands of magnitude <= 12, i.e. 6 u n |t| + 12 u + 36 u.
+    Every other entry, ``6 (s - n t)`` included, adds up to less.
+    """
+    return 48 * UNIT_ROUNDOFF * (1.0 + n * abs(t))
+
+
+def stm_reference(p, dt):
+    """Entrywise transition matrix: zeros, then one store per nonzero entry,
+    each with the same expression as :func:`hcw_stm`."""
+    n = p.n
+    c = np.cos(n * dt)
+    s = np.sin(n * dt)
+    m = np.zeros((6, 6))
+    m[RX, RX] = 4.0 - 3.0 * c
+    m[RX, VX] = s / n
+    m[RX, VY] = 2.0 * (1.0 - c) / n
+    m[RY, RX] = 6.0 * (s - n * dt)
+    m[RY, RY] = 1.0
+    m[RY, VX] = 2.0 * (c - 1.0) / n
+    m[RY, VY] = (4.0 * s - 3.0 * n * dt) / n
+    m[VX, RX] = 3.0 * n * s
+    m[VX, VX] = c
+    m[VX, VY] = 2.0 * s
+    m[VY, RX] = 6.0 * n * (c - 1.0)
+    m[VY, VX] = -2.0 * s
+    m[VY, VY] = 4.0 * c - 3.0
+    m[RZ, RZ] = c
+    m[RZ, VZ] = s / n
+    m[VZ, RZ] = -n * s
+    m[VZ, VZ] = c
+    return m
 
 
 def rk4_reference(state, p, t_final, steps):
@@ -92,15 +139,41 @@ class TestStm:
         zblock = m[np.ix_([RZ, VZ], [RZ, VZ])]
         assert np.allclose(zblock, np.eye(2), atol=1e-12)
 
+    @given(dt=st.floats(-4 * P.period, 4 * P.period, allow_nan=False))
+    @example(dt=0.0)
+    @example(dt=P.period)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_entrywise_reference(self, dt):
+        assert np.array_equal(hcw_stm(P, dt), stm_reference(P, dt))
+
     @given(
         a=st.floats(-2 * P.period, 2 * P.period, allow_nan=False),
         b=st.floats(-2 * P.period, 2 * P.period, allow_nan=False),
     )
+    @example(a=11365.0, b=-11356.0)
     @settings(max_examples=100, deadline=None)
     def test_group_property(self, a, b):
-        lhs = hcw_stm(P, a) @ hcw_stm(P, b)
-        rhs = hcw_stm(P, a + b)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+        # Elementwise error model (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., section 3.5).  With computed
+        # factors X = Phi(a) + E_a and Y = Phi(b) + E_b:
+        #   |fl(X Y) - X Y| <= gamma_6 |X| |Y|,  gamma_k = k u / (1 - k u);
+        #   X Y - Phi(a + b) = E_a Y + X E_b - E_a E_b.
+        # |E_t| <= e_t K (stm_entry_error), and K @ K = 6 K.  The right side
+        # adds E_{a+b} and the rounding of the argument a + b, which moves
+        # each entry by at most u |a + b| * 12 n K (|d Phi / dt| <= 12 n K).
+        u = UNIT_ROUNDOFF
+        gamma_6 = 6 * u / (1 - 6 * u)
+        k = stm_scale(P.n)
+        x, y = hcw_stm(P, a), hcw_stm(P, b)
+        e_a, e_b = stm_entry_error(P.n, a), stm_entry_error(P.n, b)
+        e_ab = stm_entry_error(P.n, a + b) + 12 * u * P.n * abs(a + b)
+        bound = (
+            gamma_6 * np.abs(x) @ np.abs(y)
+            + e_a * k @ np.abs(y)
+            + e_b * np.abs(x) @ k
+            + (6 * e_a * e_b + e_ab) * k
+        )
+        assert (np.abs(x @ y - hcw_stm(P, a + b)) <= bound).all()
 
     def test_secular_drift_against_rk4_oracle(self):
         # A pure radial offset r_x0 with zero relative velocity has mean
