@@ -34,6 +34,11 @@ IMPULSE_FLOOR = 1e-9
 #: Lyapunov values, to avoid 0/0 on converged arcs.
 DRIFT_FLOOR = 1e-12
 
+#: Rounding slack on a jump's Lyapunov change (squared-state units): the
+#: change may exceed its theorem bound, and a zero-input jump may move V,
+#: by at most this much.
+JUMP_SLACK = 1e-12
+
 #: |beta| (m/s) below which an arc counts as having beta = 0, enabling the
 #: V_alpha flow-invariance check (beta is constant along arcs, so this is a
 #: per-arc property).  Sized to the zero-firing residue scale.
@@ -91,7 +96,6 @@ def check_flow_invariance(
     sol: HybridSolution,
     p: OrbitParams,
     tol: float,
-    floor: float = DRIFT_FLOOR,
 ) -> CertificateReport:
     """Verify the Lyapunov functions are constant along every flow arc.
 
@@ -101,8 +105,8 @@ def check_flow_invariance(
     alpha ramps and V_alpha genuinely varies along the flow.
 
     For each arc and each checked function, the drift is
-    ``max_t |V(t) - V(arc start)| / max(V(arc start), floor)`` and must not
-    exceed ``tol``.
+    ``max_t |V(t) - V(arc start)| / max(V(arc start), DRIFT_FLOOR)`` and
+    must not exceed ``tol``.
     """
     report = CertificateReport(name="flow_invariance")
     names = ("z", "beta", "alpha")
@@ -111,7 +115,7 @@ def check_flow_invariance(
     worst = {name: 0.0 for name in names}
     for start, stop in sol.arcs():
         ref = values[start]
-        denom = np.maximum(ref, floor)
+        denom = np.maximum(ref, DRIFT_FLOOR)
         drift = np.abs(values[start:stop] - ref) / denom
         arc_worst = drift.max(axis=0)
         beta_live = values[start, 1] > BETA_GATE**2  # V_beta = beta^2
@@ -134,22 +138,20 @@ def check_flow_invariance(
     return report
 
 
-def check_jump_decrease(
-    sol: HybridSolution, slack: float = 1e-12
-) -> CertificateReport:
+def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
     """Verify every impulse against its channel's jump-decrease bound.
 
-    Nonzero-input events must satisfy ``delta_V <= bound + slack`` where the
-    bound is the per-channel algebraic identity recorded at jump time
-    (``-v_z sat(v_z)``, ``-sat(beta/3)(beta/3)``, ``-2 sat(u_x) u_x``).
-    Zero-input events must have ``|delta_V| <= slack``.
+    Nonzero-input events must satisfy ``delta_V <= bound +`` :data:`JUMP_SLACK`
+    where the bound is the per-channel algebraic identity recorded at jump
+    time (``-v_z sat(v_z)``, ``-sat(beta/3)(beta/3)``, ``-2 sat(u_x) u_x``).
+    Zero-input events must have ``|delta_V| <=`` :data:`JUMP_SLACK`.
     """
     report = CertificateReport(name="jump_decrease")
     for ev in sol.events:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:
             report.jump_margins.append(-abs(delta))
-            if abs(delta) > slack:
+            if abs(delta) > JUMP_SLACK:
                 report.violations.append(
                     Violation(
                         t=ev.t,
@@ -162,7 +164,7 @@ def check_jump_decrease(
             continue
         margin = ev.bound - delta
         report.jump_margins.append(margin)
-        if delta > ev.bound + slack:
+        if delta > ev.bound + JUMP_SLACK:
             report.violations.append(
                 Violation(
                     t=ev.t,

@@ -46,8 +46,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
-BUDGET_EXHAUSTED = "jump budget exhausted (possible Zeno)"
-
 SWEEPABLE = ("tau_m_z", "tau_m_beta", "tau_m_alpha", "umax")
 
 
@@ -65,13 +63,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def run_scenario(cfg: ScenarioConfig, subsystem: str | None = None):
+def run_scenario(cfg: ScenarioConfig):
     """Simulate one scenario; returns (solution, params, attractor spec)."""
-    which = subsystem or cfg.subsystem
     p = cfg.params()
-    system = build_system(p, cfg.thresholds(), subsystem=which)
+    system = build_system(p, cfg.thresholds(), subsystem=cfg.subsystem)
     sol = simulate(system, cfg.initial_state(), cfg.options())
-    return sol, p, cfg.attractor(which)
+    return sol, p, cfg.attractor()
 
 
 def flow_drift_tolerance(cfg: ScenarioConfig) -> float:
@@ -183,17 +180,14 @@ def write_events(
     _write_csv(path, EVENT_COLUMNS, (_event_row(ev, p, event_tol) for ev in sol.events))
 
 
-def build_summary(
-    cfg: ScenarioConfig, subsystem: str, sol: HybridSolution, p: OrbitParams, spec
-) -> dict:
+def build_summary(cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec) -> dict:
     bud = budget(sol)
     conv = convergence_time(sol, p, spec)
     flow_report = check_flow_invariance(sol, p, tol=flow_drift_tolerance(cfg))
     jump_report = check_jump_decrease(sol)
-    orbit = 2.0 * np.pi / p.n
     return {
         "version": __version__,
-        "subsystem": subsystem,
+        "subsystem": cfg.subsystem,
         "integrator": cfg.integrator,
         "n": cfg.n,
         "umax": cfg.umax,
@@ -204,7 +198,7 @@ def build_summary(
         },
         "status": sol.status,
         "t_final": float(sol.t[-1]),
-        "t_final_orbits": float(sol.t[-1]) / orbit,
+        "t_final_orbits": float(sol.t[-1]) / p.period,
         "j_final": int(sol.j[-1]),
         "budget": {
             "impulse_counts": bud.impulse_counts,
@@ -217,7 +211,7 @@ def build_summary(
             "epsilon": spec.epsilon,
             "converged": conv is not None,
             "t": None if conv is None else conv.t,
-            "t_orbits": None if conv is None else conv.t / orbit,
+            "t_orbits": None if conv is None else conv.t / p.period,
             "j": None if conv is None else conv.j,
         },
         "certificates": {
@@ -272,13 +266,11 @@ unset multiplot
 """
 
 
-def write_outputs(
-    out_dir: Path, cfg: ScenarioConfig, subsystem: str, sol, p, spec
-) -> dict:
+def write_outputs(out_dir: Path, cfg: ScenarioConfig, sol, p, spec) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(out_dir / "trajectory.csv", sol, p)
     write_events(out_dir / "events.csv", sol, p, cfg.event_tol)
-    summary = build_summary(cfg, subsystem, sol, p, spec)
+    summary = build_summary(cfg, sol, p, spec)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out_dir / "plot.gp").write_text(PLOT_TEMPLATE)
     return summary
@@ -289,20 +281,28 @@ def write_outputs(
 # ---------------------------------------------------------------------------
 
 
+def _budget_exhausted(sol: HybridSolution, where: str = "") -> bool:
+    """Report a run that spent its jump budget on stderr; true if it did."""
+    if sol.status != "jump_budget_exhausted":
+        return False
+    print(f"numerical failure{where}: jump budget exhausted (possible Zeno)", file=sys.stderr)
+    return True
+
+
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    subsystem = args.subsystem or cfg.subsystem
+    if args.subsystem:
+        cfg = replace(cfg, subsystem=args.subsystem)
     start = time.perf_counter()
-    sol, p, spec = run_scenario(cfg, subsystem)
+    sol, p, spec = run_scenario(cfg)
     elapsed = time.perf_counter() - start
-    if sol.status == "jump_budget_exhausted":
-        print(f"numerical failure: {BUDGET_EXHAUSTED}", file=sys.stderr)
+    if _budget_exhausted(sol):
         return EXIT_NUMERICAL
     out_dir = Path(args.out or cfg.output_dir)
-    summary = write_outputs(out_dir, cfg, subsystem, sol, p, spec)
+    summary = write_outputs(out_dir, cfg, sol, p, spec)
     certs = summary["certificates"]
     print(
-        f"{subsystem}: status={sol.status} t={summary['t_final_orbits']:.3f} orbits "
+        f"{cfg.subsystem}: status={sol.status} t={summary['t_final_orbits']:.3f} orbits "
         f"jumps={summary['j_final']} dv={summary['budget']['total_delta_v']:.4f} m/s "
         f"({elapsed:.2f} s) -> {out_dir}"
     )
@@ -314,9 +314,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
-    sol, p, spec = run_scenario(cfg, cfg.subsystem)
-    if sol.status == "jump_budget_exhausted":
-        print(f"numerical failure: {BUDGET_EXHAUSTED}", file=sys.stderr)
+    sol, p, spec = run_scenario(cfg)
+    if _budget_exhausted(sol):
         return EXIT_NUMERICAL
     flow_report = check_flow_invariance(sol, p, tol=flow_drift_tolerance(cfg))
     jump_report = check_jump_decrease(sol)
@@ -378,25 +377,20 @@ def cmd_sweep(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         try:
-            sol, p, spec = run_scenario(case, case.subsystem)
+            sol, p, spec = run_scenario(case)
         except IntegrationFailure as exc:
             print(f"numerical failure at {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         bud = budget(sol)
         conv = convergence_time(sol, p, spec)
-        orbit = 2.0 * np.pi / p.n
         count = sum(bud.impulse_counts.values())
-        conv_orbits = None if conv is None else conv.t / orbit
+        conv_orbits = None if conv is None else conv.t / p.period
         conv_str = "never" if conv_orbits is None else f"{conv_orbits:.3f}"
         print(
             f"{value:>12.6g} {count:>9d} {bud.total_delta_v:>10.4f} "
             f"{conv_str:>12} {sol.status:>10}"
         )
-        if sol.status == "jump_budget_exhausted":
-            print(
-                f"numerical failure at {args.param}={value}: {BUDGET_EXHAUSTED}",
-                file=sys.stderr,
-            )
+        if _budget_exhausted(sol, f" at {args.param}={value}"):
             return EXIT_NUMERICAL
         csv_lines.append(
             f"{_fmt(value)},{count},{_fmt(bud.total_delta_v)},"

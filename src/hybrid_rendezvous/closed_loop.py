@@ -51,6 +51,8 @@ DIM = 11
 #: state component, as a tuple.
 _inplane_of = itemgetter(*INPLANE)
 
+#: Each subsystem's channels, in jump priority order: where jump sets
+#: overlap, the first active channel listed fires first.
 SUBSYSTEM_CHANNELS = {
     "z": ("z",),
     "inplane": ("beta", "alpha"),
@@ -139,13 +141,14 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
 
 def full_flow(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     """Closed-loop vector field: HCW plant, frozen logic variables, timer
-    flows."""
-    out = np.zeros(DIM)
-    out[:6] = hcw_derivative(state[:6], p)
-    out[TAUZ] = ctl.timer_rate(state[TAUZ], p.n)
-    out[TAUB] = ctl.timer_rate(state[TAUB], p.n)
-    out[TAUA] = ctl.timer_rate(state[TAUA], p.n)
-    return out
+    flows.  The timers are read with one ``tolist()`` and the result is one
+    array literal in state order."""
+    _, tau_z, tau_b, _, tau_a = state[QZ:].tolist()
+    return np.array([
+        *hcw_derivative(state[:6], p).tolist(),
+        0.0, ctl.timer_rate(tau_z, p.n), ctl.timer_rate(tau_b, p.n),
+        0.0, ctl.timer_rate(tau_a, p.n),
+    ])
 
 
 def make_flow(p: OrbitParams):

@@ -29,7 +29,7 @@ Initial timers default to the channel's own threshold (written as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +104,10 @@ class ScenarioConfig:
             integrator=self.integrator,
         )
 
-    def attractor(self, subsystem: str | None = None) -> AttractorSpec:
-        """Attractor spec for the given subsystem, resolving the default
+    def attractor(self) -> AttractorSpec:
+        """Attractor spec of the scenario's subsystem, resolving the default
         convergence radius (1e-3 of the initial distance) if unset."""
-        which = subsystem or self.subsystem
+        which = self.subsystem
         if self.convergence_eps is not None:
             return AttractorSpec(which=which, epsilon=self.convergence_eps)
         d0 = distance_to_attractor(
@@ -117,15 +117,11 @@ class ScenarioConfig:
         return AttractorSpec(which=which, epsilon=eps)
 
 
-_FLOAT_KEYS = {
-    "n", "umax", "tau_m_z", "tau_m_beta", "tau_m_alpha",
-    "r_x", "r_y", "r_z", "v_x", "v_y", "v_z",
-    "q_z", "q_alpha", "step_h", "t_max_orbits", "event_tol", "convergence_eps",
-}
+#: Each key's value type, from the field annotations: ``str``, ``int``, or
+#: float for the rest.
+_KINDS = {f.name: {"str": str, "int": int}.get(f.type, float) for f in fields(ScenarioConfig)}
+#: Only timers accept ``threshold``.
 _TIMER_KEYS = {"tau_z", "tau_beta", "tau_alpha"}
-_INT_KEYS = {"j_max"}
-_STR_KEYS = {"subsystem", "integrator", "output_dir"}
-_ALL_KEYS = _FLOAT_KEYS | _TIMER_KEYS | _INT_KEYS | _STR_KEYS
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
@@ -143,7 +139,7 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _ALL_KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -157,12 +153,13 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 
 def _convert(key: str, value: str, path: Path, lineno: int) -> object:
-    if key in _STR_KEYS:
+    kind = _KINDS[key]
+    if kind is str:
         return value
     if key in _TIMER_KEYS and value == "threshold":
         return None
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             return int(value)
         number = float(value)
     except ValueError as exc:

@@ -7,8 +7,9 @@ executor alternates fixed-step flow integration with jump application:
 
 * jumps preempt flow — whenever any guard is satisfied, jumps are applied
   before integrating further;
-* among simultaneously active channels, a fixed priority order picks one
-  jump at a time, re-evaluating the remaining guards on the post-jump state;
+* among simultaneously active channels, the order of the system's channels
+  is the priority: the first active one jumps, and the guards are
+  re-evaluated on the post-jump state before the next;
 * guard activations inside a flow step are localized in time by left-biased
   bisection, re-integrating from the step's start state at each probe.
 
@@ -31,11 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 
-class SimulationError(Exception):
-    """Base class for executor failures."""
-
-
-class IntegrationFailure(SimulationError):
+class IntegrationFailure(Exception):
     """A flow step produced a non-finite state or derivative."""
 
     def __init__(self, message: str, state: np.ndarray | None = None):
@@ -67,9 +64,6 @@ class GuardConjunction:
 
     terms: Callable[[Sequence[float]], tuple[float, ...]]
 
-    def margins(self, state: Sequence[float]) -> np.ndarray:
-        return np.array(self.terms(state))
-
     def margin(self, state: Sequence[float]) -> float:
         return min(self.terms(state))
 
@@ -100,7 +94,7 @@ class ImpulseEvent:
     """Record of one applied jump.
 
     ``j_pre`` is the jump counter before the event (the event itself is jump
-    number ``j_pre + 1``).  ``margins`` are the guard margins evaluated at the
+    number ``j_pre + 1``).  ``margins`` are the guard terms evaluated at the
     trigger state.  ``delta_lyap`` is the observed change of the channel's
     Lyapunov function and ``bound`` the theorem bound it must not exceed.
     """
@@ -112,7 +106,7 @@ class ImpulseEvent:
     u_applied: float
     state_pre: np.ndarray
     state_post: np.ndarray
-    margins: np.ndarray
+    margins: tuple[float, ...]
     lyap_pre: float
     lyap_post: float
     bound: float
@@ -124,18 +118,14 @@ class ImpulseEvent:
 
 @dataclass(frozen=True)
 class SimulationOptions:
-    """Fixed-step executor knobs.
-
-    ``jump_priority`` orders channel names for resolving simultaneous guard
-    activations; channels not listed keep their construction order after the
-    listed ones.  A run always lasts until ``t_max`` or ``j_max``.
-    """
+    """Fixed-step executor knobs.  A run always lasts until ``t_max`` or
+    ``j_max``; simultaneous guard activations resolve in the order of
+    :attr:`HybridSystem.channels`."""
 
     step_h: float
     t_max: float
     j_max: int = 100_000
     event_tol: float = 1e-6
-    jump_priority: tuple[str, ...] = ("z", "beta", "alpha")
     integrator: str = "closed_form"
 
     def __post_init__(self):
@@ -156,7 +146,8 @@ class SimulationOptions:
 
 @dataclass(frozen=True)
 class HybridSystem:
-    """Flow + jump channels + exact propagator."""
+    """Flow + jump channels + exact propagator.  ``channels`` is in jump
+    priority order."""
 
     flow: Callable[[np.ndarray], np.ndarray]
     channels: tuple[JumpChannel, ...]
@@ -235,40 +226,26 @@ def locate_event(
     return hi, state_hi
 
 
-def order_channels(
-    channels: Sequence[JumpChannel], priority: Sequence[str]
-) -> list[JumpChannel]:
-    """Sort channels by the priority list; unlisted names keep their relative
-    order after the listed ones."""
-    rank = {name: i for i, name in enumerate(priority)}
-    decorated = sorted(
-        enumerate(channels), key=lambda kv: (rank.get(kv[1].name, len(rank)), kv[0])
-    )
-    return [ch for _, ch in decorated]
-
-
 def resolve_jumps(
     state: np.ndarray,
     t: float,
     j: int,
     channels: Sequence[JumpChannel],
-    priority: Sequence[str],
     j_max: int,
 ) -> tuple[np.ndarray, list[ImpulseEvent], bool]:
-    """Apply jumps while any guard is active, one at a time by priority.
+    """Apply jumps while any guard is active, one at a time in channel order.
 
-    Each jump fires the first active channel in priority order; guards after
+    Each jump fires the first active channel of ``channels``; guards after
     it are not evaluated.  Guards are re-evaluated on the post-jump state
-    after every applied jump, so a lower-priority channel still active after
-    a higher-priority jump fires next at the same ``t``.  Returns the
-    post-jump state, the events in application order, and a flag set when
-    ``j_max`` was hit while guards were still active (the Zeno guard).
+    after every applied jump, so a later channel still active after an
+    earlier one's jump fires next at the same ``t``.  Returns the post-jump
+    state, the events in application order, and a flag set when ``j_max``
+    was hit while guards were still active (the Zeno guard).
     """
-    ordered = order_channels(channels, priority)
 
     def first_active(s: np.ndarray) -> JumpChannel | None:
         values = s.tolist()
-        return next((ch for ch in ordered if ch.guard.margin(values) >= 0.0), None)
+        return next((ch for ch in channels if ch.guard.margin(values) >= 0.0), None)
 
     ch = first_active(state)
     if ch is None:
@@ -279,7 +256,7 @@ def resolve_jumps(
         if j + len(events) >= j_max:
             budget_hit = True
             break
-        margins = ch.guard.margins(state)
+        margins = ch.guard.terms(state.tolist())
         outcome = ch.jump(state)
         events.append(
             ImpulseEvent(
@@ -347,7 +324,7 @@ def simulate(
         # Jumps preempt flow: drain the active set before integrating.
         if in_jump_set:
             state, new_events, budget_hit = resolve_jumps(
-                state, t, j, system.channels, opts.jump_priority, opts.j_max
+                state, t, j, system.channels, opts.j_max
             )
             for ev in new_events:
                 events.append(ev)

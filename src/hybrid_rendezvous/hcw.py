@@ -85,16 +85,13 @@ def hcw_derivative(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     Accelerations are ``a_x = 3 n^2 r_x + 2 n v_y``, ``a_y = -2 n v_x``,
     ``a_z = -n^2 r_z``.  The equilibria are exactly the states with
     ``r_x = r_z = 0`` and ``v = 0`` (``r_y`` free).
+
+    The state is read once as Python floats and the result is one array
+    literal in state order.
     """
     n = p.n
-    out = np.empty(6)
-    out[RX] = state[VX]
-    out[RY] = state[VY]
-    out[RZ] = state[VZ]
-    out[VX] = 3.0 * n * n * state[RX] + 2.0 * n * state[VY]
-    out[VY] = -2.0 * n * state[VX]
-    out[VZ] = -n * n * state[RZ]
-    return out
+    rx, ry, rz, vx, vy, vz = state.tolist()
+    return np.array([vx, vy, vz, 3.0 * n * n * rx + 2.0 * n * vy, -2.0 * n * vx, -n * n * rz])
 
 
 def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:

@@ -83,6 +83,15 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["subsystem"] == "z"
         assert set(summary["budget"]["impulse_counts"]) <= {"z"}
+        # The flag is the same run as the config key.
+        text = scenario_path("full_ref").read_text()
+        assert "subsystem = full\n" in text
+        cfg_z = tmp_path / "full_ref_z.cfg"
+        cfg_z.write_text(text.replace("subsystem = full\n", "subsystem = z\n"))
+        keyed = tmp_path / "zkey"
+        assert run(["simulate", "--config", cfg_z, "--out", keyed]) == 0
+        for name in ("trajectory.csv", "events.csv", "summary.json"):
+            assert (out / name).read_bytes() == (keyed / name).read_bytes()
 
     def test_jump_budget_exhaustion_is_numerical_failure(self, tmp_path):
         cfg = tmp_path / "zeno.cfg"
@@ -175,7 +184,7 @@ class TestExitCodes:
     def test_integration_failure_is_numerical_error(
         self, command, tmp_path, monkeypatch, capsys
     ):
-        def failing(cfg, subsystem=None):
+        def failing(cfg):
             raise IntegrationFailure("non-finite state during flow")
 
         monkeypatch.setattr(cli, "run_scenario", failing)

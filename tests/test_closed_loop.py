@@ -157,7 +157,7 @@ class TestBlockViews:
     @given(states=STATE_BLOCKS)
     @settings(max_examples=100, deadline=None)
     def test_scalar_hot_path_equals_array_views(self, states):
-        # Guards on a state's tolist() give the margins of the array itself;
+        # Guards on a state's tolist() give the terms of the array itself;
         # each jump map equals its formula evaluated through the block views.
         channels = cl.build_system(P, THRESHOLDS, "full").channels
         zeta = cl.zeta_of(states, P)
@@ -166,7 +166,6 @@ class TestBlockViews:
         for i, s in enumerate(states):
             for ch in channels:
                 assert ch.guard.terms(s.tolist()) == ch.guard.terms(s)
-                assert (ch.guard.margins(s.tolist()) == ch.guard.margins(s)).all()
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
             _, y, al, beta = zeta[i]
             post = np.array(s)

@@ -1,5 +1,7 @@
 """Scenario file parsing and validation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestParsing:
     def test_t_max_in_seconds(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         assert cfg.options().t_max == pytest.approx(2 * np.pi / cfg.n)
+
+    def test_every_default_parses_back(self, tmp_path):
+        # The key kinds come from the dataclass: each default, written out,
+        # parses back to itself with its own type.
+        defaults = {
+            f.name: f.default for f in fields(ScenarioConfig) if f.default is not None
+        }
+        text = "".join(f"{key} = {value}\n" for key, value in defaults.items())
+        cfg = parse_config(write_cfg(tmp_path, text))
+        for key, value in defaults.items():
+            parsed = getattr(cfg, key)
+            assert parsed == value and type(parsed) is type(value), key
 
 
 class TestErrors:

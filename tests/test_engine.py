@@ -19,7 +19,6 @@ from hybrid_rendezvous.engine import (
     IntegrationFailure,
     SimulationOptions,
     locate_event,
-    order_channels,
     resolve_jumps,
     rk4_step,
     simulate,
@@ -158,11 +157,11 @@ class TestResolveJumps:
         # Unsaturated z firing: q_z flips, tau_z resets to 0.
         system = self.system("z")
         state = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)
-        out, events, budget_hit = resolve_jumps(
-            state, 0.0, 0, system.channels, ("z", "beta", "alpha"), 100
-        )
+        out, events, budget_hit = resolve_jumps(state, 0.0, 0, system.channels, 100)
         assert not budget_hit
         assert [e.channel for e in events] == ["z"]
+        # The event records the guard terms at the trigger state.
+        assert events[0].margins == system.channels[0].guard.terms(state.tolist())
         assert out[QZ] == -1.0
         assert out[TAUZ] == 0.0
         assert out[VZ] == 0.0
@@ -177,9 +176,7 @@ class TestResolveJumps:
             tau_z=THRESHOLDS.z,
             tau_beta=THRESHOLDS.beta,
         )
-        out, events, _ = resolve_jumps(
-            state, 0.0, 0, system.channels, ("z", "beta", "alpha"), 100
-        )
+        out, events, _ = resolve_jumps(state, 0.0, 0, system.channels, 100)
         assert [e.channel for e in events][:2] == ["z", "beta"]
         assert [e.j_pre for e in events] == list(range(len(events)))
         assert all(e.t == 0.0 for e in events)
@@ -192,22 +189,15 @@ class TestResolveJumps:
             tau_z=THRESHOLDS.z,
             tau_beta=THRESHOLDS.beta,
         )
-        out, events, _ = resolve_jumps(
-            state, 0.0, 0, system.channels, ("beta", "alpha", "z"), 100
-        )
+        z, beta, alpha = system.channels
+        out, events, _ = resolve_jumps(state, 0.0, 0, (beta, alpha, z), 100)
         assert events[0].channel == "beta"
 
     def test_empty_active_set_is_an_error(self):
         system = self.system("z")
         state = make_state(r=(0, 0, 100.0))  # tau_z = 0 vetoes the jump
         with pytest.raises(ValueError):
-            resolve_jumps(state, 0.0, 0, system.channels, ("z",), 100)
-
-    def test_order_channels_keeps_unlisted_last(self):
-        system = self.system("full")
-        ordered = order_channels(system.channels, ("alpha",))
-        assert ordered[0].name == "alpha"
-        assert [c.name for c in ordered[1:]] == ["z", "beta"]
+            resolve_jumps(state, 0.0, 0, system.channels, 100)
 
 
 class TestSimulate:
