@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_loop import AttractorSpec, distance_to_attractor, lyapunov_values
-from .engine import HybridSolution, HybridTime, ImpulseEvent
+from .engine import HybridSolution, HybridTime
 from .hcw import OrbitParams
 
 #: Impulses at or below this magnitude (m/s) are bookkept as zero firings:
@@ -109,16 +109,16 @@ def check_flow_invariance(
     must not exceed ``tol``.
     """
     report = CertificateReport(name="flow_invariance")
-    names = ("z", "beta", "alpha")
     lyap = lyapunov_values(sol.states, p)
-    values = np.column_stack([lyap[name] for name in names])
+    names = tuple(lyap)
+    values = np.column_stack(tuple(lyap.values()))
     worst = {name: 0.0 for name in names}
     for start, stop in sol.arcs():
         ref = values[start]
         denom = np.maximum(ref, DRIFT_FLOOR)
         drift = np.abs(values[start:stop] - ref) / denom
         arc_worst = drift.max(axis=0)
-        beta_live = values[start, 1] > BETA_GATE**2  # V_beta = beta^2
+        beta_live = lyap["beta"][start] > BETA_GATE**2  # V_beta = beta^2
         for k, name in enumerate(names):
             if name == "alpha" and beta_live:
                 continue

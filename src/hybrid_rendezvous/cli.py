@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -123,11 +124,10 @@ def _trajectory_rows(sol: HybridSolution, p: OrbitParams) -> Iterator[tuple[str,
     for start in range(0, len(sol.t), CHUNK_ROWS):
         part = slice(start, start + CHUNK_ROWS)
         t, states = sol.t[part], sol.states[part]
-        lyap = lyapunov_values(states, p)
         floats = np.column_stack(
             # the 11-vector's layout is the column order r_x .. tau_alpha
             [t, t / p.period, states, zeta_of(states, p)]
-            + [lyap["z"], lyap["beta"], lyap["alpha"]]
+            + [*lyapunov_values(states, p).values()]
         )
         columns = [map(repr, col) for col in floats.T.tolist()]
         columns.insert(2, map(str, sol.j[part].tolist()))
@@ -142,16 +142,11 @@ def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
 
 
 def _event_row(ev: ImpulseEvent, p: OrbitParams, event_tol: float) -> list[str]:
-    if ev.channel == "beta":
-        h1, h2, h3 = "", "", _fmt(ev.margins[0])
-        classification = ""
-    else:
-        h1, h2, h3 = _fmt(ev.margins[0]), _fmt(ev.margins[1]), _fmt(ev.margins[2])
-        classification = (
-            classify_z_event(float(ev.margins[2]), p, event_tol)
-            if ev.channel == "z"
-            else ""
-        )
+    # Guard terms fill h1..h3 from the right: the last is the dwell margin.
+    h = ["", "", *map(_fmt, ev.margins)][-3:]
+    classification = (
+        classify_z_event(float(ev.margins[-1]), p, event_tol) if ev.channel == "z" else ""
+    )
     return [
         _fmt(ev.t),
         _fmt(ev.t / p.period),
@@ -161,9 +156,7 @@ def _event_row(ev: ImpulseEvent, p: OrbitParams, event_tol: float) -> list[str]:
         _fmt(ev.u_applied),
         _fmt(ev.delta_lyap),
         _fmt(ev.bound),
-        h1,
-        h2,
-        h3,
+        *h,
         _fmt(ev.lyap_pre),
         _fmt(ev.lyap_post),
         classification,
@@ -191,11 +184,7 @@ def build_summary(cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec
         "integrator": cfg.integrator,
         "n": cfg.n,
         "umax": cfg.umax,
-        "thresholds": {
-            "z": cfg.tau_m_z,
-            "beta": cfg.tau_m_beta,
-            "alpha": cfg.tau_m_alpha,
-        },
+        "thresholds": asdict(cfg.thresholds()),
         "status": sol.status,
         "t_final": float(sol.t[-1]),
         "t_final_orbits": float(sol.t[-1]) / p.period,

@@ -7,15 +7,19 @@ by the controller variables of each channel::
     value  r_x  r_y  r_z  v_x  v_y  v_z  q_z  tau_z  tau_beta  q_alpha  tau_alpha
 
 The transformed in-plane view (x, y, alpha, beta) is always recomputed from
-the plant, never stored.  The views (``zeta_of``, the Lyapunov functions and
-``distance_to_attractor``) take one state ``(11,)`` or a block ``(N, 11)``
-through one definition: they read components as ``state.T[k]``, a scalar
-for one state and a column for a block.  (``state[..., k]`` would give a 0-d
-array for one state, whose arithmetic is several times slower.)
+the plant, never stored.  Each channel's Lyapunov function has one
+definition in :data:`LYAPUNOV`, which reads the state by component index
+``s[k]``.  The views (``zeta_of``, ``lyapunov_values`` and
+``distance_to_attractor``) pass ``state.T`` of one state ``(11,)`` or a
+block ``(N, 11)``: a scalar for one state and a column for a block.
+(``state[..., k]`` would give a 0-d array for one state, whose arithmetic is
+several times slower.)
 
 The per-sample hot path (the propagator's timers, the guards and the jump
-maps) reads a state once with ``tolist()`` and works on Python floats, which
-round exactly as NumPy's float64 scalars do, without NumPy's per-call cost.
+maps) reads a state once with ``tolist()`` and passes the same definitions a
+list of Python floats, which round exactly as NumPy's float64 scalars do,
+without NumPy's per-call cost.  Each jump map is built by ``_channel`` from
+the channel's own state edit.
 
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
@@ -23,7 +27,7 @@ unused channels simply absent from the jump list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -69,8 +73,7 @@ class DwellThresholds:
     alpha: float = 0.01
 
     def __post_init__(self):
-        for name in ("z", "beta", "alpha"):
-            v = getattr(self, name)
+        for name, v in asdict(self).items():
             if not (0.0 < v < 2.0):
                 raise ValueError(
                     f"dwell threshold for {name} channel must lie in (0, 2), got {v}"
@@ -195,22 +198,24 @@ def make_flow_to(p: OrbitParams):
 # ---------------------------------------------------------------------------
 
 
-def lyapunov_values(
-    state: np.ndarray, p: OrbitParams
-) -> dict[str, float | np.ndarray]:
-    """All three per-channel Lyapunov values at a state.
+#: Each channel's Lyapunov function of ``(s, p)``.  ``s`` is read by state
+#: component, so the same definition takes a list of 11 floats (the jump
+#: maps) or ``state.T`` of one state or a block (the views).
+LYAPUNOV = {
+    "z": lambda s, p: ctl.z_lyapunov(s[RZ], s[VZ], p.n),
+    "beta": lambda s, p: ctl.beta_lyapunov(zeta_components(s, p)[3]),
+    "alpha": lambda s, p: ctl.alpha_lyapunov(*zeta_components(s, p)[:3], p.n),
+}
+
+
+def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float | np.ndarray]:
+    """Each channel's :data:`LYAPUNOV` value at a state.
 
     For one state ``(11,)`` each value is a scalar; for a block ``(N, 11)``
     each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
     value at ``state[i]``.
     """
-    plant = state.T
-    x, y, al, beta = zeta_components(plant, p)
-    return {
-        "z": ctl.z_lyapunov(plant[RZ], plant[VZ], p.n),
-        "beta": ctl.beta_lyapunov(beta),
-        "alpha": ctl.alpha_lyapunov(x, y, al, p.n),
-    }
+    return {name: f(state.T, p) for name, f in LYAPUNOV.items()}
 
 
 def distance_to_attractor(
@@ -236,55 +241,55 @@ def distance_to_attractor(
 # ---------------------------------------------------------------------------
 # channel adapters over the 11-vector
 #
-# Guard terms take a list of 11 floats (the engine passes ``state.tolist()``);
-# jump maps take the state array, read it once with ``tolist()`` and build
-# the post-jump array from the edited list.
+# A channel is its guard terms on a list of 11 floats (the engine passes
+# ``state.tolist()``) and an ``apply`` that edits such a list into the
+# post-jump state and returns ``(u_commanded, u_applied)``.
 # ---------------------------------------------------------------------------
 
 
-def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    guard = GuardConjunction(
-        terms=lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m)
-    )
+def _channel(name: str, p: OrbitParams, terms, apply, gain: float = 1.0) -> JumpChannel:
+    """Channel ``name``: its jump map takes ``LYAPUNOV[name]`` of one
+    ``tolist()`` before and after ``apply``, and the theorem bound on the
+    change, ``-gain * u_applied * u_commanded`` (gain 2 for alpha)."""
+    lyapunov = LYAPUNOV[name]
 
     def jump(state: np.ndarray) -> JumpOutcome:
         s = state.tolist()
-        rz, vz = s[RZ], s[VZ]
-        vz_plus, q_plus, u_applied = ctl.z_jump(rz, vz, s[QZ], p)
-        s[VZ], s[QZ], s[TAUZ] = vz_plus, q_plus, 0.0
-        u_cmd = -vz
+        lyap_pre = lyapunov(s, p)
+        u_cmd, u_applied = apply(s)
         return JumpOutcome(
             state=np.array(s),
             u_commanded=u_cmd,
             u_applied=u_applied,
-            lyap_pre=ctl.z_lyapunov(rz, vz, p.n),
-            lyap_post=ctl.z_lyapunov(rz, vz_plus, p.n),
-            bound=-u_cmd * u_applied,  # -v_z * sat(v_z)
+            lyap_pre=lyap_pre,
+            lyap_post=lyapunov(s, p),
+            bound=-gain * u_applied * u_cmd,
         )
 
-    return JumpChannel(name="z", guard=guard, jump=jump)
+    return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
+
+
+def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
+    def apply(s):
+        vz = s[VZ]
+        s[VZ], s[QZ], u_applied = ctl.z_jump(s[RZ], vz, s[QZ], p)
+        s[TAUZ] = 0.0
+        return -vz, u_applied
+
+    return _channel(
+        "z", p, lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m), apply
+    )
 
 
 def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    guard = GuardConjunction(terms=lambda s: ctl.beta_guard(s[TAUB], tau_m))
-
-    def jump(state: np.ndarray) -> JumpOutcome:
-        s = state.tolist()
+    def apply(s):
         beta = zeta_components(s, p)[3]
-        u_cmd = beta / 3.0
         u_applied = ctl.beta_input(beta, p.umax)
         s[VY] += u_applied
         s[TAUB] = 0.0
-        return JumpOutcome(
-            state=np.array(s),
-            u_commanded=u_cmd,
-            u_applied=u_applied,
-            lyap_pre=ctl.beta_lyapunov(beta),
-            lyap_post=ctl.beta_lyapunov(zeta_components(s, p)[3]),
-            bound=-u_applied * u_cmd,  # -sat(beta/3) * (beta/3)
-        )
+        return beta / 3.0, u_applied
 
-    return JumpChannel(name="beta", guard=guard, jump=jump)
+    return _channel("beta", p, lambda s: ctl.beta_guard(s[TAUB], tau_m), apply)
 
 
 def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
@@ -292,27 +297,14 @@ def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
         x, y, al, _ = zeta_components(s, p)
         return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
 
-    guard = GuardConjunction(terms=terms)
-
-    def jump(state: np.ndarray) -> JumpOutcome:
-        s = state.tolist()
-        x, y, al, _ = zeta_components(s, p)
-        u_cmd = ctl.alpha_input(y, al, p)
+    def apply(s):
+        _, y, al, _ = zeta_components(s, p)
         _, _, q_plus, u_applied = ctl.alpha_jump(y, al, s[QA], p)
-        lyap_pre = ctl.alpha_lyapunov(x, y, al, p.n)
         s[VX] += u_applied
         s[QA], s[TAUA] = q_plus, 0.0
-        x, y, al, _ = zeta_components(s, p)
-        return JumpOutcome(
-            state=np.array(s),
-            u_commanded=u_cmd,
-            u_applied=u_applied,
-            lyap_pre=lyap_pre,
-            lyap_post=ctl.alpha_lyapunov(x, y, al, p.n),
-            bound=-2.0 * u_applied * u_cmd,  # -2 sat(u_x) * u_x
-        )
+        return ctl.alpha_input(y, al, p), u_applied
 
-    return JumpChannel(name="alpha", guard=guard, jump=jump)
+    return _channel("alpha", p, terms, apply, gain=2.0)
 
 
 def build_system(
@@ -328,12 +320,11 @@ def build_system(
     """
     if subsystem not in SUBSYSTEM_CHANNELS:
         raise ValueError(f"unknown subsystem {subsystem!r}")
-    factories = {
-        "z": lambda: make_z_channel(p, thresholds.z),
-        "beta": lambda: make_beta_channel(p, thresholds.beta),
-        "alpha": lambda: make_alpha_channel(p, thresholds.alpha),
-    }
-    channels = tuple(factories[name]() for name in SUBSYSTEM_CHANNELS[subsystem])
+    factories = {"z": make_z_channel, "beta": make_beta_channel, "alpha": make_alpha_channel}
+    channels = tuple(
+        factories[name](p, getattr(thresholds, name))
+        for name in SUBSYSTEM_CHANNELS[subsystem]
+    )
     return HybridSystem(
         flow=make_flow(p),
         channels=channels,

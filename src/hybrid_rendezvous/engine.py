@@ -13,11 +13,11 @@ executor alternates fixed-step flow integration with jump application:
 * guard activations inside a flow step are localized in time by left-biased
   bisection, re-integrating from the step's start state at each probe.
 
-Each flow sample's membership in the union of the jump sets is evaluated
-once, and the union stops at the first active channel: an accepted step end
-is already known to lie outside every jump set, and a drained state too.
-The sample is read once with ``tolist()``, and every channel's guard gets
-that list of floats.
+The jump set is the union of the channels' sets, and :func:`first_active`
+is its one query: the first channel whose guard holds, or ``None``.  Each
+flow sample is asked once, on one ``tolist()`` that every guard reads; an
+accepted step end is already known to lie outside every jump set, and a
+drained state too.
 
 Jump sets are closed: margins are compared against zero with exact
 floating-point ``>=`` after localization, with no epsilon inflation.  A run
@@ -120,7 +120,8 @@ class ImpulseEvent:
 class SimulationOptions:
     """Fixed-step executor knobs.  A run always lasts until ``t_max`` or
     ``j_max``; simultaneous guard activations resolve in the order of
-    :attr:`HybridSystem.channels`."""
+    :attr:`HybridSystem.channels`.  ``event_tol`` must be at least the float
+    spacing at ``t_max``: a finer bisection bracket cannot shrink."""
 
     step_h: float
     t_max: float
@@ -137,6 +138,11 @@ class SimulationOptions:
         if not 0 < self.event_tol < self.step_h:
             raise ValueError(
                 f"event_tol must satisfy 0 < event_tol < step_h, got {self.event_tol}"
+            )
+        if not self.event_tol >= np.spacing(self.t_max):
+            raise ValueError(
+                f"event_tol must be at least the float spacing at t_max, "
+                f"{np.spacing(self.t_max):.2g}, got {self.event_tol}"
             )
         if not self.j_max > 0:
             raise ValueError(f"j_max must be a positive integer, got {self.j_max}")
@@ -190,8 +196,18 @@ def rk4_step(state: np.ndarray, derivative_fn, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def first_active(channels: Sequence[JumpChannel], state: np.ndarray) -> JumpChannel | None:
+    """The first of ``channels`` whose jump set holds ``state``, or ``None``
+    outside their union; no guard after it is evaluated."""
+    values = state.tolist()
+    for ch in channels:
+        if ch.guard.margin(values) >= 0.0:
+            return ch
+    return None
+
+
 def locate_event(
-    margin: Callable[[np.ndarray], float],
+    inside: Callable[[np.ndarray], bool],
     flow_to: Callable[[np.ndarray, float], np.ndarray],
     state_a: np.ndarray,
     state_b: np.ndarray,
@@ -201,25 +217,25 @@ def locate_event(
 ) -> tuple[float, np.ndarray]:
     """Localize the first guard activation inside a flow step by bisection.
 
-    Requires ``margin(state_a) < 0 <= margin(state_b)``.  Each probe
-    re-integrates from ``state_a`` (no guard interpolation).  The bisection is
-    left-biased: it keeps the earliest sign change found, so a guard that is
-    non-monotone within the bracket resolves to its first crossing at the
-    bracket resolution.  Returns the first probed ``(t, state)`` with
-    ``margin >= 0`` once the bracket is narrower than ``event_tol``.
+Requires jump-set membership ``inside(state_b)`` but not
+    ``inside(state_a)``.  Each probe re-integrates from ``state_a`` (no guard
+    interpolation).  The bisection is left-biased: it keeps the earliest
+    entry found, so a set entered twice within the bracket resolves to its
+    first entry.  Returns the earliest probed ``(t, state)`` inside once the
+    bracket is narrower than ``event_tol`` (at least the spacing at ``t_b``).
     """
     if t_a >= t_b:
         raise EventBracketError(f"need t_a < t_b, got [{t_a}, {t_b}]")
-    if margin(state_a) >= 0.0:
-        raise EventBracketError("bracket precondition violated: margin(state_a) >= 0")
-    if margin(state_b) < 0.0:
+    if inside(state_a):
+        raise EventBracketError("bracket precondition violated: state_a is inside")
+    if not inside(state_b):
         raise EventBracketError("no guard crossing inside the bracket")
     lo, hi = t_a, t_b
     state_hi = state_b
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         state_mid = flow_to(state_a, mid - t_a)
-        if margin(state_mid) >= 0.0:
+        if inside(state_mid):
             hi, state_hi = mid, state_mid
         else:
             lo = mid
@@ -242,12 +258,7 @@ def resolve_jumps(
     state, the events in application order, and a flag set when ``j_max``
     was hit while guards were still active (the Zeno guard).
     """
-
-    def first_active(s: np.ndarray) -> JumpChannel | None:
-        values = s.tolist()
-        return next((ch for ch in channels if ch.guard.margin(values) >= 0.0), None)
-
-    ch = first_active(state)
+    ch = first_active(channels, state)
     if ch is None:
         raise ValueError("resolve_jumps requires at least one active channel")
     events: list[ImpulseEvent] = []
@@ -274,7 +285,7 @@ def resolve_jumps(
             )
         )
         state = outcome.state
-        ch = first_active(state)
+        ch = first_active(channels, state)
     return state, events, budget_hit
 
 
@@ -283,11 +294,11 @@ def simulate(
 ) -> HybridSolution:
     """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
 
-    Each sample's membership in the union jump set is evaluated once: ``x0``
-    before the loop, and each step's candidate end state after integrating
-    it.  Jumps are drained at ``t = 0`` when ``x0`` is in the union, and
-    after every landing on a guard before ``t_max``; a landing at exactly
-    ``t_max`` is not drained.  The union stops at the first active channel.
+    Each sample's membership in the union jump set is asked of
+    :func:`first_active` once: ``x0`` before the loop, and each step's
+    candidate end state after integrating it.  Jumps are drained at
+    ``t = 0`` when ``x0`` is in the union, and after every landing on a
+    guard before ``t_max``; a landing at exactly ``t_max`` is not drained.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
@@ -307,19 +318,10 @@ def simulate(
     events: list[ImpulseEvent] = []
     status = "t_max"
 
-    def union_margin(s: np.ndarray) -> float:
-        # The first margin >= 0 if any, else the largest: the sign of the
-        # max over all channels, which is all that callers compare.
-        values = s.tolist()
-        best = -np.inf
-        for ch in system.channels:
-            m = ch.guard.margin(values)
-            if m >= 0.0:
-                return m
-            best = max(best, m)
-        return best
+    def inside(s: np.ndarray) -> bool:
+        return first_active(system.channels, s) is not None
 
-    in_jump_set = union_margin(state) >= 0.0
+    in_jump_set = inside(state)
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
         if in_jump_set:
@@ -339,13 +341,13 @@ def simulate(
         candidate = flow_to(state, h)
         if not np.isfinite(candidate).all():
             raise IntegrationFailure("non-finite state during flow", candidate)
-        in_jump_set = union_margin(candidate) >= 0.0
+        in_jump_set = inside(candidate)
         if in_jump_set:
             # A guard activates inside this step; land exactly on it.  The
-            # step's start state was accepted or drained, so
-            # union_margin(state) < 0 here.
+            # step's start state was accepted or drained, so it is not
+            # inside here.
             t_star, state = locate_event(
-                union_margin, flow_to, state, candidate, t, t + h, opts.event_tol
+                inside, flow_to, state, candidate, t, t + h, opts.event_tol
             )
             t = t_star
         else:

@@ -1,6 +1,5 @@
 """Certificate checks, delta-v budgets, convergence metrics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

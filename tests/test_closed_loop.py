@@ -158,6 +158,7 @@ class TestBlockViews:
     @settings(max_examples=100, deadline=None)
     def test_scalar_hot_path_equals_array_views(self, states):
         # Guards on a state's tolist() give the terms of the array itself;
+        # each Lyapunov function on a tolist() equals its block view entry;
         # each jump map equals its formula evaluated through the block views.
         channels = cl.build_system(P, THRESHOLDS, "full").channels
         zeta = cl.zeta_of(states, P)
@@ -167,6 +168,7 @@ class TestBlockViews:
             for ch in channels:
                 assert ch.guard.terms(s.tolist()) == ch.guard.terms(s)
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
+                assert cl.LYAPUNOV[ch.name](s.tolist(), P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
             post = np.array(s)
             post[VZ], post[cl.QZ], u_z = ctl.z_jump(s[RZ], s[VZ], s[cl.QZ], P)

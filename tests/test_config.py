@@ -86,6 +86,7 @@ class TestErrors:
             ("integrator = euler", "integrator"),
             ("step_h = -1", "step_h"),
             ("event_tol = 100", "event_tol"),
+            ("event_tol = 1e-13", "event_tol"),  # float spacing at 1 orbit: 9.1e-13
             ("j_max = 0", "j_max"),
             ("n = -0.001", "n must be positive"),
             ("umax = 0", "umax must be positive"),

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
@@ -17,7 +19,9 @@ from hybrid_rendezvous.engine import (
     EventBracketError,
     GuardConjunction,
     IntegrationFailure,
+    JumpChannel,
     SimulationOptions,
+    first_active,
     locate_event,
     resolve_jumps,
     rk4_step,
@@ -82,8 +86,8 @@ class TestLocateEvent:
         return hcw_stm(P, dt) @ state
 
     @staticmethod
-    def margin(state):
-        return state[RZ]
+    def inside(state):
+        return state[RZ] >= 0.0
 
     def setup_method(self):
         self.s0 = np.zeros(6)
@@ -96,7 +100,7 @@ class TestLocateEvent:
         state_a = self.flow_to(self.s0, t_a)
         state_b = self.flow_to(self.s0, t_b)
         t_star, state_star = locate_event(
-            self.margin,
+            self.inside,
             lambda s, dt: self.flow_to(s, dt),
             state_a,
             state_b,
@@ -105,13 +109,13 @@ class TestLocateEvent:
             event_tol=1e-6,
         )
         assert abs(t_star - self.t_cross) <= 1e-6
-        assert self.margin(state_star) >= 0.0
+        assert self.inside(state_star)
 
     def test_rejects_bracket_already_inside(self):
         state_a = self.flow_to(self.s0, self.t_cross + 1.0)
         with pytest.raises(EventBracketError):
             locate_event(
-                self.margin, self.flow_to, state_a, state_a, 0.0, 1.0, 1e-6
+                self.inside, self.flow_to, state_a, state_a, 0.0, 1.0, 1e-6
             )
 
     def test_rejects_bracket_without_crossing(self):
@@ -121,12 +125,12 @@ class TestLocateEvent:
         state_b = self.flow_to(self.s0, t_b)
         with pytest.raises(EventBracketError):
             locate_event(
-                self.margin, self.flow_to, state_a, state_b, t_a, t_b, 1e-6
+                self.inside, self.flow_to, state_a, state_b, t_a, t_b, 1e-6
             )
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(EventBracketError):
-            locate_event(self.margin, self.flow_to, self.s0, self.s0, 2.0, 1.0, 1e-6)
+            locate_event(self.inside, self.flow_to, self.s0, self.s0, 2.0, 1.0, 1e-6)
 
 
 class TestSimulationOptions:
@@ -140,6 +144,7 @@ class TestSimulationOptions:
             {"j_max": 0},
             {"integrator": "euler"},
             {"t_max": float("nan")},
+            {"event_tol": 1e-15},  # below the float spacing at t_max, 1.4e-14
         ],
     )
     def test_validation(self, bad):
@@ -147,6 +152,32 @@ class TestSimulationOptions:
         base.update(bad)
         with pytest.raises(ValueError):
             SimulationOptions(**base)
+
+
+class TestFirstActive:
+    @given(margins=st.lists(st.floats(-1.0, 1.0), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_first_nonnegative_margin_in_order(self, margins):
+        # Channel i's guard has the single margin margins[i]; every guard
+        # evaluation is logged by channel index.
+        evaluated = []
+
+        def channel(i, m):
+            def terms(values):
+                evaluated.append(i)
+                return (m,)
+
+            return JumpChannel(name=str(i), guard=GuardConjunction(terms), jump=None)
+
+        channels = [channel(i, m) for i, m in enumerate(margins)]
+        active = [i for i, m in enumerate(margins) if m >= 0.0]
+        ch = first_active(channels, np.zeros(3))
+        if active:
+            assert ch is channels[active[0]]
+            assert evaluated == list(range(active[0] + 1))
+        else:
+            assert ch is None
+            assert evaluated == list(range(len(margins)))
 
 
 class TestResolveJumps:
