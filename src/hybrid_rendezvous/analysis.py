@@ -66,7 +66,6 @@ class CertificateReport:
     passing report has an empty ``violations`` list.
     """
 
-    name: str
     arc_drift: dict[str, float] = field(default_factory=dict)
     jump_margins: list[float] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -108,7 +107,7 @@ def check_flow_invariance(
     ``max_t |V(t) - V(arc start)| / max(V(arc start), DRIFT_FLOOR)`` and
     must not exceed ``tol``.
     """
-    report = CertificateReport(name="flow_invariance")
+    report = CertificateReport()
     lyap = lyapunov_values(sol.states, p)
     names = tuple(lyap)
     values = np.column_stack(tuple(lyap.values()))
@@ -146,7 +145,7 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
     time (``-v_z sat(v_z)``, ``-sat(beta/3)(beta/3)``, ``-2 sat(u_x) u_x``).
     Zero-input events must have ``|delta_V| <=`` :data:`JUMP_SLACK`.
     """
-    report = CertificateReport(name="jump_decrease")
+    report = CertificateReport()
     for ev in sol.events:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:

@@ -19,7 +19,7 @@ The per-sample hot path (the propagator's timers, the guards and the jump
 maps) reads a state once with ``tolist()`` and passes the same definitions a
 list of Python floats, which round exactly as NumPy's float64 scalars do,
 without NumPy's per-call cost.  Each jump map is built by ``_channel`` from
-the channel's own state edit.
+the channel's command law, thrust velocity, timer and logic variable.
 
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import controllers as ctl
-from .engine import GuardConjunction, HybridSystem, JumpChannel, JumpOutcome
+from .engine import GuardConjunction, HybridSystem, ImpulseEvent, JumpChannel
 from .hcw import (
     INPLANE,
     RX,
@@ -241,55 +241,51 @@ def distance_to_attractor(
 # ---------------------------------------------------------------------------
 # channel adapters over the 11-vector
 #
-# A channel is its guard terms on a list of 11 floats (the engine passes
-# ``state.tolist()``) and an ``apply`` that edits such a list into the
-# post-jump state and returns ``(u_commanded, u_applied)``.
+# A channel is its guard terms and its command law on a list of 11 floats
+# (the engine passes ``state.tolist()``), plus the indices its jump edits.
 # ---------------------------------------------------------------------------
 
 
-def _channel(name: str, p: OrbitParams, terms, apply, gain: float = 1.0) -> JumpChannel:
-    """Channel ``name``: its jump map takes ``LYAPUNOV[name]`` of one
-    ``tolist()`` before and after ``apply``, and the theorem bound on the
-    change, ``-gain * u_applied * u_commanded`` (gain 2 for alpha)."""
+def _channel(
+    name: str, p: OrbitParams, terms, command, thrust, timer, logic=None, gain=1.0
+) -> JumpChannel:
+    """Channel ``name``: guard ``terms`` and the jump map all channels share.
+    On one ``tolist()`` it records the margins and ``LYAPUNOV[name]``, fires
+    ``command`` through :func:`ctl.fire`, adds the impulse to velocity
+    ``thrust``, resets ``timer``, negates ``logic`` if the command was
+    unsaturated, and bounds the change of V by ``-gain * u_applied * u_commanded``."""
     lyapunov = LYAPUNOV[name]
 
-    def jump(state: np.ndarray) -> JumpOutcome:
+    def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
         s = state.tolist()
+        margins = terms(s)
         lyap_pre = lyapunov(s, p)
-        u_cmd, u_applied = apply(s)
-        return JumpOutcome(
-            state=np.array(s),
-            u_commanded=u_cmd,
-            u_applied=u_applied,
-            lyap_pre=lyap_pre,
-            lyap_post=lyapunov(s, p),
-            bound=-gain * u_applied * u_cmd,
+        u_cmd = command(s)
+        u, unsaturated = ctl.fire(u_cmd, p.umax)
+        s[thrust] += u
+        s[timer] = 0.0
+        if logic is not None and unsaturated:
+            s[logic] = -s[logic]
+        return ImpulseEvent(
+            name, t, j_pre, u_cmd, u, state, np.array(s), margins,
+            lyap_pre, lyapunov(s, p), -gain * u * u_cmd,
         )
 
     return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
 
 
 def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    def apply(s):
-        vz = s[VZ]
-        s[VZ], s[QZ], u_applied = ctl.z_jump(s[RZ], vz, s[QZ], p)
-        s[TAUZ] = 0.0
-        return -vz, u_applied
-
     return _channel(
-        "z", p, lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m), apply
+        "z", p, lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m),
+        lambda s: ctl.z_command(s[VZ]), thrust=VZ, timer=TAUZ, logic=QZ,
     )
 
 
 def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    def apply(s):
-        beta = zeta_components(s, p)[3]
-        u_applied = ctl.beta_input(beta, p.umax)
-        s[VY] += u_applied
-        s[TAUB] = 0.0
-        return beta / 3.0, u_applied
-
-    return _channel("beta", p, lambda s: ctl.beta_guard(s[TAUB], tau_m), apply)
+    return _channel(
+        "beta", p, lambda s: ctl.beta_guard(s[TAUB], tau_m),
+        lambda s: ctl.beta_command(zeta_components(s, p)[3]), thrust=VY, timer=TAUB,
+    )
 
 
 def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
@@ -297,14 +293,10 @@ def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
         x, y, al, _ = zeta_components(s, p)
         return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
 
-    def apply(s):
-        _, y, al, _ = zeta_components(s, p)
-        _, _, q_plus, u_applied = ctl.alpha_jump(y, al, s[QA], p)
-        s[VX] += u_applied
-        s[QA], s[TAUA] = q_plus, 0.0
-        return ctl.alpha_input(y, al, p), u_applied
-
-    return _channel("alpha", p, terms, apply, gain=2.0)
+    return _channel(
+        "alpha", p, terms, lambda s: ctl.alpha_command(*zeta_components(s, p)[1:3], p),
+        thrust=VX, timer=TAUA, logic=QA, gain=2.0,
+    )
 
 
 def build_system(

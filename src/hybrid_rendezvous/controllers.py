@@ -1,16 +1,18 @@
-"""The three impulsive stabilizer channels as pure scalar transition rules.
+"""The three impulsive stabilizer channels as pure scalar rules.
 
-Each channel is defined by an input law, a guard conjunction, and a jump
-rule on its controller variables:
+Each channel is defined by a command law, a guard conjunction, and a
+Lyapunov function; :func:`fire` turns any channel's command into its applied
+impulse and its toggle condition:
 
 * **z channel** — damps the cross-track oscillator.  Fires when the
   trajectory's phase reaches a quarter-circle arc (``r_z (v_z - n r_z) >= 0``),
   the logic variable agrees with the velocity sign (``q_z v_z >= 0``), and the
-  dwell timer has matured.  The impulse cancels as much of ``v_z`` as the
-  actuator allows.
+  dwell timer has matured.  The command ``-v_z`` cancels as much of ``v_z`` as
+  the actuator allows.
 * **beta channel** — drives the along-track drift rate ``beta`` to zero.
-  Purely timer-driven (no logic variable); each firing removes up to
-  ``3 umax`` from ``|beta|``, so convergence takes finitely many impulses.
+  Purely timer-driven (no logic variable); the command is ``beta / 3``, so
+  each firing removes up to ``3 umax`` from ``|beta|`` and convergence takes
+  finitely many impulses.
 * **alpha channel** — steers the in-plane oscillator pair (x, y) and the
   drift offset ``alpha`` with the law ``u_x = n alpha / 4 - y / 2``.
 
@@ -19,8 +21,8 @@ saturation bound, i.e. when the firing drives the channel's velocity-like
 quantity (``v_z`` for z, ``y - n alpha / 2`` for alpha) to zero.  A saturated
 firing leaves the channel armed with the same polarity, so the dwell timer
 alone gates a series of follow-up impulses that finish the cancellation.
-Without this, a saturated firing can strand the logic variable on the wrong
-side and permanently disable the channel.
+This keeps a saturated firing from stranding the logic variable on the wrong
+side; a logic variable's start value can still strand its channel for good.
 
 Dwell timers flow as ``taudot = (n / 2 pi) (1 - dz(tau))``: linear at rate
 ``n / 2 pi`` below 1 (so one timer unit is one orbit fraction), then relaxing
@@ -66,13 +68,24 @@ def timer_advance(tau: float, dt: float, n: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# firing rule, shared by the three channels
+# ---------------------------------------------------------------------------
+
+
+def fire(u_cmd: float, umax: float) -> tuple[float, bool]:
+    """The firing rule of every channel: the applied impulse ``sat(u_cmd)``
+    and whether ``|u_cmd| <= umax``, the condition a logic variable toggles on."""
+    return sat(u_cmd, umax), abs(u_cmd) <= umax
+
+
+# ---------------------------------------------------------------------------
 # z channel (out-of-plane)
 # ---------------------------------------------------------------------------
 
 
-def z_input(v_z: float, umax: float) -> float:
-    """Velocity-damping impulse ``-sat(v_z)`` (commanded value is ``-v_z``)."""
-    return -sat(v_z, umax)
+def z_command(v_z: float) -> float:
+    """Velocity-damping command ``-v_z``."""
+    return -v_z
 
 
 def z_guard(
@@ -87,20 +100,6 @@ def z_guard(
     return (r_z * (v_z - p.n * r_z), q_z * v_z, tau_z - tau_m)
 
 
-def z_jump(
-    r_z: float, v_z: float, q_z: float, p: OrbitParams
-) -> tuple[float, float, float]:
-    """Apply the z impulse: returns (v_z_plus, q_z_plus, u_applied).
-
-    ``v_z+ = v_z - sat(v_z)``; the timer resets to 0 (owned by the caller);
-    ``q_z`` toggles iff the firing was unsaturated (``|v_z| <= umax``, so
-    ``v_z+ = 0``).
-    """
-    u = z_input(v_z, p.umax)
-    q_plus = -q_z if abs(v_z) <= p.umax else q_z
-    return (v_z + u, q_plus, u)
-
-
 def z_lyapunov(r_z: float, v_z: float, n: float) -> float:
     """V_z = n^2 r_z^2 + v_z^2; conserved along the unforced z flow."""
     return n * n * r_z * r_z + v_z * v_z
@@ -111,10 +110,10 @@ def z_lyapunov(r_z: float, v_z: float, n: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def beta_input(beta: float, umax: float) -> float:
-    """Along-track impulse ``sat(beta / 3)`` so that
+def beta_command(beta: float) -> float:
+    """Along-track command ``beta / 3``, so that
     ``beta+ = beta - 3 sat(beta / 3)`` through the input gain -3."""
-    return sat(beta / 3.0, umax)
+    return beta / 3.0
 
 
 def beta_guard(tau_b: float, tau_m: float) -> tuple[float]:
@@ -132,9 +131,8 @@ def beta_lyapunov(beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def alpha_input(y: float, alpha: float, p: OrbitParams) -> float:
-    """Radial-impulse law ``u_x = n alpha / 4 - y / 2`` (saturated at
-    application time)."""
+def alpha_command(y: float, alpha: float, p: OrbitParams) -> float:
+    """Radial-impulse law ``u_x = n alpha / 4 - y / 2``."""
     return p.n * alpha / 4.0 - y / 2.0
 
 
@@ -154,21 +152,6 @@ def alpha_guard(
     """
     w = y - p.n * alpha / 2.0
     return ((w - p.n * x) * x, q_a * w, tau_a - tau_m)
-
-
-def alpha_jump(
-    y: float, alpha: float, q_a: float, p: OrbitParams
-) -> tuple[float, float, float, float]:
-    """Apply the alpha impulse: returns (y_plus, alpha_plus, q_a_plus, s).
-
-    With ``s = sat(u_x)``: ``y+ = y + s`` and ``alpha+ = alpha - (2/n) s``
-    (the two rows of the input matrix hit by u_x).  ``q_alpha`` toggles iff
-    the command was unsaturated, i.e. the firing zeroed ``y - n alpha / 2``.
-    """
-    u = alpha_input(y, alpha, p)
-    s = sat(u, p.umax)
-    q_plus = -q_a if abs(u) <= p.umax else q_a
-    return (y + s, alpha - 2.0 * s / p.n, q_plus, s)
 
 
 def alpha_lyapunov(x: float, y: float, alpha: float, n: float) -> float:

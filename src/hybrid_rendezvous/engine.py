@@ -2,8 +2,9 @@
 
 A hybrid system here is a continuous flow plus a list of jump channels.  Each
 channel owns a guard (a conjunction of scalar margins; the state is in the
-channel's jump set iff the smallest margin is >= 0) and a jump map.  The
-executor alternates fixed-step flow integration with jump application:
+channel's jump set iff the smallest margin is >= 0) and a jump map, which
+returns the :class:`ImpulseEvent` of its firing.  The executor alternates
+fixed-step flow integration with jump application:
 
 * jumps preempt flow — whenever any guard is satisfied, jumps are applied
   before integrating further;
@@ -69,24 +70,14 @@ class GuardConjunction:
 
 
 @dataclass(frozen=True)
-class JumpOutcome:
-    """What a channel's jump map reports back to the executor."""
-
-    state: np.ndarray
-    u_commanded: float
-    u_applied: float
-    lyap_pre: float
-    lyap_post: float
-    bound: float  # theorem upper bound on lyap_post - lyap_pre
-
-
-@dataclass(frozen=True)
 class JumpChannel:
-    """One impulse channel: a named guard conjunction plus a jump map."""
+    """One impulse channel: a named guard conjunction plus a jump map
+    ``jump(state, t, j_pre)`` that returns the :class:`ImpulseEvent` of its
+    firing at hybrid time ``(t, j_pre)``, post-jump state included."""
 
     name: str
     guard: GuardConjunction
-    jump: Callable[[np.ndarray], JumpOutcome]
+    jump: Callable[[np.ndarray, float, int], ImpulseEvent]
 
 
 @dataclass(frozen=True)
@@ -252,11 +243,12 @@ def resolve_jumps(
     """Apply jumps while any guard is active, one at a time in channel order.
 
     Each jump fires the first active channel of ``channels``; guards after
-    it are not evaluated.  Guards are re-evaluated on the post-jump state
-    after every applied jump, so a later channel still active after an
-    earlier one's jump fires next at the same ``t``.  Returns the post-jump
-    state, the events in application order, and a flag set when ``j_max``
-    was hit while guards were still active (the Zeno guard).
+    it are not evaluated.  The channel's jump map returns the event, and the
+    next jump starts from its ``state_post``.  Guards are re-evaluated on the
+    post-jump state after every applied jump, so a later channel still
+    active after an earlier one's jump fires next at the same ``t``.  Returns
+    the post-jump state, the events in application order, and a flag set
+    when ``j_max`` was hit while guards were still active (the Zeno guard).
     """
     ch = first_active(channels, state)
     if ch is None:
@@ -267,24 +259,8 @@ def resolve_jumps(
         if j + len(events) >= j_max:
             budget_hit = True
             break
-        margins = ch.guard.terms(state.tolist())
-        outcome = ch.jump(state)
-        events.append(
-            ImpulseEvent(
-                channel=ch.name,
-                t=t,
-                j_pre=j + len(events),
-                u_commanded=outcome.u_commanded,
-                u_applied=outcome.u_applied,
-                state_pre=state,
-                state_post=outcome.state,
-                margins=margins,
-                lyap_pre=outcome.lyap_pre,
-                lyap_post=outcome.lyap_post,
-                bound=outcome.bound,
-            )
-        )
-        state = outcome.state
+        events.append(ch.jump(state, t, j + len(events)))
+        state = events[-1].state_post
         ch = first_active(channels, state)
     return state, events, budget_hit
 

@@ -92,14 +92,14 @@ def flip_alpha_sign(system, p):
     wrong sign, which breaks the jump-decrease certificate on purpose."""
 
     def corrupt(jump):
-        def wrong_sign(state: np.ndarray):
-            outcome = jump(state)
-            out = np.array(outcome.state)
-            out[VX] = state[VX] - outcome.u_applied
+        def wrong_sign(state: np.ndarray, t: float, j_pre: int):
+            ev = jump(state, t, j_pre)
+            out = np.array(ev.state_post)
+            out[VX] = state[VX] - ev.u_applied
             return dataclasses.replace(
-                outcome,
-                state=out,
-                u_applied=-outcome.u_applied,
+                ev,
+                state_post=out,
+                u_applied=-ev.u_applied,
                 lyap_post=cl.lyapunov_values(out, p)["alpha"],
             )
 

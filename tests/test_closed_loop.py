@@ -12,10 +12,10 @@ from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
 from hybrid_rendezvous.hcw import (
-    RX, RY, RZ, VX, VY, VZ, OrbitParams, hcw_derivative, hcw_stm,
+    RX, RY, VX, VY, VZ, OrbitParams, hcw_derivative, hcw_stm, sat,
 )
 
-from conftest import flip_alpha_sign
+from conftest import flip_alpha_sign, zeta_b
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -170,31 +170,95 @@ class TestBlockViews:
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
                 assert cl.LYAPUNOV[ch.name](s.tolist(), P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
+            u_cmd = -s[VZ]
+            u_z, unsaturated = ctl.fire(u_cmd, P.umax)
             post = np.array(s)
-            post[VZ], post[cl.QZ], u_z = ctl.z_jump(s[RZ], s[VZ], s[cl.QZ], P)
+            post[VZ] = s[VZ] + u_z
+            post[cl.QZ] = -s[cl.QZ] if unsaturated else s[cl.QZ]
             post[cl.TAUZ] = 0.0
-            expected["z"].append((post, -s[VZ], u_z, lyap["z"][i]))
-            u_beta = ctl.beta_input(beta, P.umax)
+            expected["z"].append((post, u_cmd, u_z, lyap["z"][i]))
+            u_beta, _ = ctl.fire(beta / 3.0, P.umax)
             post = np.array(s)
             post[VY] += u_beta
             post[cl.TAUB] = 0.0
             expected["beta"].append((post, beta / 3.0, u_beta, lyap["beta"][i]))
-            _, _, q_plus, u_alpha = ctl.alpha_jump(y, al, s[cl.QA], P)
+            u_cmd = ctl.alpha_command(y, al, P)
+            u_alpha, unsaturated = ctl.fire(u_cmd, P.umax)
             post = np.array(s)
             post[VX] += u_alpha
-            post[cl.QA], post[cl.TAUA] = q_plus, 0.0
-            u_cmd = ctl.alpha_input(y, al, P)
+            post[cl.QA] = -s[cl.QA] if unsaturated else s[cl.QA]
+            post[cl.TAUA] = 0.0
             expected["alpha"].append((post, u_cmd, u_alpha, lyap["alpha"][i]))
         for ch in channels:
             posts = np.array([post for post, *_ in expected[ch.name]])
             lyap_post = cl.lyapunov_values(posts, P)[ch.name]
             gain = 2.0 if ch.name == "alpha" else 1.0
             for i, (post, u_cmd, u, pre) in enumerate(expected[ch.name]):
-                out = ch.jump(states[i])
-                assert np.array_equal(out.state, post)
+                out = ch.jump(states[i], 0.0, 0)
+                assert np.array_equal(out.state_post, post)
                 assert out.u_commanded == u_cmd and out.u_applied == u
                 assert out.lyap_pre == pre and out.lyap_post == lyap_post[i]
                 assert out.bound == -gain * u * u_cmd
+
+
+#: Random states of the full system: logic variables in {-1, 1}, timers in
+#: [0, 2], positions up to 10 km and velocities up to 10 m/s.
+FULL_STATES = st.builds(
+    cl.make_state,
+    r=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+    v=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    q_z=st.sampled_from([-1.0, 1.0]),
+    tau_z=st.floats(0.0, 2.0),
+    tau_beta=st.floats(0.0, 2.0),
+    q_alpha=st.sampled_from([-1.0, 1.0]),
+    tau_alpha=st.floats(0.0, 2.0),
+)
+
+#: Each channel's thrust velocity, timer and logic variable (beta has none).
+EDITS = {"z": (VZ, cl.TAUZ, cl.QZ), "beta": (VY, cl.TAUB, None), "alpha": (VX, cl.TAUA, cl.QA)}
+
+
+class TestJumpMaps:
+    @given(state=FULL_STATES, t=st.floats(0.0, 1e7), j_pre=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_one_firing_rule_on_every_channel(self, state, t, j_pre):
+        for ch in cl.build_system(P, THRESHOLDS, "full").channels:
+            thrust, timer, logic = EDITS[ch.name]
+            ev = ch.jump(state, t, j_pre)
+            post = ev.state_post
+            assert ev.state_pre is state
+            assert (ev.channel, ev.t, ev.j_pre) == (ch.name, t, j_pre)
+            assert ev.margins == ch.guard.terms(state.tolist())
+            assert ev.u_applied == sat(ev.u_commanded, P.umax)
+            unsaturated = abs(ev.u_commanded) <= P.umax
+            for k in (cl.QZ, cl.QA):
+                flips = k == logic and unsaturated
+                assert post[k] == (-state[k] if flips else state[k])
+            for k in (cl.TAUZ, cl.TAUB, cl.TAUA):
+                assert post[k] == (0.0 if k == timer else state[k])
+            assert [k for k in range(6) if post[k] != state[k]] in ([], [thrust])
+            assert post[thrust] == state[thrust] + ev.u_applied
+
+    @given(state=FULL_STATES)
+    @settings(max_examples=200, deadline=None)
+    def test_jump_maps_move_zeta_by_the_input_matrix(self, state):
+        # u_x moves (y, alpha) by (u, -2u/n) and u_y moves (x, beta) by
+        # (-2u/n, -3u): the columns of the paper's input matrix.  The z
+        # impulse leaves zeta alone and moves v_z by u.
+        b = zeta_b(P.n)
+        moves = {
+            "alpha": np.append(b[:, 0], 0.0),
+            "beta": np.append(b[:, 1], 0.0),
+            "z": np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+        }
+        # zeta sums terms up to 3 |r| and 2 |v| / n.
+        scale = 1.0 + max(np.abs(state[:3]).max(), np.abs(state[3:6]).max() / P.n)
+        for ch in cl.build_system(P, THRESHOLDS, "full").channels:
+            ev = ch.jump(state, 0.0, 0)
+            pre, post = ((*cl.zeta_of(s, P), s[VZ]) for s in (ev.state_pre, ev.state_post))
+            np.testing.assert_allclose(
+                np.subtract(post, pre), ev.u_applied * moves[ch.name], rtol=0.0, atol=1e-13 * scale
+            )
 
 
 def jump_sets(state):

@@ -1,15 +1,31 @@
-"""The three stabilizer laws and the dwell timers, as scalar rules."""
+"""The three stabilizer laws, the firing rule and the dwell timers, as
+scalar rules; the post-jump states come from each channel's own jump map."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous import controllers as ctl
-from hybrid_rendezvous.hcw import OrbitParams
+from hybrid_rendezvous.hcw import VZ, OrbitParams
 
 P = OrbitParams()
 ORBIT = P.period
+
+
+def z_event(r_z, v_z, q_z):
+    """The z channel's jump event at ``(r_z, v_z, q_z)``."""
+    state = cl.make_state(r=(0.0, 0.0, r_z), v=(0.0, 0.0, v_z), q_z=q_z)
+    return cl.make_z_channel(P, 0.01).jump(state, 0.0, 0)
+
+
+def alpha_event(y, alpha, q_a):
+    """The alpha channel's jump event at ``x = beta = 0`` and ``(y, alpha,
+    q_alpha)``; the state is checked to give ``(y, alpha)`` exactly."""
+    state = cl.make_state(r=(0.0, alpha + 2.0 * y / P.n, 0.0), v=(y, 0.0, 0.0), q_alpha=q_a)
+    assert tuple(cl.zeta_of(state, P)[1:3]) == (y, alpha)
+    return cl.make_alpha_channel(P, 0.01).jump(state, 0.0, 0)
 
 
 class TestTimer:
@@ -56,12 +72,22 @@ class TestTimer:
         assert ctl.timer_advance(tau0, dt, P.n) == pytest.approx(tau, abs=1e-7)
 
 
+class TestFire:
+    @pytest.mark.parametrize(
+        "u_cmd,expected",
+        [(0.5, (0.2, False)), (-0.5, (-0.2, False)), (0.2, (0.2, True)), (0.0, (0.0, True))],
+    )
+    def test_saturates_and_reports_unsaturated(self, u_cmd, expected):
+        assert ctl.fire(u_cmd, P.umax) == expected
+
+
 class TestZChannel:
     @pytest.mark.parametrize(
         "v_z,expected", [(0.1, -0.1), (0.5, -0.2), (0.0, 0.0), (-0.3, 0.2)]
     )
     def test_input(self, v_z, expected):
-        assert ctl.z_input(v_z, P.umax) == expected
+        assert ctl.z_command(v_z) == -v_z
+        assert ctl.fire(ctl.z_command(v_z), P.umax)[0] == expected
 
     def test_guard_fires_at_zero_crossing_with_matured_timer(self):
         h = ctl.z_guard(0.0, 0.1, 1.0, 0.01, P, 0.01)
@@ -78,18 +104,19 @@ class TestZChannel:
         assert h[2] < 0.0
 
     def test_jump_saturated(self):
-        v_plus, q_plus, u = ctl.z_jump(0.0, 0.5, 1.0, P)
-        assert (v_plus, u) == (pytest.approx(0.3), -0.2)
-        assert q_plus == 1.0  # saturated firing keeps the polarity armed
+        ev = z_event(0.0, 0.5, 1.0)
+        assert (ev.state_post[VZ], ev.u_applied) == (pytest.approx(0.3), -0.2)
+        assert ev.state_post[cl.QZ] == 1.0  # saturated firing keeps the polarity armed
 
     def test_jump_unsaturated_toggles(self):
-        v_plus, q_plus, u = ctl.z_jump(0.0, 0.1, 1.0, P)
-        assert v_plus == 0.0 and u == -0.1
-        assert q_plus == -1.0
+        ev = z_event(0.0, 0.1, 1.0)
+        assert ev.state_post[VZ] == 0.0 and ev.u_applied == -0.1
+        assert ev.state_post[cl.QZ] == -1.0
 
     def test_jump_on_rest_state_is_noop(self):
-        v_plus, q_plus, u = ctl.z_jump(0.0, 0.0, -1.0, P)
-        assert v_plus == 0.0 and u == 0.0 and q_plus == 1.0
+        ev = z_event(0.0, 0.0, -1.0)
+        assert ev.state_post[VZ] == 0.0 and ev.u_applied == 0.0
+        assert ev.state_post[cl.QZ] == 1.0
 
     @pytest.mark.parametrize(
         "v_z,expected_delta", [(0.5, -0.16), (0.1, -0.01)]
@@ -97,7 +124,7 @@ class TestZChannel:
     def test_jump_decrease_identity(self, v_z, expected_delta):
         # Delta V_z = -sat(v_z) (2 v_z - sat(v_z)), independent of r_z.
         r_z = 123.0
-        v_plus, _, _ = ctl.z_jump(r_z, v_z, 1.0, P)
+        v_plus = z_event(r_z, v_z, 1.0).state_post[VZ]
         delta = ctl.z_lyapunov(r_z, v_plus, P.n) - ctl.z_lyapunov(r_z, v_z, P.n)
         assert delta == pytest.approx(expected_delta, abs=1e-15)
         # and it obeys the jump-decrease bound -v_z sat(v_z)
@@ -109,7 +136,8 @@ class TestBetaChannel:
         "beta,expected", [(0.396, 0.132), (1.2, 0.2), (0.0, 0.0), (-1.2, -0.2)]
     )
     def test_input(self, beta, expected):
-        assert ctl.beta_input(beta, P.umax) == pytest.approx(expected)
+        assert ctl.beta_command(beta) == beta / 3.0
+        assert ctl.fire(ctl.beta_command(beta), P.umax)[0] == pytest.approx(expected)
 
     def test_guard_boundary_and_veto(self):
         assert ctl.beta_guard(0.02, 0.02)[0] == 0.0
@@ -125,7 +153,7 @@ class TestBetaChannel:
     @given(st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=200)
     def test_jump_decrease_bound(self, beta):
-        u = ctl.beta_input(beta, P.umax)
+        u, _ = ctl.fire(ctl.beta_command(beta), P.umax)
         beta_plus = beta - 3.0 * u
         delta = ctl.beta_lyapunov(beta_plus) - ctl.beta_lyapunov(beta)
         assert delta <= -u * (beta / 3.0) + 1e-12
@@ -134,10 +162,10 @@ class TestBetaChannel:
 
 class TestAlphaChannel:
     def test_input_examples(self):
-        assert ctl.alpha_input(0.0, 1000.0, P) == pytest.approx(0.275)
-        assert ctl.alpha_input(1.0, 0.0, P) == -0.5
+        assert ctl.alpha_command(0.0, 1000.0, P) == pytest.approx(0.275)
+        assert ctl.alpha_command(1.0, 0.0, P) == -0.5
         # Null set of the law: y = n alpha / 2.
-        assert ctl.alpha_input(P.n * 40.0 / 2.0, 40.0, P) == pytest.approx(0.0, abs=1e-18)
+        assert ctl.alpha_command(P.n * 40.0 / 2.0, 40.0, P) == pytest.approx(0.0, abs=1e-18)
 
     def test_guard_examples(self):
         h = ctl.alpha_guard(0.0, 1.0, 0.0, 1.0, 0.01, P, 0.01)
@@ -150,11 +178,12 @@ class TestAlphaChannel:
     def test_jump_saturated_example(self):
         # x=0, y=1, alpha=0: command -0.5 saturates to -0.2;
         # V_alpha drops from 1 to 0.68.
-        y_plus, a_plus, q_plus, s = ctl.alpha_jump(1.0, 0.0, 1.0, P)
-        assert s == -0.2
+        ev = alpha_event(1.0, 0.0, 1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
+        assert ev.u_applied == -0.2
         assert y_plus == pytest.approx(0.8)
         assert a_plus == pytest.approx(0.4 / P.n)
-        assert q_plus == 1.0  # saturated: stays armed
+        assert ev.state_post[cl.QA] == 1.0  # saturated: stays armed
         v0 = ctl.alpha_lyapunov(0.0, 1.0, 0.0, P.n)
         v1 = ctl.alpha_lyapunov(0.0, y_plus, a_plus, P.n)
         assert v0 == 1.0
@@ -163,9 +192,10 @@ class TestAlphaChannel:
 
     def test_jump_null_command_is_noop(self):
         y, alpha = P.n * 10.0 / 2.0, 10.0
-        y_plus, a_plus, q_plus, s = ctl.alpha_jump(y, alpha, -1.0, P)
-        assert s == 0.0 and y_plus == y and a_plus == alpha
-        assert q_plus == 1.0  # zero command counts as unsaturated: toggles
+        ev = alpha_event(y, alpha, -1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
+        assert ev.u_applied == 0.0 and y_plus == y and a_plus == alpha
+        assert ev.state_post[cl.QA] == 1.0  # zero command counts as unsaturated: toggles
 
     @given(
         y=st.floats(-1, 1, allow_nan=False),
@@ -174,8 +204,9 @@ class TestAlphaChannel:
     )
     @settings(max_examples=300)
     def test_jump_decrease_bound(self, y, alpha, x):
-        u = ctl.alpha_input(y, alpha, P)
-        y_plus, a_plus, _, s = ctl.alpha_jump(y, alpha, 1.0, P)
+        u = ctl.alpha_command(y, alpha, P)
+        s, _ = ctl.fire(u, P.umax)
+        y_plus, a_plus = y + s, alpha - 2.0 * s / P.n
         delta = ctl.alpha_lyapunov(x, y_plus, a_plus, P.n) - ctl.alpha_lyapunov(
             x, y, alpha, P.n
         )
@@ -184,11 +215,12 @@ class TestAlphaChannel:
 
     def test_unsaturated_decrease_is_minus_two_u_squared(self):
         y, alpha = 0.3, 0.0
-        u = ctl.alpha_input(y, alpha, P)
+        u = ctl.alpha_command(y, alpha, P)
         assert abs(u) <= P.umax
-        y_plus, a_plus, q_plus, s = ctl.alpha_jump(y, alpha, 1.0, P)
+        ev = alpha_event(y, alpha, 1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
         delta = ctl.alpha_lyapunov(0, y_plus, a_plus, P.n) - ctl.alpha_lyapunov(
             0, y, alpha, P.n
         )
         assert delta == pytest.approx(-2.0 * u * u, rel=1e-12)
-        assert q_plus == -1.0
+        assert ev.state_post[cl.QA] == -1.0
