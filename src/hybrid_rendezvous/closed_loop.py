@@ -15,11 +15,12 @@ block ``(N, 11)``: a scalar for one state and a column for a block.
 (``state[..., k]`` would give a 0-d array for one state, whose arithmetic is
 several times slower.)
 
-The per-sample hot path (the propagator's timers, the guards and the jump
-maps) reads a state once with ``tolist()`` and passes the same definitions a
-list of Python floats, which round exactly as NumPy's float64 scalars do,
-without NumPy's per-call cost.  Each jump map is built by ``_channel`` from
-the channel's command law, thrust velocity, timer and logic variable.
+The per-sample hot path (the propagator's timers, the guards, the jump maps
+and every stage of the RK4 flow) reads a state once with ``tolist()`` and
+passes the same definitions a list of Python floats, which round exactly as
+NumPy's float64 scalars do, without NumPy's per-call cost.  Each jump map is
+built by ``_channel`` from the channel's command law, thrust velocity, timer
+and logic variable.
 
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
@@ -142,23 +143,22 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     return np.array(zeta_components(state.T, p)).T
 
 
-def full_flow(state: np.ndarray, p: OrbitParams) -> np.ndarray:
+def full_flow(s, p: OrbitParams) -> tuple:
     """Closed-loop vector field: HCW plant, frozen logic variables, timer
-    flows.  The timers are read with one ``tolist()`` and the result is one
-    array literal in state order."""
-    _, tau_z, tau_b, _, tau_a = state[QZ:].tolist()
-    return np.array([
-        *hcw_derivative(state[:6], p).tolist(),
-        0.0, ctl.timer_rate(tau_z, p.n), ctl.timer_rate(tau_b, p.n),
-        0.0, ctl.timer_rate(tau_a, p.n),
-    ])
+    flows.  ``s`` is any sequence of the 11 components, read by index; the
+    result is a tuple of 11 entries in state order."""
+    return (
+        *hcw_derivative(s[:6], p),
+        0.0, ctl.timer_rate(s[TAUZ], p.n), ctl.timer_rate(s[TAUB], p.n),
+        0.0, ctl.timer_rate(s[TAUA], p.n),
+    )
 
 
 def make_flow(p: OrbitParams):
     """Derivative callable for the fixed-step integrator."""
 
-    def flow(state: np.ndarray) -> np.ndarray:
-        return full_flow(state, p)
+    def flow(s):
+        return full_flow(s, p)
 
     return flow
 

@@ -79,19 +79,19 @@ def dz(u: float) -> float:
     return 0.0
 
 
-def hcw_derivative(state: np.ndarray, p: OrbitParams) -> np.ndarray:
+def hcw_derivative(state, p: OrbitParams) -> tuple:
     """Unforced HCW vector field at a plant state.
 
     Accelerations are ``a_x = 3 n^2 r_x + 2 n v_y``, ``a_y = -2 n v_x``,
     ``a_z = -n^2 r_z``.  The equilibria are exactly the states with
     ``r_x = r_z = 0`` and ``v = 0`` (``r_y`` free).
 
-    The state is read once as Python floats and the result is one array
-    literal in state order.
+    ``state`` is any sequence of six entries, as in :func:`to_zeta`: floats
+    give a tuple of floats, and the rows of a (6, k) array a tuple of rows.
     """
     n = p.n
-    rx, ry, rz, vx, vy, vz = state.tolist()
-    return np.array([vx, vy, vz, 3.0 * n * n * rx + 2.0 * n * vy, -2.0 * n * vx, -n * n * rz])
+    rx, ry, rz, vx, vy, vz = state
+    return (vx, vy, vz, 3.0 * n * n * rx + 2.0 * n * vy, -2.0 * n * vx, -n * n * rz)
 
 
 def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:

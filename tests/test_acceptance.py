@@ -292,11 +292,15 @@ def test_criterion_09_stm_against_rk4_oracle():
     steps = 100_000
     h = p.period / steps
     s = s0.copy()
+
+    def f(x):
+        return np.array(hcw_derivative(x.tolist(), p))
+
     for _ in range(steps):
-        k1 = hcw_derivative(s, p)
-        k2 = hcw_derivative(s + 0.5 * h * k1, p)
-        k3 = hcw_derivative(s + 0.5 * h * k2, p)
-        k4 = hcw_derivative(s + h * k3, p)
+        k1 = f(s)
+        k2 = f(s + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h * k2)
+        k4 = f(s + h * k3)
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     prop = hcw_stm(p, p.period) @ s0
     scale = np.max(np.abs(s))

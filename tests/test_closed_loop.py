@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -213,6 +213,56 @@ FULL_STATES = st.builds(
     q_alpha=st.sampled_from([-1.0, 1.0]),
     tau_alpha=st.floats(0.0, 2.0),
 )
+
+
+def numpy_rk4_step(state, flow, h):
+    """One RK4 step written as whole-array NumPy expressions."""
+    k1 = np.array(flow(state))
+    k2 = np.array(flow(state + 0.5 * h * k1))
+    k3 = np.array(flow(state + 0.5 * h * k2))
+    k4 = np.array(flow(state + h * k3))
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRk4Flow:
+    @given(
+        state=FULL_STATES,
+        # One step of at most 600 s moves a timer by at most 0.105, so timers
+        # in [0.9, 1.1] put RK4 stages on both sides of the dead-zone knee.
+        knee=st.none() | st.tuples(*[st.floats(0.9, 1.1)] * 3),
+        h=st.floats(0.0, 600.0, exclude_min=True),
+    )
+    @example(state=cl.make_state(r=(-60.0, 1000.0, 5.0), tau_beta=0.95), knee=None, h=600.0)
+    @settings(max_examples=200, deadline=None)
+    def test_step_equals_array_form_bit_for_bit(self, state, knee, h):
+        if knee is not None:
+            state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
+        flow = cl.make_flow(P)
+        got = rk4_step(state, flow, h)
+        expected = numpy_rk4_step(state, flow, h)
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+    def test_one_step_calls_the_traced_rates(self, monkeypatch):
+        # The benchmark tracer counts calls of closed_loop.hcw_derivative
+        # (hcw.derivative.calls) and controllers.timer_rate (part of
+        # controllers.timer.calls): one RK4 step evaluates the flow four
+        # times, each with one plant derivative and three timer rates.
+        calls = {"derivative": 0, "timer_rate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
+        monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
+        state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.95)
+        rk4_step(state, cl.make_flow(P), 10.0)
+        assert calls == {"derivative": 4, "timer_rate": 12}
+
 
 #: Each channel's thrust velocity, timer and logic variable (beta has none).
 EDITS = {"z": (VZ, cl.TAUZ, cl.QZ), "beta": (VY, cl.TAUB, None), "alpha": (VX, cl.TAUA, cl.QA)}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous.hcw import (
     RX,
@@ -80,11 +81,15 @@ def rk4_reference(state, p, t_final, steps):
     """Brute-force RK4 integration of the plant, used as an oracle."""
     h = t_final / steps
     s = np.array(state, dtype=float)
+
+    def f(x):
+        return np.array(hcw_derivative(x.tolist(), p))
+
     for _ in range(steps):
-        k1 = hcw_derivative(s, p)
-        k2 = hcw_derivative(s + 0.5 * h * k1, p)
-        k3 = hcw_derivative(s + 0.5 * h * k2, p)
-        k4 = hcw_derivative(s + h * k3, p)
+        k1 = f(s)
+        k2 = f(s + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h * k2)
+        k4 = f(s + h * k3)
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return s
 
@@ -122,12 +127,22 @@ class TestDerivative:
         rng = np.random.default_rng(7)
         for _ in range(200):
             s = rng.uniform(-1, 1, 6) * [1000, 1000, 1000, 1, 1, 1]
-            d = hcw_derivative(s, P)
+            d = np.array(hcw_derivative(s, P))
             is_eq = np.all(d == 0.0)
             should_be = (
                 s[RX] == 0 and s[RZ] == 0 and s[VX] == 0 and s[VY] == 0 and s[VZ] == 0
             )
             assert is_eq == should_be
+
+    @given(block=arrays(np.float64, (3, 6), elements=st.floats(-1e4, 1e4)))
+    @settings(max_examples=100, deadline=None)
+    def test_list_and_array_layouts_agree(self, block):
+        # A list of floats, an ndarray row and the rows of a (6, k) array
+        # give the same bits.
+        from_lists = np.array([hcw_derivative(row.tolist(), P) for row in block])
+        from_rows = np.array([hcw_derivative(row, P) for row in block])
+        from_block = np.array(hcw_derivative(block.T, P)).T
+        assert from_lists.tobytes() == from_rows.tobytes() == from_block.tobytes()
 
 
 class TestStm:
