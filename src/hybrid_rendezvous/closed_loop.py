@@ -29,6 +29,7 @@ unused channels simply absent from the jump list.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -167,24 +168,23 @@ def make_flow_to(p: OrbitParams):
     """Exact flow propagator: HCW transition matrix on the plant, closed-form
     timer advance, constant logic variables.
 
-    The propagator keeps a one-entry memo ``(dt, hcw_stm(p, dt))`` of the
-    last matrix it built, so consecutive full steps of one ``dt`` share one
-    matrix; any other ``dt`` builds its own and takes the entry.  The matrix
-    is a pure function of ``(p, dt)``, so reuse gives the same bits.  Each
-    call reads the five controller entries with one ``tolist()`` and
-    advances the three timers on Python floats.  The plant product is
-    ``np.dot``: the same BLAS matrix-vector product as ``@``, with less
-    dispatch cost per call.
+    Every engine path calls it with ``dt > 0``, and the step lengths repeat:
+    full steps share ``h``, and a probe of a step's bracket ``[t_a, t_b]``
+    has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m``
+    of a bracket length that takes few values.  So ``hcw_stm(p, dt)``, a
+    pure function of ``(p, dt)``, is cached by ``dt``: bounded to the 256
+    most recently used, as brackets need not recur, and owned by this
+    propagator, so matrices of different ``p`` never mix.  Each call reads
+    the controller entries with one ``tolist()``, advances the timers on
+    Python floats, and applies the matrix with ``np.dot``, the BLAS product
+    of ``@`` with less dispatch cost.
     """
-    memo_dt, memo_stm = None, None
+    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
-        nonlocal memo_dt, memo_stm
-        if dt != memo_dt:
-            memo_dt, memo_stm = dt, hcw_stm(p, dt)
         _, tau_z, tau_b, _, tau_a = state[QZ:].tolist()
         out = state.copy()
-        out[:6] = np.dot(memo_stm, state[:6])
+        out[:6] = np.dot(stm(dt), state[:6])
         out[TAUZ] = ctl.timer_advance(tau_z, dt, p.n)
         out[TAUB] = ctl.timer_advance(tau_b, dt, p.n)
         out[TAUA] = ctl.timer_advance(tau_a, dt, p.n)

@@ -218,7 +218,7 @@ def locate_event(
 ) -> tuple[float, np.ndarray]:
     """Localize the first guard activation inside a flow step by bisection.
 
-Requires jump-set membership ``inside(state_b)`` but not
+    Requires jump-set membership ``inside(state_b)`` but not
     ``inside(state_a)``.  Each probe re-integrates from ``state_a`` (no guard
     interpolation).  The bisection is left-biased: it keeps the earliest
     entry found, so a set entered twice within the bracket resolves to its

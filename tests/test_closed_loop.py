@@ -21,6 +21,16 @@ P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
 
 
+def fresh_flow_to(s, dt, p=P):
+    """``flow_to`` of ``s`` over ``dt`` from a freshly built transition
+    matrix and the three timer advances."""
+    expected = np.array(s)
+    expected[:6] = hcw_stm(p, dt) @ s[:6]
+    for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
+        expected[idx] = timer_advance(s[idx], dt, p.n)
+    return expected
+
+
 class TestMakeState:
     def test_layout(self):
         s = cl.make_state(r=(1, 2, 3), v=(4, 5, 6), q_z=-1.0, tau_z=0.5,
@@ -71,7 +81,7 @@ class TestFullFlow:
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
         # Each step equals a freshly built matrix and timer advance; only a
-        # change of dt builds a new matrix.
+        # dt not in the propagator's bounded cache builds a new matrix.
         stm_calls = []
 
         def counted_stm(p, dt):
@@ -84,16 +94,25 @@ class TestFullFlow:
             r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05),
             tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
         )
+
+        def step(s, dt):
+            out = flow_to(s, dt)
+            assert np.array_equal(out, fresh_flow_to(s, dt))
+            return out
+
         h = 10.0
         for dt in (h, h, h / 3, h, 2 * h):
-            expected = np.array(s)
-            expected[:6] = hcw_stm(P, dt) @ s[:6]
-            for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
-                expected[idx] = timer_advance(s[idx], dt, P.n)
-            out = flow_to(s, dt)
-            assert np.array_equal(out, expected)
-            s = out
-        assert len(stm_calls) == 4
+            s = step(s, dt)
+        assert len(stm_calls) == 3  # the revisits of h are hits
+        # 300 new dt: only the 256 latest stay cached, so a revisit of the
+        # oldest of those is a hit and one of the first of the 300 a build.
+        for k in range(300):
+            s = step(s, 1000.0 + k)
+        assert len(stm_calls) == 303
+        s = step(s, 1000.0 + 300 - 256)
+        assert len(stm_calls) == 303
+        step(s, 1000.0)
+        assert stm_calls[-1] == 1000.0 and len(stm_calls) == 304
 
 
 class TestLyapunovAndDistance:
@@ -213,6 +232,40 @@ FULL_STATES = st.builds(
     q_alpha=st.sampled_from([-1.0, 1.0]),
     tau_alpha=st.floats(0.0, 2.0),
 )
+
+
+#: Step lengths of the localization probes: dyadic fractions ``k h/2^m`` of
+#: a 10 s step, which repeat, or any length up to 600 s, which do not.
+PROBE_DTS = st.integers(0, 4).flatmap(
+    lambda m: st.integers(1, 2**m).map(lambda k: 10.0 * k / 2**m)
+) | st.floats(0.0, 600.0, exclude_min=True)
+
+
+class TestFlowToCache:
+    @given(
+        state=FULL_STATES,
+        # One step of at most 600 s moves a timer by at most 0.105, so timers
+        # in [0.9, 1.1] advance on both sides of the knee at 1.
+        knee=st.none() | st.tuples(*[st.floats(0.9, 1.1)] * 3),
+        dts=st.lists(PROBE_DTS, min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_matrices_equal_fresh_builds(self, state, knee, dts):
+        if knee is not None:
+            state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
+        flow_to = cl.make_flow_to(P)
+        for dt in dts:
+            assert np.array_equal(flow_to(state, dt), fresh_flow_to(state, dt))
+
+    def test_propagators_share_no_cache(self):
+        # One dt on two orbit rates: each propagator applies its own matrix,
+        # whichever was called first.
+        s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
+        slow, fast = OrbitParams(n=0.0011), OrbitParams(n=0.0021)
+        flows = {p: cl.make_flow_to(p) for p in (slow, fast)}
+        for p in (slow, fast, slow):
+            assert np.array_equal(flows[p](s, 30.0), fresh_flow_to(s, 30.0, p))
+        assert not np.array_equal(flows[slow](s, 30.0), flows[fast](s, 30.0))
 
 
 def numpy_rk4_step(state, flow, h):
