@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Three subcommands over scenario files (see :mod:`hybrid_rendezvous.config`
-for the format):
+for the format), each reading one run record, :func:`build_summary`:
 
 * ``simulate --config <path> --subsystem z|inplane|full`` — run one scenario
-  and write ``trajectory.csv``, ``events.csv``, ``summary.json`` and a
-  gnuplot script ``plot.gp`` into the scenario's output directory;
-* ``verify --config <path>`` — run the scenario and check the Lyapunov
-  certificates (flow invariance and jump decrease), printing a per-check
-  pass/fail table;
+  and write the record as ``summary.json``, with ``trajectory.csv``,
+  ``events.csv`` and a gnuplot script ``plot.gp``, into the output directory;
+* ``verify --config <path>`` — run the scenario and print the record's
+  Lyapunov certificates (flow invariance and jump decrease) as a pass/fail
+  table with one line per violation;
 * ``sweep --config <path> --param <name> --values a,b,c`` — rerun the
-  scenario for each parameter value and tabulate impulse counts, delta-v and
-  convergence time (the dwell-time trade-off study).
+  scenario for each parameter value and tabulate each record's impulse
+  count, delta-v, convergence time and status (the dwell-time trade-off study).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure,
 3 certificate violation.
@@ -173,12 +173,16 @@ def write_events(
     _write_csv(path, EVENT_COLUMNS, (_event_row(ev, p, event_tol) for ev in sol.events))
 
 
-def build_summary(cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec) -> dict:
-    bud = budget(sol)
+def build_summary(
+    cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec
+) -> tuple[dict, list]:
+    """The run record: the ``summary.json`` dict and the certificate
+    violations, flow then jump."""
+    tol = flow_drift_tolerance(cfg)
     conv = convergence_time(sol, p, spec)
-    flow_report = check_flow_invariance(sol, p, tol=flow_drift_tolerance(cfg))
+    flow_report = check_flow_invariance(sol, p, tol=tol)
     jump_report = check_jump_decrease(sol)
-    return {
+    summary = {
         "version": __version__,
         "subsystem": cfg.subsystem,
         "integrator": cfg.integrator,
@@ -189,13 +193,7 @@ def build_summary(cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec
         "t_final": float(sol.t[-1]),
         "t_final_orbits": float(sol.t[-1]) / p.period,
         "j_final": int(sol.j[-1]),
-        "budget": {
-            "impulse_counts": bud.impulse_counts,
-            "event_counts": bud.event_counts,
-            "delta_v": bud.delta_v,
-            "total_delta_v": bud.total_delta_v,
-            "last_impulse_time": bud.last_impulse_time,
-        },
+        "budget": asdict(budget(sol)),
         "convergence": {
             "epsilon": spec.epsilon,
             "converged": conv is not None,
@@ -206,20 +204,19 @@ def build_summary(cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec
         "certificates": {
             "flow_invariance": {
                 "passed": flow_report.passed,
-                "tolerance": flow_drift_tolerance(cfg),
+                "tolerance": tol,
                 "worst_drift": flow_report.arc_drift,
                 "violations": len(flow_report.violations),
             },
             "jump_decrease": {
                 "passed": jump_report.passed,
                 "events_checked": len(sol.events),
-                "min_margin": (
-                    min(jump_report.jump_margins) if jump_report.jump_margins else None
-                ),
+                "min_margin": min(jump_report.jump_margins, default=None),
                 "violations": len(jump_report.violations),
             },
         },
     }
+    return summary, flow_report.violations + jump_report.violations
 
 
 PLOT_TEMPLATE = """\
@@ -255,14 +252,15 @@ unset multiplot
 """
 
 
-def write_outputs(out_dir: Path, cfg: ScenarioConfig, sol, p, spec) -> dict:
+def write_outputs(out_dir: Path, cfg: ScenarioConfig, sol, p, spec) -> tuple[dict, list]:
+    """Write the four output files; returns the :func:`build_summary` record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(out_dir / "trajectory.csv", sol, p)
     write_events(out_dir / "events.csv", sol, p, cfg.event_tol)
-    summary = build_summary(cfg, sol, p, spec)
+    summary, violations = build_summary(cfg, sol, p, spec)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out_dir / "plot.gp").write_text(PLOT_TEMPLATE)
-    return summary
+    return summary, violations
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +286,13 @@ def cmd_simulate(args) -> int:
     if _budget_exhausted(sol):
         return EXIT_NUMERICAL
     out_dir = Path(args.out or cfg.output_dir)
-    summary = write_outputs(out_dir, cfg, sol, p, spec)
-    certs = summary["certificates"]
+    summary, violations = write_outputs(out_dir, cfg, sol, p, spec)
     print(
         f"{cfg.subsystem}: status={sol.status} t={summary['t_final_orbits']:.3f} orbits "
         f"jumps={summary['j_final']} dv={summary['budget']['total_delta_v']:.4f} m/s "
         f"({elapsed:.2f} s) -> {out_dir}"
     )
-    if not (certs["flow_invariance"]["passed"] and certs["jump_decrease"]["passed"]):
+    if violations:
         print("certificate violation: see summary.json", file=sys.stderr)
         return EXIT_CERTIFICATE
     return EXIT_OK
@@ -306,35 +303,21 @@ def cmd_verify(args) -> int:
     sol, p, spec = run_scenario(cfg)
     if _budget_exhausted(sol):
         return EXIT_NUMERICAL
-    flow_report = check_flow_invariance(sol, p, tol=flow_drift_tolerance(cfg))
-    jump_report = check_jump_decrease(sol)
-    rows = [
-        (
-            "flow invariance",
-            flow_report.passed,
-            f"worst drift {max(flow_report.arc_drift.values()):.3e} "
-            f"(tol {flow_drift_tolerance(cfg):.0e})",
-        ),
-        (
-            "jump decrease",
-            jump_report.passed,
-            f"{len(sol.events)} events, min margin "
-            + (
-                f"{min(jump_report.jump_margins):.3e}"
-                if jump_report.jump_margins
-                else "n/a"
-            ),
-        ),
-    ]
-    for name, passed, detail in rows:
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<16} {detail}")
-    for rep in (flow_report, jump_report):
-        for v in rep.violations:
-            print(
-                f"      violation at t={v.t:.3f} j={v.j}: {v.quantity} "
-                f"observed {v.observed:.6e} vs bound {v.bound:.6e}"
-            )
-    return EXIT_OK if all(r[1] for r in rows) else EXIT_CERTIFICATE
+    summary, violations = build_summary(cfg, sol, p, spec)
+    flow, jump = summary["certificates"].values()
+    margin = "n/a" if jump["min_margin"] is None else f"{jump['min_margin']:.3e}"
+    drift = max(flow["worst_drift"].values())
+    for name, cert, detail in (
+        ("flow invariance", flow, f"worst drift {drift:.3e} (tol {flow['tolerance']:.0e})"),
+        ("jump decrease", jump, f"{jump['events_checked']} events, min margin {margin}"),
+    ):
+        print(f"{'PASS' if cert['passed'] else 'FAIL'}  {name:<16} {detail}")
+    for v in violations:
+        print(
+            f"      violation at t={v.t:.3f} j={v.j}: {v.quantity} "
+            f"observed {v.observed:.6e} vs bound {v.bound:.6e}"
+        )
+    return EXIT_CERTIFICATE if violations else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -370,20 +353,20 @@ def cmd_sweep(args) -> int:
         except IntegrationFailure as exc:
             print(f"numerical failure at {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        bud = budget(sol)
-        conv = convergence_time(sol, p, spec)
-        count = sum(bud.impulse_counts.values())
-        conv_orbits = None if conv is None else conv.t / p.period
+        summary, _ = build_summary(case, sol, p, spec)
+        count = sum(summary["budget"]["impulse_counts"].values())
+        total_dv = summary["budget"]["total_delta_v"]
+        conv_orbits = summary["convergence"]["t_orbits"]
         conv_str = "never" if conv_orbits is None else f"{conv_orbits:.3f}"
         print(
-            f"{value:>12.6g} {count:>9d} {bud.total_delta_v:>10.4f} "
-            f"{conv_str:>12} {sol.status:>10}"
+            f"{value:>12.6g} {count:>9d} {total_dv:>10.4f} "
+            f"{conv_str:>12} {summary['status']:>10}"
         )
         if _budget_exhausted(sol, f" at {args.param}={value}"):
             return EXIT_NUMERICAL
         csv_lines.append(
-            f"{_fmt(value)},{count},{_fmt(bud.total_delta_v)},"
-            f"{'' if conv_orbits is None else _fmt(conv_orbits)},{sol.status}"
+            f"{_fmt(value)},{count},{_fmt(total_dv)},"
+            f"{'' if conv_orbits is None else _fmt(conv_orbits)},{summary['status']}"
         )
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

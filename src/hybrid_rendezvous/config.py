@@ -173,7 +173,10 @@ def _convert(key: str, value: str, path: Path, lineno: int) -> object:
 
 def _validate(cfg: ScenarioConfig) -> None:
     # Constructing the derived objects runs their own range checks and
-    # surfaces the offending field in the message.
+    # surfaces the offending field in the message.  An empty output_dir
+    # would write the outputs into the working directory.
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must not be empty")
     try:
         cfg.params()
         cfg.thresholds()

@@ -121,13 +121,6 @@ def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
     ]).reshape(6, 6)
 
 
-def transform_matrix(n: float) -> np.ndarray:
-    """The in-plane change of coordinates T mapping (r_x, v_x, r_y, v_y) to
-    (x, y, alpha, beta): :func:`to_zeta` applied to the identity, column by
-    column."""
-    return np.array(to_zeta(np.eye(4), OrbitParams(n=n)))
-
-
 def to_zeta(inplane, p: OrbitParams) -> tuple:
     """Map an in-plane state (r_x, v_x, r_y, v_y) to the four rows
     (x, y, alpha, beta).

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybrid_rendezvous import closed_loop as cl
-from hybrid_rendezvous.hcw import VX
+from hybrid_rendezvous.hcw import VX, OrbitParams, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -20,13 +20,20 @@ def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.cfg"
 
 
-# Reference matrices of the in-plane coordinate change, on
-# (r_x, v_x, r_y, v_y) and on (x, y, alpha, beta).  Criterion 8 and
-# ``test_hcw`` check :func:`hcw.transform_matrix` against them.
+# The in-plane coordinate change as a matrix, built from ``hcw.to_zeta``,
+# and reference matrices on (r_x, v_x, r_y, v_y) and on (x, y, alpha, beta).
+# Criterion 8 and ``test_hcw`` check :func:`transform_matrix` against them.
+
+
+def transform_matrix(n: float) -> np.ndarray:
+    """The in-plane change of coordinates T mapping (r_x, v_x, r_y, v_y) to
+    (x, y, alpha, beta): :func:`hcw.to_zeta` applied to the identity, column
+    by column."""
+    return np.array(to_zeta(np.eye(4), OrbitParams(n=n)))
 
 
 def transform_matrix_inv(n: float) -> np.ndarray:
-    """Exact closed-form inverse of ``hcw.transform_matrix(n)``."""
+    """Exact closed-form inverse of :func:`transform_matrix`."""
     return np.array(
         [
             [1.0, 0.0, 0.0, -2.0 / (3.0 * n)],

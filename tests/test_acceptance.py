@@ -36,13 +36,13 @@ from hybrid_rendezvous.hcw import (
     OrbitParams,
     hcw_derivative,
     hcw_stm,
-    transform_matrix,
 )
 
 from conftest import (
     inplane_a0,
     inplane_b0,
     scenario_path,
+    transform_matrix,
     transform_matrix_inv,
     zeta_a,
     zeta_b,

@@ -1,6 +1,7 @@
 """Command-line front end: files, exit codes, reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,52 @@ class TestVerify:
         assert "FAIL" in out and "violation" in out
 
 
+VERIFY_ROW = re.compile(
+    r"(PASS|FAIL)  flow invariance  worst drift (\S+) \(tol (\S+)\)\n"
+    r"(PASS|FAIL)  jump decrease    (\d+) events, min margin (\S+)\n"
+)
+
+
+class TestOneRecord:
+    @pytest.mark.parametrize(
+        "name", ["z_fast", "z_slow", "inplane_ref", "full_ref", "flip_alpha_sign"]
+    )
+    def test_verify_prints_the_simulate_certificates(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        flipped = name == "flip_alpha_sign"
+        if flipped:
+            original = cli.build_system
+            monkeypatch.setattr(
+                cli,
+                "build_system",
+                lambda p, thresholds, subsystem="full": flip_alpha_sign(
+                    original(p, thresholds, subsystem), p
+                ),
+            )
+            name = "inplane_ref"
+        config = scenario_path(name)
+        sim_code = run(["simulate", "--config", config, "--out", tmp_path])
+        capsys.readouterr()
+        verify_code = run(["verify", "--config", config])
+        out = capsys.readouterr().out
+        certs = json.loads((tmp_path / "summary.json").read_text())["certificates"]
+        flow, jump = certs["flow_invariance"], certs["jump_decrease"]
+        margin = jump["min_margin"]
+        assert VERIFY_ROW.match(out).groups() == (
+            "PASS" if flow["passed"] else "FAIL",
+            f"{max(flow['worst_drift'].values()):.3e}",
+            f"{flow['tolerance']:.0e}",
+            "PASS" if jump["passed"] else "FAIL",
+            str(jump["events_checked"]),
+            "n/a" if margin is None else f"{margin:.3e}",
+        )
+        violations = flow["violations"] + jump["violations"]
+        assert (violations > 0) == flipped
+        assert out.count("\n      violation at ") == violations
+        assert (sim_code, verify_code) == ((0, 0) if violations == 0 else (3, 3))
+
+
 class TestSweep:
     def test_dwell_tradeoff_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -274,3 +321,5 @@ class TestSweep:
         summary = json.loads((sim_out / "summary.json").read_text())
         assert int(row[1]) == sum(summary["budget"]["impulse_counts"].values())
         assert float(row[2]) == summary["budget"]["total_delta_v"]
+        assert float(row[3]) == summary["convergence"]["t_orbits"]
+        assert row[4] == summary["status"]

@@ -93,6 +93,7 @@ class TestErrors:
             ("convergence_eps = -1", "convergence_eps"),
             ("t_max_orbits = nan", "t_max_orbits"),
             ("r_x = inf", "r_x"),
+            ("output_dir =", "output_dir"),
         ],
     )
     def test_field_level_messages(self, tmp_path, line, fragment):

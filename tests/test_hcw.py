@@ -19,10 +19,16 @@ from hybrid_rendezvous.hcw import (
     hcw_stm,
     sat,
     to_zeta,
-    transform_matrix,
 )
 
-from conftest import inplane_a0, inplane_b0, transform_matrix_inv, zeta_a, zeta_b
+from conftest import (
+    inplane_a0,
+    inplane_b0,
+    transform_matrix,
+    transform_matrix_inv,
+    zeta_a,
+    zeta_b,
+)
 
 P = OrbitParams()
 
