@@ -13,8 +13,10 @@ for the format), each reading one run record, :func:`build_summary`:
   scenario for each parameter value and tabulate each record's impulse
   count, delta-v, convergence time and status (the dwell-time trade-off study).
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure,
-3 certificate violation.
+Flags override config keys through :func:`config.replace`, so they are
+validated as keys are (``--out ""`` is rejected); argparse checks their syntax.
+Exit codes: 0 success, 1 usage (with argparse's message) or configuration
+error, 2 numerical failure, 3 certificate violation.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .analysis import (
     check_jump_decrease,
     convergence_time,
 )
-from .closed_loop import build_system, lyapunov_values, zeta_of
+from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config, replace
 from .engine import HybridSolution, ImpulseEvent, IntegrationFailure, simulate
 from .hcw import RX, RY, RZ, VX, VY, VZ, OrbitParams
@@ -57,6 +59,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _numbers(text: str) -> list[float]:
+    """``--values``: a comma-separated list of at least one number."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:  # "could not convert string to float: 'a'"
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
+    return values
+
+
+def _load(args, **flags) -> ScenarioConfig:
+    """The config file with each flag given applied as an override of its key."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return replace(parse_config(args.config), **given)
 
 
 def _fmt(x: float) -> str:
@@ -277,15 +296,13 @@ def _budget_exhausted(sol: HybridSolution, where: str = "") -> bool:
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
-    if args.subsystem:
-        cfg = replace(cfg, subsystem=args.subsystem)
+    cfg = _load(args, subsystem=args.subsystem, output_dir=args.out)
     start = time.perf_counter()
     sol, p, spec = run_scenario(cfg)
     elapsed = time.perf_counter() - start
     if _budget_exhausted(sol):
         return EXIT_NUMERICAL
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     summary, violations = write_outputs(out_dir, cfg, sol, p, spec)
     print(
         f"{cfg.subsystem}: status={sol.status} t={summary['t_final_orbits']:.3f} orbits "
@@ -321,33 +338,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    if args.param not in SWEEPABLE:
-        print(
-            f"error: field 'param': must be one of {', '.join(SWEEPABLE)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        print(f"error: field 'values': cannot parse {args.values!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not values:
-        print("error: field 'values': empty list", file=sys.stderr)
-        return EXIT_USAGE
-    header = (
+    cfg = _load(args, output_dir=args.out)
+    print(
         f"{args.param:>12} {'impulses':>9} {'total_dv':>10} "
         f"{'conv_orbits':>12} {'status':>10}"
     )
-    print(header)
     csv_lines = [f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"]
-    for value in values:
-        try:
-            case = replace(cfg, **{args.param: value})
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for value in args.values:
+        case = replace(cfg, **{args.param: value})
         try:
             sol, p, spec = run_scenario(case)
         except IntegrationFailure as exc:
@@ -368,7 +366,7 @@ def cmd_sweep(args) -> int:
             f"{_fmt(value)},{count},{_fmt(total_dv)},"
             f"{'' if conv_orbits is None else _fmt(conv_orbits)},{summary['status']}"
         )
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
     return EXIT_OK
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario and export results")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--subsystem", choices=("z", "inplane", "full"), default=None)
+    p_sim.add_argument("--subsystem", choices=SUBSYSTEM_CHANNELS, default=None)
     p_sim.add_argument("--out", default=None, help="output directory override")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -393,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="rerun a scenario over parameter values")
     p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--param", required=True)
-    p_swp.add_argument("--values", required=True, help="comma-separated list")
+    p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_swp.add_argument("--values", required=True, type=_numbers, help="comma-separated list")
     p_swp.add_argument("--out", default=None, help="output directory override")
     p_swp.set_defaults(func=cmd_sweep)
     return parser

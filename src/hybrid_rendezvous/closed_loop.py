@@ -6,14 +6,14 @@ by the controller variables of each channel::
     index  0    1    2    3    4    5    6    7      8         9        10
     value  r_x  r_y  r_z  v_x  v_y  v_z  q_z  tau_z  tau_beta  q_alpha  tau_alpha
 
-The transformed in-plane view (x, y, alpha, beta) is always recomputed from
-the plant, never stored.  Each channel's Lyapunov function has one
-definition in :data:`LYAPUNOV`, which reads the state by component index
-``s[k]``.  The views (``zeta_of``, ``lyapunov_values`` and
-``distance_to_attractor``) pass ``state.T`` of one state ``(11,)`` or a
-block ``(N, 11)``: a scalar for one state and a column for a block.
-(``state[..., k]`` would give a 0-d array for one state, whose arithmetic is
-several times slower.)
+The transformed in-plane view (x, y, alpha, beta) is recomputed from the
+plant once per state, never stored.  Each channel's Lyapunov function has
+one definition in :data:`LYAPUNOV`, which reads the state by component
+index ``s[k]`` and takes the view from its caller.  The views (``zeta_of``,
+``lyapunov_values`` and ``distance_to_attractor``) pass ``state.T`` of one
+state ``(11,)`` or a block ``(N, 11)``: a scalar for one state and a column
+for a block.  (``state[..., k]`` would give a 0-d array for one state, whose
+arithmetic is several times slower.)
 
 The per-sample hot path (the propagator's timers, the guards, the jump maps
 and every stage of the RK4 flow) reads a state once with ``tolist()`` and
@@ -198,13 +198,13 @@ def make_flow_to(p: OrbitParams):
 # ---------------------------------------------------------------------------
 
 
-#: Each channel's Lyapunov function of ``(s, p)``.  ``s`` is read by state
-#: component, so the same definition takes a list of 11 floats (the jump
-#: maps) or ``state.T`` of one state or a block (the views).
+#: Each channel's Lyapunov function of ``(s, zeta, p)``, with ``zeta`` the
+#: :func:`zeta_components` of ``s``, which is read by state component: a
+#: list of 11 floats (the jump maps) or ``state.T`` of one state or a block.
 LYAPUNOV = {
-    "z": lambda s, p: ctl.z_lyapunov(s[RZ], s[VZ], p.n),
-    "beta": lambda s, p: ctl.beta_lyapunov(zeta_components(s, p)[3]),
-    "alpha": lambda s, p: ctl.alpha_lyapunov(*zeta_components(s, p)[:3], p.n),
+    "z": lambda s, zeta, p: ctl.z_lyapunov(s[RZ], s[VZ], p.n),
+    "beta": lambda s, zeta, p: ctl.beta_lyapunov(zeta[3]),
+    "alpha": lambda s, zeta, p: ctl.alpha_lyapunov(*zeta[:3], p.n),
 }
 
 
@@ -215,7 +215,8 @@ def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float | np.n
     each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
     value at ``state[i]``.
     """
-    return {name: f(state.T, p) for name, f in LYAPUNOV.items()}
+    zeta = zeta_components(state.T, p)
+    return {name: f(state.T, zeta, p) for name, f in LYAPUNOV.items()}
 
 
 def distance_to_attractor(
@@ -241,8 +242,8 @@ def distance_to_attractor(
 # ---------------------------------------------------------------------------
 # channel adapters over the 11-vector
 #
-# A channel is its guard terms and its command law on a list of 11 floats
-# (the engine passes ``state.tolist()``), plus the indices its jump edits.
+# A channel is its guard terms and its command law of a list of 11 floats
+# and its zeta (the guard passes no zeta), plus the indices its jump edits.
 # ---------------------------------------------------------------------------
 
 
@@ -250,17 +251,18 @@ def _channel(
     name: str, p: OrbitParams, terms, command, thrust, timer, logic=None, gain=1.0
 ) -> JumpChannel:
     """Channel ``name``: guard ``terms`` and the jump map all channels share.
-    On one ``tolist()`` it records the margins and ``LYAPUNOV[name]``, fires
-    ``command`` through :func:`ctl.fire`, adds the impulse to velocity
+    On one ``tolist()`` and its zeta it records the margins and ``LYAPUNOV[name]``,
+    fires ``command`` through :func:`ctl.fire`, adds the impulse to velocity
     ``thrust``, resets ``timer``, negates ``logic`` if the command was
     unsaturated, and bounds the change of V by ``-gain * u_applied * u_commanded``."""
     lyapunov = LYAPUNOV[name]
 
     def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
         s = state.tolist()
-        margins = terms(s)
-        lyap_pre = lyapunov(s, p)
-        u_cmd = command(s)
+        zeta = zeta_components(s, p)
+        margins = terms(s, zeta)
+        lyap_pre = lyapunov(s, zeta, p)
+        u_cmd = command(s, zeta)
         u, unsaturated = ctl.fire(u_cmd, p.umax)
         s[thrust] += u
         s[timer] = 0.0
@@ -268,7 +270,7 @@ def _channel(
             s[logic] = -s[logic]
         return ImpulseEvent(
             name, t, j_pre, u_cmd, u, state, np.array(s), margins,
-            lyap_pre, lyapunov(s, p), -gain * u * u_cmd,
+            lyap_pre, lyapunov(s, zeta_components(s, p), p), -gain * u * u_cmd,
         )
 
     return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
@@ -276,25 +278,25 @@ def _channel(
 
 def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     return _channel(
-        "z", p, lambda s: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m),
-        lambda s: ctl.z_command(s[VZ]), thrust=VZ, timer=TAUZ, logic=QZ,
+        "z", p, lambda s, zeta=None: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m),
+        lambda s, zeta: ctl.z_command(s[VZ]), thrust=VZ, timer=TAUZ, logic=QZ,
     )
 
 
 def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
     return _channel(
-        "beta", p, lambda s: ctl.beta_guard(s[TAUB], tau_m),
-        lambda s: ctl.beta_command(zeta_components(s, p)[3]), thrust=VY, timer=TAUB,
+        "beta", p, lambda s, zeta=None: ctl.beta_guard(s[TAUB], tau_m),
+        lambda s, zeta: ctl.beta_command(zeta[3]), thrust=VY, timer=TAUB,
     )
 
 
 def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    def terms(s) -> tuple[float, float, float]:
-        x, y, al, _ = zeta_components(s, p)
+    def terms(s, zeta=None) -> tuple[float, float, float]:
+        x, y, al, _ = zeta_components(s, p) if zeta is None else zeta
         return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
 
     return _channel(
-        "alpha", p, terms, lambda s: ctl.alpha_command(*zeta_components(s, p)[1:3], p),
+        "alpha", p, terms, lambda s, zeta: ctl.alpha_command(*zeta[1:3], p),
         thrust=VX, timer=TAUA, logic=QA, gain=2.0,
     )
 

@@ -24,11 +24,14 @@ the offending name.  Example::
 
 Initial timers default to the channel's own threshold (written as
 ``threshold``), so the first firing is not dwell-delayed; set a number in
-[0, 2] to override.
+[0, 2] to override.  A :class:`ScenarioConfig` validates itself on
+construction, so a copy made with :func:`replace`, which is
+:func:`dataclasses.replace`, is checked too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,6 +41,8 @@ from .closed_loop import AttractorSpec, DwellThresholds, distance_to_attractor, 
 from .engine import SimulationOptions
 from .hcw import OrbitParams
 
+replace = dataclasses.replace
+
 
 class ConfigError(ValueError):
     """A scenario file failed to parse or validate; message names the field."""
@@ -45,15 +50,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully-specified simulation scenario."""
+    """One fully-specified simulation scenario; it validates itself."""
 
     # orbit and actuator
-    n: float = 0.0011
-    umax: float = 0.2
+    n: float = OrbitParams.n
+    umax: float = OrbitParams.umax
     # dwell thresholds
-    tau_m_z: float = 0.01
-    tau_m_beta: float = 0.02
-    tau_m_alpha: float = 0.01
+    tau_m_z: float = DwellThresholds.z
+    tau_m_beta: float = DwellThresholds.beta
+    tau_m_alpha: float = DwellThresholds.alpha
     # initial plant state
     r_x: float = 0.0
     r_y: float = 0.0
@@ -69,14 +74,28 @@ class ScenarioConfig:
     tau_alpha: float | None = None
     # execution
     subsystem: str = "full"
-    integrator: str = "closed_form"
+    integrator: str = SimulationOptions.integrator
     step_h: float = 30.0
     t_max_orbits: float = 10.0
-    j_max: int = 100_000
-    event_tol: float = 1e-6
+    j_max: int = SimulationOptions.j_max
+    event_tol: float = SimulationOptions.event_tol
     # convergence radius; None means 1e-3 of the initial attractor distance
     convergence_eps: float | None = None
     output_dir: str = "out"
+
+    def __post_init__(self):
+        # The derived objects' own range checks name the field.  An empty
+        # output_dir would write the outputs into the working directory.
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
+        try:
+            self.params()
+            self.thresholds()
+            self.initial_state()
+            self.options()
+            self.attractor()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def params(self) -> OrbitParams:
         return OrbitParams(n=self.n, umax=self.umax)
@@ -145,11 +164,9 @@ def parse_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _convert(key, value, path, lineno)
     try:
-        cfg = ScenarioConfig(**values)
-        _validate(cfg)
+        return ScenarioConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
 
 
 def _convert(key: str, value: str, path: Path, lineno: int) -> object:
@@ -169,28 +186,3 @@ def _convert(key: str, value: str, path: Path, lineno: int) -> object:
     if not np.isfinite(number):
         raise ConfigError(f"{path}:{lineno}: field {key!r}: must be finite, got {value!r}")
     return number
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    # Constructing the derived objects runs their own range checks and
-    # surfaces the offending field in the message.  An empty output_dir
-    # would write the outputs into the working directory.
-    if not cfg.output_dir:
-        raise ConfigError("output_dir must not be empty")
-    try:
-        cfg.params()
-        cfg.thresholds()
-        cfg.initial_state()
-        cfg.options()
-        cfg.attractor()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def replace(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """A copy of ``cfg`` with fields overridden (re-validated)."""
-    import dataclasses
-
-    new = dataclasses.replace(cfg, **overrides)
-    _validate(new)
-    return new

@@ -125,8 +125,8 @@ class SimulationOptions:
         # Written as negated comparisons so that NaN fails them too.
         if not self.step_h > 0:
             raise ValueError(f"step_h must be positive, got {self.step_h}")
-        if not self.t_max >= 0:
-            raise ValueError(f"t_max must be non-negative, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError(f"t_max must be finite and non-negative, got {self.t_max}")
         if not 0 < self.event_tol < self.step_h:
             raise ValueError(
                 f"event_tol must satisfy 0 < event_tol < step_h, got {self.event_tol}"

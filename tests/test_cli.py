@@ -175,11 +175,24 @@ class TestExitCodes:
     def test_missing_required_argument_is_usage_error(self):
         assert run(["simulate"]) == 1
 
-    def test_bad_sweep_param_is_usage_error(self):
+    def test_bad_sweep_param_is_usage_error(self, capsys):
         assert (
             run(["sweep", "--config", scenario_path("z_fast"), "--param", "n",
                  "--values", "0.001"]) == 1
         )
+        captured = capsys.readouterr()
+        assert "argument --param: invalid choice: 'n'" in captured.err
+        assert captured.out == ""
+
+    def test_empty_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # --out overrides output_dir and is validated as the key is: an empty
+        # one is rejected before anything runs, and nothing is written.
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text("r_z = 10.0\nsubsystem = z\nt_max_orbits = 1\noutput_dir = o\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--config", cfg, "--out", ""]) == 1
+        assert "config error: output_dir must not be empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_integration_failure_is_numerical_error(
@@ -208,11 +221,30 @@ class TestExitCodes:
             "numerical failure at umax=0.1: jump budget exhausted (possible Zeno)\n"
         )
 
-    def test_bad_sweep_values_is_usage_error(self):
+    def test_bad_sweep_values_is_usage_error(self, capsys):
         assert (
             run(["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
                  "--values", "a,b"]) == 1
         )
+        captured = capsys.readouterr()
+        assert "argument --values: could not convert string to float: 'a'" in captured.err
+        assert captured.out == ""
+
+    def test_empty_sweep_values_is_usage_error(self, capsys):
+        argv = ["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z"]
+        assert run(argv + ["--values", ""]) == 1
+        captured = capsys.readouterr()
+        assert "argument --values: no numbers in ''" in captured.err
+        assert captured.out == ""
+
+    def test_invalid_sweep_value_is_config_error(self, tmp_path, capsys):
+        # Each value is a key override, validated as the key is.
+        argv = ["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
+                "--values", "2.5", "--out", tmp_path / "o"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dwell threshold for z channel")
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:

@@ -187,7 +187,9 @@ class TestBlockViews:
             for ch in channels:
                 assert ch.guard.terms(s.tolist()) == ch.guard.terms(s)
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
-                assert cl.LYAPUNOV[ch.name](s.tolist(), P) == lyap[ch.name][i]
+                zeta_s = cl.zeta_components(s.tolist(), P)
+                assert ch.guard.terms(s.tolist(), zeta_s) == ch.guard.terms(s)
+                assert cl.LYAPUNOV[ch.name](s.tolist(), zeta_s, P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
             u_cmd = -s[VZ]
             u_z, unsaturated = ctl.fire(u_cmd, P.umax)
@@ -218,6 +220,30 @@ class TestBlockViews:
                 assert out.u_commanded == u_cmd and out.u_applied == u
                 assert out.lyap_pre == pre and out.lyap_post == lyap_post[i]
                 assert out.bound == -gain * u * u_cmd
+
+
+class TestZetaOncePerState:
+    def test_to_zeta_calls(self, monkeypatch):
+        # One coordinate change per state: one per lyapunov_values call, and
+        # one each for the pre- and post-jump state of every jump map.
+        calls = []
+
+        def counting(inplane, p):
+            calls.append(1)
+            return to_zeta(inplane, p)
+
+        to_zeta = cl.to_zeta
+        monkeypatch.setattr(cl, "to_zeta", counting)
+        state = cl.make_state(r=(-60.0, 1000.0, 500.0), tau_z=0.01, tau_beta=0.02,
+                              tau_alpha=0.01)
+        for s in (state, np.stack([state, state])):
+            calls.clear()
+            cl.lyapunov_values(s, P)
+            assert len(calls) == 1
+        for ch in cl.build_system(P, THRESHOLDS, "full").channels:
+            calls.clear()
+            ch.jump(state, 0.0, 0)
+            assert len(calls) == 2, ch.name
 
 
 #: Random states of the full system: logic variables in {-1, 1}, timers in

@@ -1,5 +1,6 @@
 """Scenario file parsing and validation."""
 
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -92,6 +93,9 @@ class TestErrors:
             ("umax = 0", "umax must be positive"),
             ("convergence_eps = -1", "convergence_eps"),
             ("t_max_orbits = nan", "t_max_orbits"),
+            # horizons that overflow to inf name t_max, not event_tol
+            ("t_max_orbits = 1e308", "t_max must be finite"),
+            ("n = 1e-320", "t_max must be finite"),
             ("r_x = inf", "r_x"),
             ("output_dir =", "output_dir"),
         ],
@@ -118,6 +122,17 @@ class TestReplaceAndAttractor:
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
             replace(cfg, tau_m_z=2.5)
+
+    def test_construction_validates(self):
+        # replace is dataclasses.replace: the config checks itself however
+        # it is made.
+        import hybrid_rendezvous.config as config
+
+        assert config.replace is dataclasses.replace
+        with pytest.raises(ConfigError, match="dwell threshold"):
+            dataclasses.replace(ScenarioConfig(), tau_m_z=2.5)
+        with pytest.raises(ConfigError, match="output_dir"):
+            ScenarioConfig(output_dir="")
 
     def test_replace_overrides(self):
         cfg = ScenarioConfig(r_z=10.0)

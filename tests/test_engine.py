@@ -1,6 +1,7 @@
 """Hybrid executor: integration, event localization, jump resolution."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -145,12 +146,15 @@ class TestSimulationOptions:
             {"integrator": "euler"},
             {"t_max": float("nan")},
             {"event_tol": 1e-15},  # below the float spacing at t_max, 1.4e-14
+            {"t_max": math.inf},
         ],
     )
     def test_validation(self, bad):
         base = dict(step_h=30.0, t_max=100.0)
         base.update(bad)
-        with pytest.raises(ValueError):
+        # every bad horizon, negative, NaN or infinite, is named as such
+        match = "t_max must be finite" if "t_max" in bad else None
+        with pytest.raises(ValueError, match=match):
             SimulationOptions(**base)
 
 
