@@ -42,7 +42,7 @@ from .analysis import (
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config, replace
 from .engine import HybridSolution, ImpulseEvent, IntegrationFailure, simulate
-from .hcw import RX, RY, RZ, VX, VY, VZ, OrbitParams
+from .hcw import OrbitParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,7 +179,7 @@ def _event_row(ev: ImpulseEvent, p: OrbitParams, event_tol: float) -> list[str]:
         _fmt(ev.lyap_pre),
         _fmt(ev.lyap_post),
         classification,
-    ] + [_fmt(ev.state_pre[i]) for i in (RX, RY, RZ, VX, VY, VZ)]
+    ] + [*map(repr, ev.state_pre[:6].tolist())]
 
 
 def write_events(

@@ -15,8 +15,8 @@ state ``(11,)`` or a block ``(N, 11)``: a scalar for one state and a column
 for a block.  (``state[..., k]`` would give a 0-d array for one state, whose
 arithmetic is several times slower.)
 
-The per-sample hot path (the propagator's timers, the guards, the jump maps
-and every stage of the RK4 flow) reads a state once with ``tolist()`` and
+The per-sample hot path (the propagator, the guards, the jump maps and
+every stage of the RK4 flow) reads a state once with ``tolist()`` and
 passes the same definitions a list of Python floats, which round exactly as
 NumPy's float64 scalars do, without NumPy's per-call cost.  Each jump map is
 built by ``_channel`` from the channel's command law, thrust velocity, timer
@@ -45,6 +45,7 @@ from .hcw import (
     VY,
     VZ,
     OrbitParams,
+    apply_stm,
     hcw_derivative,
     hcw_stm,
     to_zeta,
@@ -174,21 +175,18 @@ def make_flow_to(p: OrbitParams):
     of a bracket length that takes few values.  So ``hcw_stm(p, dt)``, a
     pure function of ``(p, dt)``, is cached by ``dt``: bounded to the 256
     most recently used, as brackets need not recur, and owned by this
-    propagator, so matrices of different ``p`` never mix.  Each call reads
-    the controller entries with one ``tolist()``, advances the timers on
-    Python floats, and applies the matrix with ``np.dot``, the BLAS product
-    of ``@`` with less dispatch cost.
+    propagator, so matrices of different ``p`` never mix.  Each call applies
+    the cached entries to one ``tolist()`` of the state in :func:`apply_stm`'s
+    fixed order, and advances the timers on Python floats.
     """
-    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
+    stm = lru_cache(maxsize=256)(lambda dt: tuple(hcw_stm(p, dt).ravel().tolist()))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
-        _, tau_z, tau_b, _, tau_a = state[QZ:].tolist()
-        out = state.copy()
-        out[:6] = np.dot(stm(dt), state[:6])
-        out[TAUZ] = ctl.timer_advance(tau_z, dt, p.n)
-        out[TAUB] = ctl.timer_advance(tau_b, dt, p.n)
-        out[TAUA] = ctl.timer_advance(tau_a, dt, p.n)
-        return out
+        *plant, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
+        return np.array([
+            *apply_stm(stm(dt), plant), q_z, ctl.timer_advance(tau_z, dt, p.n),
+            ctl.timer_advance(tau_b, dt, p.n), q_a, ctl.timer_advance(tau_a, dt, p.n),
+        ])
 
     return flow_to
 

@@ -121,6 +121,23 @@ def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
     ]).reshape(6, 6)
 
 
+def apply_stm(m, s) -> tuple:
+    """``M s`` in one stated order, for ``m`` the 36 entries of :func:`hcw_stm` row by
+    row and ``s`` the six plant floats, so no BLAS kernel sets its bits.  Structural
+    zeros and the unit r_y coefficient are skipped; the other rows sum left to right,
+    r_y as ``(m r_x + (r_y + m v_x)) + m v_y``.  A zero row is ``+0.0``, as from a BLAS
+    accumulator started at ``+0.0``.  ``cos`` and ``sin`` in ``m`` remain the host's."""
+    rx, ry, rz, vx, vy, vz = s
+    return (
+        (m[0] * rx + m[3] * vx + m[4] * vy) or 0.0,
+        (m[6] * rx + (ry + m[9] * vx) + m[10] * vy) or 0.0,
+        (m[14] * rz + m[17] * vz) or 0.0,
+        (m[18] * rx + m[21] * vx + m[22] * vy) or 0.0,
+        (m[24] * rx + m[27] * vx + m[28] * vy) or 0.0,
+        (m[32] * rz + m[35] * vz) or 0.0,
+    )
+
+
 def to_zeta(inplane, p: OrbitParams) -> tuple:
     """Map an in-plane state (r_x, v_x, r_y, v_y) to the four rows
     (x, y, alpha, beta).

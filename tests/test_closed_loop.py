@@ -12,7 +12,7 @@ from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
 from hybrid_rendezvous.hcw import (
-    RX, RY, VX, VY, VZ, OrbitParams, hcw_derivative, hcw_stm, sat,
+    RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat,
 )
 
 from conftest import flip_alpha_sign, zeta_b
@@ -23,9 +23,10 @@ THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
 
 def fresh_flow_to(s, dt, p=P):
     """``flow_to`` of ``s`` over ``dt`` from a freshly built transition
-    matrix and the three timer advances."""
+    matrix, applied in :func:`apply_stm`'s fixed order, and the three timer
+    advances."""
     expected = np.array(s)
-    expected[:6] = hcw_stm(p, dt) @ s[:6]
+    expected[:6] = apply_stm(hcw_stm(p, dt).ravel().tolist(), s[:6].tolist())
     for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
         expected[idx] = timer_advance(s[idx], dt, p.n)
     return expected

@@ -14,6 +14,7 @@ from hybrid_rendezvous.hcw import (
     VY,
     VZ,
     OrbitParams,
+    apply_stm,
     dz,
     hcw_derivative,
     hcw_stm,
@@ -230,6 +231,37 @@ class TestStm:
             sf = hcw_stm(P, frac * P.period) @ s
             vf = P.n**2 * sf[RZ] ** 2 + sf[VZ] ** 2
             assert abs(vf - v0) <= 1e-12 * v0
+
+
+#: Plant components: signed zeros, and finite values of magnitude 1e-100 to
+#: 1e100, whose products with the nonzero entries of ``hcw_stm`` for ``dt``
+#: of 0 or 1e-3 s to one period neither underflow nor overflow.
+PLANT_FLOATS = st.sampled_from([0.0, -0.0]) | st.floats(-1e100, 1e100).filter(
+    lambda x: abs(x) >= 1e-100
+)
+
+
+class TestApplyStm:
+    @given(
+        s=st.lists(PLANT_FLOATS, min_size=6, max_size=6),
+        dt=st.just(0.0) | st.floats(1e-3, P.period),
+    )
+    # n dt = 1.36 rad: with the in-plane state at +0.0 every v_y product is
+    # -0.0, which a sum that only skips the structural zeros returns.
+    @example(s=[0.0, 0.0, 500.0, 0.0, 0.0, 0.0], dt=1234.5)
+    @example(s=[-0.0] * 6, dt=P.period / 3)
+    @settings(max_examples=300, deadline=None)
+    def test_within_rounding_of_blas_and_zero_rows_positive(self, s, dt):
+        # Both sums are within gamma_6 sum_j |m_ij s_j| of the exact row
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # section 3.1), whatever order the BLAS kernel adds in.
+        u = UNIT_ROUNDOFF
+        gamma_6 = 6 * u / (1 - 6 * u)
+        m = hcw_stm(P, dt)
+        out = np.array(apply_stm(m.ravel().tolist(), s))
+        bound = 2 * gamma_6 * (np.abs(m) @ np.abs(np.array(s)))
+        assert (np.abs(out - m @ np.array(s)) <= bound).all()
+        assert all(np.copysign(1.0, x) == 1.0 for x in out if x == 0.0)
 
 
 class TestSatDz:
