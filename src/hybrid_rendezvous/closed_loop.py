@@ -172,21 +172,21 @@ def make_flow_to(p: OrbitParams):
     Every engine path calls it with ``dt > 0``, and the step lengths repeat:
     full steps share ``h``, and a probe of a step's bracket ``[t_a, t_b]``
     has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m``
-    of a bracket length that takes few values.  So ``hcw_stm(p, dt)``, a
-    pure function of ``(p, dt)``, is cached by ``dt``: bounded to the 256
-    most recently used, as brackets need not recur, and owned by this
-    propagator, so matrices of different ``p`` never mix.  Each call applies
-    the cached entries to one ``tolist()`` of the state in :func:`apply_stm`'s
-    fixed order, and advances the timers on Python floats.
+    of a bracket length that takes few values.  So the entries of the pure
+    ``hcw_stm(p, dt)`` are cached by ``dt``, the 256 most recently used (as
+    brackets need not recur), by this propagator alone (so no two ``p`` mix).
+    Each call applies them in :func:`apply_stm`'s order to one ``tolist()``
+    of the state and advances the timers on Python floats.
     """
     stm = lru_cache(maxsize=256)(lambda dt: tuple(hcw_stm(p, dt).ravel().tolist()))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
-        *plant, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
-        return np.array([
-            *apply_stm(stm(dt), plant), q_z, ctl.timer_advance(tau_z, dt, p.n),
-            ctl.timer_advance(tau_b, dt, p.n), q_a, ctl.timer_advance(tau_a, dt, p.n),
-        ])
+        rx, ry, rz, vx, vy, vz, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
+        return np.fromiter([
+            *apply_stm(stm(dt), (rx, ry, rz, vx, vy, vz)), q_z,
+            ctl.timer_advance(tau_z, dt, p.n), ctl.timer_advance(tau_b, dt, p.n),
+            q_a, ctl.timer_advance(tau_a, dt, p.n),
+        ], float)
 
     return flow_to
 
