@@ -105,7 +105,7 @@ def check_flow_invariance(
 
     For each arc and each checked function, the drift is
     ``max_t |V(t) - V(arc start)| / max(V(arc start), DRIFT_FLOOR)`` and
-    must not exceed ``tol``.
+    must not exceed ``tol``; a NaN drift fails.
     """
     report = CertificateReport()
     lyap = lyapunov_values(sol.states, p)
@@ -122,7 +122,7 @@ def check_flow_invariance(
             if name == "alpha" and beta_live:
                 continue
             worst[name] = max(worst[name], float(arc_worst[k]))
-            if arc_worst[k] > tol:
+            if not arc_worst[k] <= tol:
                 idx = start + int(np.argmax(drift[:, k]))
                 report.violations.append(
                     Violation(
@@ -143,14 +143,15 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
     Nonzero-input events must satisfy ``delta_V <= bound +`` :data:`JUMP_SLACK`
     where the bound is the per-channel algebraic identity recorded at jump
     time (``-v_z sat(v_z)``, ``-sat(beta/3)(beta/3)``, ``-2 sat(u_x) u_x``).
-    Zero-input events must have ``|delta_V| <=`` :data:`JUMP_SLACK`.
+    Zero-input events must have ``|delta_V| <=`` :data:`JUMP_SLACK`.  A NaN
+    ``delta_V`` fails either test.
     """
     report = CertificateReport()
     for ev in sol.events:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:
             report.jump_margins.append(-abs(delta))
-            if abs(delta) > JUMP_SLACK:
+            if not abs(delta) <= JUMP_SLACK:
                 report.violations.append(
                     Violation(
                         t=ev.t,
@@ -163,7 +164,7 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
             continue
         margin = ev.bound - delta
         report.jump_margins.append(margin)
-        if delta > ev.bound + JUMP_SLACK:
+        if not delta <= ev.bound + JUMP_SLACK:
             report.violations.append(
                 Violation(
                     t=ev.t,

@@ -29,7 +29,7 @@ unused channels simply absent from the jump list.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -145,24 +145,16 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     return np.array(zeta_components(state.T, p)).T
 
 
-def full_flow(s, p: OrbitParams) -> tuple:
+def full_flow(p: OrbitParams, s) -> tuple:
     """Closed-loop vector field: HCW plant, frozen logic variables, timer
     flows.  ``s`` is any sequence of the 11 components, read by index; the
-    result is a tuple of 11 entries in state order."""
+    result is a tuple of 11 entries in state order.  The RK4 derivative is
+    ``partial(full_flow, p)``: bound by keyword, each call would copy a dict."""
     return (
         *hcw_derivative(s[:6], p),
         0.0, ctl.timer_rate(s[TAUZ], p.n), ctl.timer_rate(s[TAUB], p.n),
         0.0, ctl.timer_rate(s[TAUA], p.n),
     )
-
-
-def make_flow(p: OrbitParams):
-    """Derivative callable for the fixed-step integrator."""
-
-    def flow(s):
-        return full_flow(s, p)
-
-    return flow
 
 
 def make_flow_to(p: OrbitParams):
@@ -178,7 +170,7 @@ def make_flow_to(p: OrbitParams):
     Each call applies them in :func:`apply_stm`'s order to one ``tolist()``
     of the state and advances the timers on Python floats.
     """
-    stm = lru_cache(maxsize=256)(lambda dt: tuple(hcw_stm(p, dt).ravel().tolist()))
+    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
         rx, ry, rz, vx, vy, vz, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
@@ -318,7 +310,7 @@ def build_system(
         for name in SUBSYSTEM_CHANNELS[subsystem]
     )
     return HybridSystem(
-        flow=make_flow(p),
+        flow=partial(full_flow, p),
         channels=channels,
         flow_to=make_flow_to(p),
     )

@@ -37,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_loop import AttractorSpec, DwellThresholds, distance_to_attractor, make_state
+from .closed_loop import (
+    AttractorSpec, DwellThresholds, distance_to_attractor, lyapunov_values, make_state,
+)
 from .engine import SimulationOptions
 from .hcw import OrbitParams
 
@@ -89,13 +91,18 @@ class ScenarioConfig:
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
         try:
-            self.params()
+            p = self.params()
             self.thresholds()
-            self.initial_state()
+            state = self.initial_state()
             self.options()
             self.attractor()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # An initial V that overflows is rejected on every channel, whatever the
+        # subsystem: trajectory.csv and the flow certificate read all three.
+        v0 = lyapunov_values(state, p)
+        if overflow := [f"V_{name}" for name, v in v0.items() if not np.isfinite(v)]:
+            raise ConfigError(f"initial state too large: {', '.join(overflow)} not finite")
 
     def params(self) -> OrbitParams:
         return OrbitParams(n=self.n, umax=self.umax)

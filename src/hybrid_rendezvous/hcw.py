@@ -1,8 +1,9 @@
 """Hill-Clohessy-Wiltshire relative dynamics and the in-plane change of coordinates.
 
-Everything here is a pure function over plain ``numpy`` arrays.  The plant
-state vector is ordered ``(r_x, r_y, r_z, v_x, v_y, v_z)`` in the LVLH frame
-(x radial, y along-track, z cross-track), in meters and meters/second.
+Everything here is a pure function; the transition matrix is the tuple of
+its 36 entries row by row.  The plant state vector is ordered
+``(r_x, r_y, r_z, v_x, v_y, v_z)`` in the LVLH frame (x radial, y
+along-track, z cross-track), in meters and meters/second.
 
 The in-plane coordinate change splits the coupled (r_x, r_y) motion into a
 harmonic oscillator (x, y) and a double integrator (alpha, beta):
@@ -94,16 +95,13 @@ def hcw_derivative(state, p: OrbitParams) -> tuple:
     return (vx, vy, vz, 3.0 * n * n * rx + 2.0 * n * vy, -2.0 * n * vx, -n * n * rz)
 
 
-def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
-    """Exact state-transition matrix of the unforced HCW flow over ``dt``.
+def hcw_stm(p: OrbitParams, dt: float) -> tuple:
+    """Exact state-transition matrix of the unforced HCW flow over ``dt``, as
+    the tuple of its 36 entries row by row, the form :func:`apply_stm` reads.
 
     Built from the trigonometric closed-form solution rather than a matrix
-    exponential.  Negative ``dt`` propagates backward.  Satisfies the group
-    property ``hcw_stm(a) @ hcw_stm(b) = hcw_stm(a + b)``.
-
-    ``cos`` and ``sin`` are taken once, as Python floats, and the matrix is
-    one array literal of float expressions in them, laid out row by row.
-    (A flat literal reshaped to 6 x 6 is built faster than a nested one.)
+    exponential, with ``cos`` and ``sin`` taken once as Python floats.
+    Negative ``dt`` propagates backward.
     """
     n = p.n
     c = float(np.cos(n * dt))
@@ -111,19 +109,19 @@ def hcw_stm(p: OrbitParams, dt: float) -> np.ndarray:
     # Rows and columns in state order (r_x, r_y, r_z, v_x, v_y, v_z).  The
     # in-plane block couples r_x, r_y, v_x, v_y (secular drift lives in the
     # r_y row); the out-of-plane block is a pure oscillator.
-    return np.array([
+    return (
         4.0 - 3.0 * c, 0.0, 0.0, s / n, 2.0 * (1.0 - c) / n, 0.0,
         6.0 * (s - n * dt), 1.0, 0.0, 2.0 * (c - 1.0) / n, (4.0 * s - 3.0 * n * dt) / n, 0.0,
         0.0, 0.0, c, 0.0, 0.0, s / n,
         3.0 * n * s, 0.0, 0.0, c, 2.0 * s, 0.0,
         6.0 * n * (c - 1.0), 0.0, 0.0, -2.0 * s, 4.0 * c - 3.0, 0.0,
         0.0, 0.0, -n * s, 0.0, 0.0, c,
-    ]).reshape(6, 6)
+    )
 
 
 def apply_stm(m, s) -> tuple:
-    """``M s`` in one stated order, for ``m`` the 36 entries of :func:`hcw_stm` row by
-    row and ``s`` the six plant floats, so no BLAS kernel sets its bits.  Structural
+    """``M s`` in one stated order, for ``m`` the tuple :func:`hcw_stm` returns and
+    ``s`` the six plant floats, so no BLAS kernel sets its bits.  Structural
     zeros and the unit r_y coefficient are skipped; the other rows sum left to right,
     r_y as ``(m r_x + (r_y + m v_x)) + m v_y``.  A zero row is ``+0.0``, as from a BLAS
     accumulator started at ``+0.0``.  ``cos`` and ``sin`` in ``m`` remain the host's."""

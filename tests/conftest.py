@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybrid_rendezvous import closed_loop as cl
-from hybrid_rendezvous.hcw import VX, OrbitParams, to_zeta
+from hybrid_rendezvous.hcw import VX, OrbitParams, hcw_stm, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -18,6 +18,13 @@ def scenario_dir() -> Path:
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.cfg"
+
+
+def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:
+    """:func:`hcw.hcw_stm` as a 6 x 6 array, for tests that multiply by it.
+    Satisfies the group property ``stm_matrix(a) @ stm_matrix(b) =
+    stm_matrix(a + b)`` up to rounding (``test_hcw::test_group_property``)."""
+    return np.array(hcw_stm(p, dt)).reshape(6, 6)
 
 
 # The in-plane coordinate change as a matrix, built from ``hcw.to_zeta``,

@@ -8,6 +8,7 @@ measured numbers.
 import dataclasses
 import itertools
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from hybrid_rendezvous.analysis import (
 from hybrid_rendezvous.closed_loop import (
     DwellThresholds,
     build_system,
+    full_flow,
     make_beta_channel,
-    make_flow,
     make_flow_to,
     make_state,
 )
@@ -35,13 +36,13 @@ from hybrid_rendezvous.hcw import (
     RZ,
     OrbitParams,
     hcw_derivative,
-    hcw_stm,
 )
 
 from conftest import (
     inplane_a0,
     inplane_b0,
     scenario_path,
+    stm_matrix,
     transform_matrix,
     transform_matrix_inv,
     zeta_a,
@@ -151,7 +152,7 @@ def test_criterion_03_finite_time_beta():
         p = OrbitParams(umax=umax)
         expected = beta_jump_count(beta0, umax)
         system = HybridSystem(
-            flow=make_flow(p),
+            flow=partial(full_flow, p),
             channels=(make_beta_channel(p, thresholds.beta),),
             flow_to=make_flow_to(p),
         )
@@ -165,7 +166,7 @@ def test_criterion_03_finite_time_beta():
     # reference scenario: exactly one firing of 0.132 m/s
     p = OrbitParams()
     system = HybridSystem(
-        flow=make_flow(p),
+        flow=partial(full_flow, p),
         channels=(make_beta_channel(p, thresholds.beta),),
         flow_to=make_flow_to(p),
     )
@@ -302,7 +303,7 @@ def test_criterion_09_stm_against_rk4_oracle():
         k3 = f(s + 0.5 * h * k2)
         k4 = f(s + h * k3)
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    prop = hcw_stm(p, p.period) @ s0
+    prop = stm_matrix(p, p.period) @ s0
     scale = np.max(np.abs(s))
     err = np.max(np.abs(prop - s)) / scale
     assert err <= 1e-6, f"relative error {err:.3e}"

@@ -1,5 +1,10 @@
 """Certificate checks, delta-v budgets, convergence metrics."""
 
+import dataclasses
+import math
+from functools import partial
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +14,13 @@ from hybrid_rendezvous.closed_loop import (
     AttractorSpec,
     DwellThresholds,
     build_system,
+    full_flow,
     make_beta_channel,
-    make_flow,
     make_flow_to,
     make_state,
 )
 from hybrid_rendezvous.engine import HybridSystem, SimulationOptions, simulate
-from hybrid_rendezvous.hcw import OrbitParams
+from hybrid_rendezvous.hcw import RZ, OrbitParams
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -30,7 +35,7 @@ def z_solution(r_z=500.0, v_z=0.0, t_orbits=2.0, **state_kw):
 
 def beta_only_system():
     return HybridSystem(
-        flow=make_flow(P),
+        flow=partial(full_flow, P),
         channels=(make_beta_channel(P, THRESHOLDS.beta),),
         flow_to=make_flow_to(P),
     )
@@ -55,6 +60,17 @@ class TestFlowInvariance:
         if report.violations:
             v = report.violations[0]
             assert v.bound == 0.0 and v.observed > 0.0
+
+    def test_infinite_v_is_a_violation(self):
+        # V_z = inf at every sample makes each arc's drift inf - inf = NaN,
+        # which must fail the check, not pass it.
+        sol = z_solution()
+        sol.states[:, RZ] = np.inf
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            report = analysis.check_flow_invariance(sol, P, tol=1e-12)
+        assert not report.passed
+        assert {v.quantity for v in report.violations} == {"V_z flow drift"}
+        assert all(math.isnan(v.observed) for v in report.violations)
 
 
 class TestJumpDecrease:
@@ -84,6 +100,15 @@ class TestJumpDecrease:
         assert ev.u_applied == pytest.approx(0.132, abs=1e-12)
         assert ev.delta_lyap == pytest.approx(-(0.396**2), abs=1e-12)
         assert ev.bound == pytest.approx(-0.132 * 0.132, abs=1e-12)
+
+    @pytest.mark.parametrize("u_applied", [0.0, 0.2], ids=["zero_input", "nonzero"])
+    def test_nan_delta_v_is_a_violation(self, u_applied):
+        sol = z_solution(r_z=0.0, v_z=0.5, t_orbits=0.01)
+        ev = dataclasses.replace(sol.events[0], u_applied=u_applied, lyap_post=math.nan)
+        report = analysis.check_jump_decrease(dataclasses.replace(sol, events=[ev]))
+        assert not report.passed
+        assert len(report.violations) == 1
+        assert math.isnan(report.violations[0].observed)
 
 
 class TestBetaJumpCount:

@@ -19,6 +19,15 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def strict_json(path):
+    """``path`` parsed as strict JSON: ``NaN`` or ``Infinity`` raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture()
 def z_out(tmp_path):
     out = tmp_path / "zrun"
@@ -39,7 +48,7 @@ class TestSimulate:
         assert (z_out / "events.csv").read_text().splitlines()[0] == cli.EVENT_COLUMNS
 
     def test_summary_roundtrips_from_events(self, z_out):
-        summary = json.loads((z_out / "summary.json").read_text())
+        summary = strict_json(z_out / "summary.json")
         rows = (z_out / "events.csv").read_text().splitlines()[1:]
         header = cli.EVENT_COLUMNS.split(",")
         u_col = header.index("u_applied")
@@ -69,7 +78,7 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
         events = (out / "events.csv").read_text().splitlines()
         assert events == [cli.EVENT_COLUMNS]
-        summary = json.loads((out / "summary.json").read_text())
+        summary = strict_json(out / "summary.json")
         assert summary["budget"]["event_counts"] == {}
         trajectory = (out / "trajectory.csv").read_text().splitlines()
         assert len(trajectory) == 2 and trajectory[0] == cli.TRAJECTORY_COLUMNS
@@ -81,7 +90,7 @@ class TestSimulate:
              "--out", out]
         )
         assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = strict_json(out / "summary.json")
         assert summary["subsystem"] == "z"
         assert set(summary["budget"]["impulse_counts"]) <= {"z"}
         # The flag is the same run as the config key.
@@ -195,6 +204,23 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_overflowing_initial_state_is_config_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # r_x = 1e200 overflows V_beta and V_alpha (NumPy warns as it does),
+        # which would put NaN into the certificates and summary.json.
+        cfg = tmp_path / "overflow.cfg"
+        text = scenario_path("full_ref").read_text()
+        cfg.write_text(re.sub(r"(?m)^r_x = .*$", "r_x = 1e200", text))
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert "initial state too large: V_beta, V_alpha not finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.cfg"]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_integration_failure_is_numerical_error(
         self, command, tmp_path, monkeypatch, capsys
     ):
@@ -305,7 +331,7 @@ class TestOneRecord:
         capsys.readouterr()
         verify_code = run(["verify", "--config", config])
         out = capsys.readouterr().out
-        certs = json.loads((tmp_path / "summary.json").read_text())["certificates"]
+        certs = strict_json(tmp_path / "summary.json")["certificates"]
         flow, jump = certs["flow_invariance"], certs["jump_decrease"]
         margin = jump["min_margin"]
         assert VERIFY_ROW.match(out).groups() == (
@@ -350,7 +376,7 @@ class TestSweep:
         assert run(
             ["simulate", "--config", scenario_path("z_fast"), "--out", sim_out]
         ) == 0
-        summary = json.loads((sim_out / "summary.json").read_text())
+        summary = strict_json(sim_out / "summary.json")
         assert int(row[1]) == sum(summary["budget"]["impulse_counts"].values())
         assert float(row[2]) == summary["budget"]["total_delta_v"]
         assert float(row[3]) == summary["convergence"]["t_orbits"]

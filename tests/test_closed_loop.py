@@ -1,5 +1,7 @@
 """Composition of the plant with the three channels."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ def fresh_flow_to(s, dt, p=P):
     matrix, applied in :func:`apply_stm`'s fixed order, and the three timer
     advances."""
     expected = np.array(s)
-    expected[:6] = apply_stm(hcw_stm(p, dt).ravel().tolist(), s[:6].tolist())
+    expected[:6] = apply_stm(hcw_stm(p, dt), s[:6].tolist())
     for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
         expected[idx] = timer_advance(s[idx], dt, p.n)
     return expected
@@ -53,19 +55,19 @@ class TestFullFlow:
     def test_matches_plant_derivative(self):
         rng = np.random.default_rng(2)
         s = cl.make_state(r=rng.uniform(-100, 100, 3), v=rng.uniform(-1, 1, 3))
-        d = cl.full_flow(s, P)
+        d = cl.full_flow(P, s)
         assert np.array_equal(d[:6], hcw_derivative(s[:6], P))
 
     def test_timers_run_at_orbit_rate(self):
         s = cl.make_state(tau_z=0.5, tau_beta=0.5, tau_alpha=0.5)
-        d = cl.full_flow(s, P)
+        d = cl.full_flow(P, s)
         for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
             assert d[idx] == pytest.approx(P.n / (2 * np.pi))
         assert d[cl.QZ] == 0.0 and d[cl.QA] == 0.0
 
     def test_rest_state_with_saturated_timers_is_stationary(self):
         s = cl.make_state(tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
-        assert np.array_equal(cl.full_flow(s, P), np.zeros(cl.DIM))
+        assert np.array_equal(cl.full_flow(P, s), np.zeros(cl.DIM))
 
     def test_closed_form_propagator_matches_rk4(self):
         rng = np.random.default_rng(9)
@@ -77,7 +79,7 @@ class TestFullFlow:
         exact = cl.make_flow_to(P)(s, dt)
         stepped = s
         for _ in range(100):
-            stepped = rk4_step(stepped, cl.make_flow(P), dt / 100)
+            stepped = rk4_step(stepped, partial(cl.full_flow, P), dt / 100)
         assert np.max(np.abs(exact - stepped)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
@@ -317,7 +319,7 @@ class TestRk4Flow:
     def test_step_equals_array_form_bit_for_bit(self, state, knee, h):
         if knee is not None:
             state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
-        flow = cl.make_flow(P)
+        flow = partial(cl.full_flow, P)
         got = rk4_step(state, flow, h)
         expected = numpy_rk4_step(state, flow, h)
         assert np.array_equal(got, expected)
@@ -340,7 +342,7 @@ class TestRk4Flow:
         monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
         monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
         state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.95)
-        rk4_step(state, cl.make_flow(P), 10.0)
+        rk4_step(state, partial(cl.full_flow, P), 10.0)
         assert calls == {"derivative": 4, "timer_rate": 12}
 
 

@@ -1,6 +1,7 @@
 """Scenario file parsing and validation."""
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -97,6 +98,8 @@ class TestErrors:
             ("t_max_orbits = 1e308", "t_max must be finite"),
             ("n = 1e-320", "t_max must be finite"),
             ("r_x = inf", "r_x"),
+            # an initial state whose V overflows, checked whatever the subsystem
+            ("r_x = 1e200", "initial state too large: V_beta, V_alpha not finite"),
             ("output_dir =", "output_dir"),
         ],
     )
@@ -105,7 +108,10 @@ class TestErrors:
         # never the duplicate-key one, whose message names the field too.
         key = line.partition("=")[0].strip()
         base = [row for row in MINIMAL.splitlines() if row.partition("=")[0].strip() != key]
-        with pytest.raises(ConfigError, match=fragment):
+        # NumPy warns as the overflowing V is computed.
+        overflow = "1e200" in line
+        warns = pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext()
+        with pytest.raises(ConfigError, match=fragment), warns:
             parse_config(write_cfg(tmp_path, "\n".join(base + [line]) + "\n"))
 
     def test_duplicate_key(self, tmp_path):

@@ -29,9 +29,9 @@ from hybrid_rendezvous.engine import (
     simulate,
 )
 from hybrid_rendezvous.config import parse_config, replace
-from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams, hcw_stm
+from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams
 
-from conftest import scenario_path
+from conftest import scenario_path, stm_matrix
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -84,7 +84,7 @@ class TestLocateEvent:
 
     @staticmethod
     def flow_to(state, dt):
-        return hcw_stm(P, dt) @ state
+        return stm_matrix(P, dt) @ state
 
     @staticmethod
     def inside(state):

@@ -25,6 +25,7 @@ from hybrid_rendezvous.hcw import (
 from conftest import (
     inplane_a0,
     inplane_b0,
+    stm_matrix,
     transform_matrix,
     transform_matrix_inv,
     zeta_a,
@@ -154,19 +155,26 @@ class TestDerivative:
 
 class TestStm:
     def test_identity_at_zero(self):
-        assert np.allclose(hcw_stm(P, 0.0), np.eye(6), atol=0)
+        assert np.allclose(stm_matrix(P, 0.0), np.eye(6), atol=0)
 
     def test_z_block_periodicity(self):
-        m = hcw_stm(P, P.period)
+        m = stm_matrix(P, P.period)
         zblock = m[np.ix_([RZ, VZ], [RZ, VZ])]
         assert np.allclose(zblock, np.eye(2), atol=1e-12)
 
     @given(dt=st.floats(-4 * P.period, 4 * P.period, allow_nan=False))
     @example(dt=0.0)
+    @example(dt=-0.0)
     @example(dt=P.period)
     @settings(max_examples=200, deadline=None)
     def test_matches_entrywise_reference(self, dt):
-        assert np.array_equal(hcw_stm(P, dt), stm_reference(P, dt))
+        # The one format, the tuple apply_stm reads: 36 Python floats, row by
+        # row, byte for byte the entrywise reference, so signed zeros count.
+        m = hcw_stm(P, dt)
+        assert type(m) is tuple and len(m) == 36
+        assert all(type(x) is float for x in m)
+        assert np.array(m).tobytes() == stm_reference(P, dt).tobytes()
+        assert np.array_equal(stm_matrix(P, dt), stm_reference(P, dt))
 
     @given(
         a=st.floats(-2 * P.period, 2 * P.period, allow_nan=False),
@@ -186,7 +194,7 @@ class TestStm:
         u = UNIT_ROUNDOFF
         gamma_6 = 6 * u / (1 - 6 * u)
         k = stm_scale(P.n)
-        x, y = hcw_stm(P, a), hcw_stm(P, b)
+        x, y = stm_matrix(P, a), stm_matrix(P, b)
         e_a, e_b = stm_entry_error(P.n, a), stm_entry_error(P.n, b)
         e_ab = stm_entry_error(P.n, a + b) + 12 * u * P.n * abs(a + b)
         bound = (
@@ -195,7 +203,7 @@ class TestStm:
             + e_b * np.abs(x) @ k
             + (6 * e_a * e_b + e_ab) * k
         )
-        assert (np.abs(x @ y - hcw_stm(P, a + b)) <= bound).all()
+        assert (np.abs(x @ y - stm_matrix(P, a + b)) <= bound).all()
 
     def test_secular_drift_against_rk4_oracle(self):
         # A pure radial offset r_x0 with zero relative velocity has mean
@@ -204,7 +212,7 @@ class TestStm:
         s0 = np.zeros(6)
         s0[RX] = 1.0
         oracle = rk4_reference(s0, P, P.period, 20_000)
-        prop = hcw_stm(P, P.period) @ s0
+        prop = stm_matrix(P, P.period) @ s0
         assert np.allclose(prop, oracle, atol=1e-8)
         assert prop[RY] == pytest.approx(-12 * np.pi, rel=1e-12)
 
@@ -213,14 +221,14 @@ class TestStm:
         s0 = rng.uniform(-1, 1, 6) * [500, 500, 500, 0.5, 0.5, 0.5]
         t = 0.37 * P.period
         oracle = rk4_reference(s0, P, t, 20_000)
-        prop = hcw_stm(P, t) @ s0
+        prop = stm_matrix(P, t) @ s0
         assert np.max(np.abs(prop - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
     def test_backward_propagation_inverts_forward(self):
         rng = np.random.default_rng(4)
         s0 = rng.uniform(-1, 1, 6)
         dt = 1234.5
-        back = hcw_stm(P, -dt) @ (hcw_stm(P, dt) @ s0)
+        back = stm_matrix(P, -dt) @ (stm_matrix(P, dt) @ s0)
         assert np.allclose(back, s0, atol=1e-12)
 
     def test_z_energy_conserved_over_period(self):
@@ -228,7 +236,7 @@ class TestStm:
         s[RZ], s[VZ] = 300.0, 0.2
         v0 = P.n**2 * s[RZ] ** 2 + s[VZ] ** 2
         for frac in np.linspace(0.1, 1.0, 10):
-            sf = hcw_stm(P, frac * P.period) @ s
+            sf = stm_matrix(P, frac * P.period) @ s
             vf = P.n**2 * sf[RZ] ** 2 + sf[VZ] ** 2
             assert abs(vf - v0) <= 1e-12 * v0
 
@@ -257,8 +265,8 @@ class TestApplyStm:
         # section 3.1), whatever order the BLAS kernel adds in.
         u = UNIT_ROUNDOFF
         gamma_6 = 6 * u / (1 - 6 * u)
-        m = hcw_stm(P, dt)
-        out = np.array(apply_stm(m.ravel().tolist(), s))
+        m = stm_matrix(P, dt)
+        out = np.array(apply_stm(hcw_stm(P, dt), s))
         bound = 2 * gamma_6 * (np.abs(m) @ np.abs(np.array(s)))
         assert (np.abs(out - m @ np.array(s)) <= bound).all()
         assert all(np.copysign(1.0, x) == 1.0 for x in out if x == 0.0)
