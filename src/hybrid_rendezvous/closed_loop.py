@@ -7,20 +7,21 @@ by the controller variables of each channel::
     value  r_x  r_y  r_z  v_x  v_y  v_z  q_z  tau_z  tau_beta  q_alpha  tau_alpha
 
 The transformed in-plane view (x, y, alpha, beta) is recomputed from the
-plant once per state, never stored.  Each channel's Lyapunov function has
-one definition in :data:`LYAPUNOV`, which reads the state by component
-index ``s[k]`` and takes the view from its caller.  The views (``zeta_of``,
-``lyapunov_values`` and ``distance_to_attractor``) pass ``state.T`` of one
-state ``(11,)`` or a block ``(N, 11)``: a scalar for one state and a column
-for a block.  (``state[..., k]`` would give a 0-d array for one state, whose
-arithmetic is several times slower.)
+plant once per state, never stored.  Each channel is declared once, as a
+:class:`ChannelLaw` in :data:`CHANNELS`: its guard, command law and
+Lyapunov function, which read the state by component index ``s[k]`` (the
+command and the Lyapunov function take the view from their caller), and
+the components its jump edits.  The views (``zeta_of``, ``lyapunov_values``
+and ``distance_to_attractor``) pass ``state.T`` of one state ``(11,)`` or a
+block ``(N, 11)``: a scalar for one state and a column for a block.
+(``state[..., k]`` would give a 0-d array for one state, whose arithmetic
+is several times slower.)
 
 The per-sample hot path (the propagator, the guards, the jump maps and
 every stage of the RK4 flow) reads a state once with ``tolist()`` and
 passes the same definitions a list of Python floats, which round exactly as
-NumPy's float64 scalars do, without NumPy's per-call cost.  Each jump map is
-built by ``_channel`` from the channel's command law, thrust velocity, timer
-and logic variable.
+NumPy's float64 scalars do, without NumPy's per-call cost.  One
+:func:`make_channel` builds every channel's guard and jump map from its law.
 
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -184,29 +186,133 @@ def make_flow_to(p: OrbitParams):
 
 
 # ---------------------------------------------------------------------------
+# the three channels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChannelLaw:
+    """One impulse channel, declared once over the 11-vector.
+
+    ``guard(s, p, tau_m)`` gives the margins, the last one the dwell margin
+    ``tau - tau^M``; the state is in the channel's jump set iff all are
+    ``>= 0``.  ``command(s, zeta, p)`` is the commanded impulse and
+    ``lyapunov(s, zeta, p)`` the channel's Lyapunov function, with ``zeta``
+    the :func:`zeta_components` of ``s``.  All three read ``s`` by state
+    component: a list of 11 floats (the guards and jump maps) or ``state.T``
+    of one state or a block (the views).  A firing adds the applied impulse
+    to velocity ``thrust``, resets ``timer``, negates ``logic`` (if any) when
+    the command was unsaturated, and decreases V by at least
+    ``gain * u_applied * u_commanded``.
+    """
+
+    guard: Callable[..., tuple[float, ...]]
+    command: Callable[..., float]
+    lyapunov: Callable[..., float]
+    thrust: int
+    timer: int
+    logic: int | None = None
+    gain: float = 1.0
+
+
+def _alpha_guard(s, p: OrbitParams, tau_m: float) -> tuple[float, float, float]:
+    x, y, alpha, _ = zeta_components(s, p)
+    w = y - p.n * alpha / 2.0
+    return ((w - p.n * x) * x, s[QA] * w, s[TAUA] - tau_m)
+
+
+#: The channels, in the order of :data:`SUBSYSTEM_CHANNELS` ``["full"]``:
+#:
+#: * **z** damps the cross-track oscillator.  Its margins are
+#:   ``r_z (v_z - n r_z)``, which selects the quarter-arcs of the
+#:   ``(r_z, v_z / n)`` phase circle entered at ``r_z = 0`` crossings,
+#:   ``q_z v_z``, which matches the firing polarity, and the dwell margin.
+#:   The command ``-v_z`` cancels as much of ``v_z`` as the actuator allows.
+#:   ``V_z = n^2 r_z^2 + v_z^2`` is conserved along the unforced z flow.
+#: * **beta** drives the along-track drift rate ``beta`` to zero.  It is
+#:   purely timer-driven (its one margin is the dwell margin, and it has no
+#:   logic variable).  The command is ``beta / 3``, so that
+#:   ``beta+ = beta - 3 sat(beta / 3)`` through the input gain -3: each
+#:   firing removes up to ``3 umax`` from ``|beta|`` and convergence takes
+#:   finitely many impulses.  ``V_beta = beta^2`` is constant along the
+#:   unforced flow (``betadot = 0``).
+#: * **alpha** steers the in-plane oscillator pair (x, y) and the drift
+#:   offset ``alpha`` with the radial-impulse law ``u_x = n alpha / 4 - y / 2``.
+#:   With ``w = y - n alpha / 2``, its margins are ``(w - n x) x``,
+#:   ``q_alpha w`` and the dwell margin; its guard computes its own zeta.
+#:   ``V_alpha = n^2 x^2 + y^2 + (n^2 / 4) alpha^2`` is conserved along the
+#:   unforced in-plane flow.
+CHANNELS = {
+    "z": ChannelLaw(
+        guard=lambda s, p, tau_m: (s[RZ] * (s[VZ] - p.n * s[RZ]), s[QZ] * s[VZ], s[TAUZ] - tau_m),
+        command=lambda s, zeta, p: -s[VZ],
+        lyapunov=lambda s, zeta, p: p.n * p.n * s[RZ] * s[RZ] + s[VZ] * s[VZ],
+        thrust=VZ, timer=TAUZ, logic=QZ,
+    ),
+    "beta": ChannelLaw(
+        guard=lambda s, p, tau_m: (s[TAUB] - tau_m,),
+        command=lambda s, zeta, p: zeta[3] / 3.0,
+        lyapunov=lambda s, zeta, p: zeta[3] * zeta[3],
+        thrust=VY, timer=TAUB,
+    ),
+    "alpha": ChannelLaw(
+        guard=_alpha_guard,
+        command=lambda s, zeta, p: p.n * zeta[2] / 4.0 - zeta[1] / 2.0,
+        lyapunov=lambda s, zeta, p: (
+            p.n * p.n * zeta[0] * zeta[0] + zeta[1] * zeta[1]
+            + 0.25 * p.n * p.n * zeta[2] * zeta[2]
+        ),
+        thrust=VX, timer=TAUA, logic=QA, gain=2.0,
+    ),
+}
+
+
+def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
+    """Channel ``name`` of :data:`CHANNELS` with dwell threshold ``tau_m``:
+    its guard, and the jump map all channels share.  On one ``tolist()`` and
+    its zeta the jump records the margins and V, fires the command through
+    :func:`ctl.fire`, applies the law's edits, and records V after and the
+    bound ``-gain * u_applied * u_commanded`` on its change."""
+    law = CHANNELS[name]
+    guard, command, lyapunov = law.guard, law.command, law.lyapunov
+    thrust, timer, logic, gain = law.thrust, law.timer, law.logic, law.gain
+
+    def terms(s) -> tuple[float, ...]:
+        return guard(s, p, tau_m)
+
+    def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
+        s = state.tolist()
+        zeta = zeta_components(s, p)
+        margins = terms(s)
+        lyap_pre = lyapunov(s, zeta, p)
+        u_cmd = command(s, zeta, p)
+        u, unsaturated = ctl.fire(u_cmd, p.umax)
+        s[thrust] += u
+        s[timer] = 0.0
+        if logic is not None and unsaturated:
+            s[logic] = -s[logic]
+        return ImpulseEvent(
+            name, t, j_pre, u_cmd, u, state, np.array(s), margins,
+            lyap_pre, lyapunov(s, zeta_components(s, p), p), -gain * u * u_cmd,
+        )
+
+    return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
+
+
+# ---------------------------------------------------------------------------
 # Lyapunov functions and attractor distance
 # ---------------------------------------------------------------------------
 
 
-#: Each channel's Lyapunov function of ``(s, zeta, p)``, with ``zeta`` the
-#: :func:`zeta_components` of ``s``, which is read by state component: a
-#: list of 11 floats (the jump maps) or ``state.T`` of one state or a block.
-LYAPUNOV = {
-    "z": lambda s, zeta, p: ctl.z_lyapunov(s[RZ], s[VZ], p.n),
-    "beta": lambda s, zeta, p: ctl.beta_lyapunov(zeta[3]),
-    "alpha": lambda s, zeta, p: ctl.alpha_lyapunov(*zeta[:3], p.n),
-}
-
-
 def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float | np.ndarray]:
-    """Each channel's :data:`LYAPUNOV` value at a state.
+    """Each channel's Lyapunov function at a state, in :data:`CHANNELS` order.
 
     For one state ``(11,)`` each value is a scalar; for a block ``(N, 11)``
     each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
     value at ``state[i]``.
     """
     zeta = zeta_components(state.T, p)
-    return {name: f(state.T, zeta, p) for name, f in LYAPUNOV.items()}
+    return {name: law.lyapunov(state.T, zeta, p) for name, law in CHANNELS.items()}
 
 
 def distance_to_attractor(
@@ -229,68 +335,6 @@ def distance_to_attractor(
     return float(dist) if state.ndim == 1 else dist
 
 
-# ---------------------------------------------------------------------------
-# channel adapters over the 11-vector
-#
-# A channel is its guard terms and its command law of a list of 11 floats
-# and its zeta (the guard passes no zeta), plus the indices its jump edits.
-# ---------------------------------------------------------------------------
-
-
-def _channel(
-    name: str, p: OrbitParams, terms, command, thrust, timer, logic=None, gain=1.0
-) -> JumpChannel:
-    """Channel ``name``: guard ``terms`` and the jump map all channels share.
-    On one ``tolist()`` and its zeta it records the margins and ``LYAPUNOV[name]``,
-    fires ``command`` through :func:`ctl.fire`, adds the impulse to velocity
-    ``thrust``, resets ``timer``, negates ``logic`` if the command was
-    unsaturated, and bounds the change of V by ``-gain * u_applied * u_commanded``."""
-    lyapunov = LYAPUNOV[name]
-
-    def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
-        s = state.tolist()
-        zeta = zeta_components(s, p)
-        margins = terms(s, zeta)
-        lyap_pre = lyapunov(s, zeta, p)
-        u_cmd = command(s, zeta)
-        u, unsaturated = ctl.fire(u_cmd, p.umax)
-        s[thrust] += u
-        s[timer] = 0.0
-        if logic is not None and unsaturated:
-            s[logic] = -s[logic]
-        return ImpulseEvent(
-            name, t, j_pre, u_cmd, u, state, np.array(s), margins,
-            lyap_pre, lyapunov(s, zeta_components(s, p), p), -gain * u * u_cmd,
-        )
-
-    return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
-
-
-def make_z_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    return _channel(
-        "z", p, lambda s, zeta=None: ctl.z_guard(s[RZ], s[VZ], s[QZ], s[TAUZ], p, tau_m),
-        lambda s, zeta: ctl.z_command(s[VZ]), thrust=VZ, timer=TAUZ, logic=QZ,
-    )
-
-
-def make_beta_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    return _channel(
-        "beta", p, lambda s, zeta=None: ctl.beta_guard(s[TAUB], tau_m),
-        lambda s, zeta: ctl.beta_command(zeta[3]), thrust=VY, timer=TAUB,
-    )
-
-
-def make_alpha_channel(p: OrbitParams, tau_m: float) -> JumpChannel:
-    def terms(s, zeta=None) -> tuple[float, float, float]:
-        x, y, al, _ = zeta_components(s, p) if zeta is None else zeta
-        return ctl.alpha_guard(x, y, al, s[QA], s[TAUA], p, tau_m)
-
-    return _channel(
-        "alpha", p, terms, lambda s, zeta: ctl.alpha_command(*zeta[1:3], p),
-        thrust=VX, timer=TAUA, logic=QA, gain=2.0,
-    )
-
-
 def build_system(
     p: OrbitParams,
     thresholds: DwellThresholds,
@@ -304,9 +348,8 @@ def build_system(
     """
     if subsystem not in SUBSYSTEM_CHANNELS:
         raise ValueError(f"unknown subsystem {subsystem!r}")
-    factories = {"z": make_z_channel, "beta": make_beta_channel, "alpha": make_alpha_channel}
     channels = tuple(
-        factories[name](p, getattr(thresholds, name))
+        make_channel(name, p, getattr(thresholds, name))
         for name in SUBSYSTEM_CHANNELS[subsystem]
     )
     return HybridSystem(

@@ -90,17 +90,19 @@ class ScenarioConfig:
         # output_dir would write the outputs into the working directory.
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
-        try:
-            p = self.params()
-            self.thresholds()
-            state = self.initial_state()
-            self.options()
-            self.attractor()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         # An initial V that overflows is rejected on every channel, whatever the
         # subsystem: trajectory.csv and the flow certificate read all three.
-        v0 = lyapunov_values(state, p)
+        # The error names it, so NumPy's warnings on the way are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                p = self.params()
+                self.thresholds()
+                state = self.initial_state()
+                self.options()
+                self.attractor()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            v0 = lyapunov_values(state, p)
         if overflow := [f"V_{name}" for name, v in v0.items() if not np.isfinite(v)]:
             raise ConfigError(f"initial state too large: {', '.join(overflow)} not finite")
 

@@ -26,7 +26,7 @@ from hybrid_rendezvous.closed_loop import (
     DwellThresholds,
     build_system,
     full_flow,
-    make_beta_channel,
+    make_channel,
     make_flow_to,
     make_state,
 )
@@ -153,7 +153,7 @@ def test_criterion_03_finite_time_beta():
         expected = beta_jump_count(beta0, umax)
         system = HybridSystem(
             flow=partial(full_flow, p),
-            channels=(make_beta_channel(p, thresholds.beta),),
+            channels=(make_channel("beta", p, thresholds.beta),),
             flow_to=make_flow_to(p),
         )
         # beta maps to the plant as v_y = -beta/3 at the origin
@@ -167,7 +167,7 @@ def test_criterion_03_finite_time_beta():
     p = OrbitParams()
     system = HybridSystem(
         flow=partial(full_flow, p),
-        channels=(make_beta_channel(p, thresholds.beta),),
+        channels=(make_channel("beta", p, thresholds.beta),),
         flow_to=make_flow_to(p),
     )
     x0 = make_state(r=(-60.0, 1000.0, 0.0), tau_beta=thresholds.beta)

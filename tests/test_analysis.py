@@ -15,7 +15,7 @@ from hybrid_rendezvous.closed_loop import (
     DwellThresholds,
     build_system,
     full_flow,
-    make_beta_channel,
+    make_channel,
     make_flow_to,
     make_state,
 )
@@ -36,7 +36,7 @@ def z_solution(r_z=500.0, v_z=0.0, t_orbits=2.0, **state_kw):
 def beta_only_system():
     return HybridSystem(
         flow=partial(full_flow, P),
-        channels=(make_beta_channel(P, THRESHOLDS.beta),),
+        channels=(make_channel("beta", P, THRESHOLDS.beta),),
         flow_to=make_flow_to(P),
     )
 

@@ -8,9 +8,10 @@ import pytest
 
 from hybrid_rendezvous import cli
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
-from hybrid_rendezvous.closed_loop import lyapunov_values, zeta_of
+from hybrid_rendezvous.closed_loop import lyapunov_values, make_state, zeta_of
 from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import IntegrationFailure
+from hybrid_rendezvous.hcw import OrbitParams
 
 from conftest import flip_alpha_sign, scenario_path
 
@@ -207,18 +208,38 @@ class TestExitCodes:
     def test_overflowing_initial_state_is_config_error(
         self, command, tmp_path, monkeypatch, capsys
     ):
-        # r_x = 1e200 overflows V_beta and V_alpha (NumPy warns as it does),
-        # which would put NaN into the certificates and summary.json.
+        # r_x = 1e200 overflows V_beta and V_alpha, which would put NaN into
+        # the certificates and summary.json.  The error is the only output:
+        # NumPy warns of no overflow (the suite turns warnings into errors).
         cfg = tmp_path / "overflow.cfg"
         text = scenario_path("full_ref").read_text()
         cfg.write_text(re.sub(r"(?m)^r_x = .*$", "r_x = 1e200", text))
         monkeypatch.chdir(tmp_path)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert run([command, "--config", cfg]) == 1
+        assert run([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "config error: " in err
         assert "initial state too large: V_beta, V_alpha not finite" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.cfg"]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_nan_initial_lyapunov_is_config_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # r_x = 1e308 and v_y = -1e308 make x = inf - inf, so V_alpha is NaN
+        # (and V_beta overflows): rejected as an overflow is, with no warning.
+        state = make_state(r=(1e308, 1000.0, 0.0), v=(0.0, -1e308, 0.0), q_alpha=-1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(lyapunov_values(state, OrbitParams(n=0.0011))["alpha"])
+        cfg = tmp_path / "nan.cfg"
+        text = scenario_path("inplane_ref").read_text()
+        text = re.sub(r"(?m)^r_x = .*$", "r_x = 1e308", text)
+        cfg.write_text(re.sub(r"(?m)^v_y = .*$", "v_y = -1e308", text))
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert "initial state too large: V_beta, V_alpha not finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.cfg"]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_integration_failure_is_numerical_error(

@@ -1,5 +1,6 @@
 """Composition of the plant with the three channels."""
 
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -32,6 +33,12 @@ def fresh_flow_to(s, dt, p=P):
     for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
         expected[idx] = timer_advance(s[idx], dt, p.n)
     return expected
+
+
+def test_channel_lists_agree():
+    # build_system reads each listed channel's threshold by its name.
+    names = tuple(f.name for f in fields(cl.DwellThresholds))
+    assert tuple(cl.CHANNELS) == cl.SUBSYSTEM_CHANNELS["full"] == names
 
 
 class TestMakeState:
@@ -190,9 +197,11 @@ class TestBlockViews:
             for ch in channels:
                 assert ch.guard.terms(s.tolist()) == ch.guard.terms(s)
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
+                law = cl.CHANNELS[ch.name]
+                tau_m = getattr(THRESHOLDS, ch.name)
+                assert law.guard(s.tolist(), P, tau_m) == ch.guard.terms(s)
                 zeta_s = cl.zeta_components(s.tolist(), P)
-                assert ch.guard.terms(s.tolist(), zeta_s) == ch.guard.terms(s)
-                assert cl.LYAPUNOV[ch.name](s.tolist(), zeta_s, P) == lyap[ch.name][i]
+                assert law.lyapunov(s.tolist(), zeta_s, P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
             u_cmd = -s[VZ]
             u_z, unsaturated = ctl.fire(u_cmd, P.umax)
@@ -206,7 +215,7 @@ class TestBlockViews:
             post[VY] += u_beta
             post[cl.TAUB] = 0.0
             expected["beta"].append((post, beta / 3.0, u_beta, lyap["beta"][i]))
-            u_cmd = ctl.alpha_command(y, al, P)
+            u_cmd = cl.CHANNELS["alpha"].command(None, zeta[i], P)
             u_alpha, unsaturated = ctl.fire(u_cmd, P.umax)
             post = np.array(s)
             post[VX] += u_alpha
@@ -228,7 +237,8 @@ class TestBlockViews:
 class TestZetaOncePerState:
     def test_to_zeta_calls(self, monkeypatch):
         # One coordinate change per state: one per lyapunov_values call, and
-        # one each for the pre- and post-jump state of every jump map.
+        # one each for the pre- and post-jump state of every jump map, plus
+        # one in the alpha guard, which computes its own view.
         calls = []
 
         def counting(inplane, p):
@@ -246,7 +256,7 @@ class TestZetaOncePerState:
         for ch in cl.build_system(P, THRESHOLDS, "full").channels:
             calls.clear()
             ch.jump(state, 0.0, 0)
-            assert len(calls) == 2, ch.name
+            assert len(calls) == (3 if ch.name == "alpha" else 2), ch.name
 
 
 #: Random states of the full system: logic variables in {-1, 1}, timers in

@@ -1,5 +1,9 @@
-"""The three stabilizer laws, the firing rule and the dwell timers, as
-scalar rules; the post-jump states come from each channel's own jump map."""
+"""The three stabilizer laws of ``closed_loop.CHANNELS``, the firing rule and
+the dwell timers; the post-jump states come from each channel's own jump map.
+
+A law's command and Lyapunov function read only ``zeta`` on the in-plane
+channels, so their scalar cases pass ``s=None`` and ``zeta = (x, y, alpha,
+beta)``; the z channel's read ``s``, given as a list indexed by component."""
 
 import numpy as np
 import pytest
@@ -8,16 +12,45 @@ from hypothesis import strategies as st
 
 from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous import controllers as ctl
-from hybrid_rendezvous.hcw import VZ, OrbitParams
+from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams
 
 P = OrbitParams()
 ORBIT = P.period
+Z, BETA, ALPHA = (cl.CHANNELS[name] for name in ("z", "beta", "alpha"))
+
+
+def z_state(r_z, v_z):
+    """A list of 11 components with ``r_z`` and ``v_z`` set, the rest 0."""
+    s = [0.0] * cl.DIM
+    s[RZ], s[VZ] = r_z, v_z
+    return s
+
+
+def alpha_command(y, alpha):
+    return ALPHA.command(None, (0.0, y, alpha, 0.0), P)
+
+
+def alpha_guard(x, y, alpha, tau_a):
+    """The alpha margins at ``beta = 0``, ``q_alpha = 1`` and ``(x, y, alpha,
+    tau_alpha)``; the state is checked to give ``(x, y, alpha)`` exactly."""
+    state = cl.make_state(r=(x, alpha + 2.0 * y / P.n, 0.0), v=(y, -2.0 * P.n * x, 0.0),
+                          tau_alpha=tau_a)
+    assert tuple(cl.zeta_of(state, P)[:3]) == (x, y, alpha)
+    return ALPHA.guard(state.tolist(), P, 0.01)
+
+
+def v_alpha(x, y, alpha):
+    return ALPHA.lyapunov(None, (x, y, alpha, 0.0), P)
+
+
+def v_beta(beta):
+    return BETA.lyapunov(None, (0.0, 0.0, 0.0, beta), P)
 
 
 def z_event(r_z, v_z, q_z):
     """The z channel's jump event at ``(r_z, v_z, q_z)``."""
     state = cl.make_state(r=(0.0, 0.0, r_z), v=(0.0, 0.0, v_z), q_z=q_z)
-    return cl.make_z_channel(P, 0.01).jump(state, 0.0, 0)
+    return cl.make_channel("z", P, 0.01).jump(state, 0.0, 0)
 
 
 def alpha_event(y, alpha, q_a):
@@ -25,7 +58,7 @@ def alpha_event(y, alpha, q_a):
     q_alpha)``; the state is checked to give ``(y, alpha)`` exactly."""
     state = cl.make_state(r=(0.0, alpha + 2.0 * y / P.n, 0.0), v=(y, 0.0, 0.0), q_alpha=q_a)
     assert tuple(cl.zeta_of(state, P)[1:3]) == (y, alpha)
-    return cl.make_alpha_channel(P, 0.01).jump(state, 0.0, 0)
+    return cl.make_channel("alpha", P, 0.01).jump(state, 0.0, 0)
 
 
 class TestTimer:
@@ -86,21 +119,21 @@ class TestZChannel:
         "v_z,expected", [(0.1, -0.1), (0.5, -0.2), (0.0, 0.0), (-0.3, 0.2)]
     )
     def test_input(self, v_z, expected):
-        assert ctl.z_command(v_z) == -v_z
-        assert ctl.fire(ctl.z_command(v_z), P.umax)[0] == expected
+        assert Z.command(z_state(0.0, v_z), None, P) == -v_z
+        assert ctl.fire(Z.command(z_state(0.0, v_z), None, P), P.umax)[0] == expected
 
     def test_guard_fires_at_zero_crossing_with_matured_timer(self):
-        h = ctl.z_guard(0.0, 0.1, 1.0, 0.01, P, 0.01)
+        h = Z.guard(cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.01).tolist(), P, 0.01)
         assert h == (0.0, 0.1, 0.0)
         assert min(h) >= 0.0
 
     def test_guard_vetoes_wrong_phase(self):
-        h = ctl.z_guard(1.0, 0.0, 1.0, 2.0, P, 0.01)
+        h = Z.guard(cl.make_state(r=(0.0, 0.0, 1.0), tau_z=2.0).tolist(), P, 0.01)
         assert h[0] == pytest.approx(-P.n)
         assert min(h) < 0.0
 
     def test_guard_dwell_time_veto(self):
-        h = ctl.z_guard(0.0, 0.1, 1.0, 0.0, P, 0.01)
+        h = Z.guard(cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.0).tolist(), P, 0.01)
         assert h[2] < 0.0
 
     def test_jump_saturated(self):
@@ -125,7 +158,7 @@ class TestZChannel:
         # Delta V_z = -sat(v_z) (2 v_z - sat(v_z)), independent of r_z.
         r_z = 123.0
         v_plus = z_event(r_z, v_z, 1.0).state_post[VZ]
-        delta = ctl.z_lyapunov(r_z, v_plus, P.n) - ctl.z_lyapunov(r_z, v_z, P.n)
+        delta = Z.lyapunov(z_state(r_z, v_plus), None, P) - Z.lyapunov(z_state(r_z, v_z), None, P)
         assert delta == pytest.approx(expected_delta, abs=1e-15)
         # and it obeys the jump-decrease bound -v_z sat(v_z)
         assert delta <= -v_z * np.clip(v_z, -P.umax, P.umax) + 1e-12
@@ -136,12 +169,13 @@ class TestBetaChannel:
         "beta,expected", [(0.396, 0.132), (1.2, 0.2), (0.0, 0.0), (-1.2, -0.2)]
     )
     def test_input(self, beta, expected):
-        assert ctl.beta_command(beta) == beta / 3.0
-        assert ctl.fire(ctl.beta_command(beta), P.umax)[0] == pytest.approx(expected)
+        zeta = (0.0, 0.0, 0.0, beta)
+        assert BETA.command(None, zeta, P) == beta / 3.0
+        assert ctl.fire(BETA.command(None, zeta, P), P.umax)[0] == pytest.approx(expected)
 
     def test_guard_boundary_and_veto(self):
-        assert ctl.beta_guard(0.02, 0.02)[0] == 0.0
-        assert ctl.beta_guard(0.0, 0.02)[0] < 0.0
+        assert BETA.guard(cl.make_state(tau_beta=0.02).tolist(), P, 0.02)[0] == 0.0
+        assert BETA.guard(cl.make_state(tau_beta=0.0).tolist(), P, 0.02)[0] < 0.0
 
     def test_firing_period(self):
         # With tau^M = 0.02 the timer matures every 0.02 * 2pi/n seconds.
@@ -153,26 +187,26 @@ class TestBetaChannel:
     @given(st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=200)
     def test_jump_decrease_bound(self, beta):
-        u, _ = ctl.fire(ctl.beta_command(beta), P.umax)
+        u, _ = ctl.fire(BETA.command(None, (0.0, 0.0, 0.0, beta), P), P.umax)
         beta_plus = beta - 3.0 * u
-        delta = ctl.beta_lyapunov(beta_plus) - ctl.beta_lyapunov(beta)
+        delta = v_beta(beta_plus) - v_beta(beta)
         assert delta <= -u * (beta / 3.0) + 1e-12
         assert abs(beta_plus) <= abs(beta)
 
 
 class TestAlphaChannel:
     def test_input_examples(self):
-        assert ctl.alpha_command(0.0, 1000.0, P) == pytest.approx(0.275)
-        assert ctl.alpha_command(1.0, 0.0, P) == -0.5
+        assert alpha_command(0.0, 1000.0) == pytest.approx(0.275)
+        assert alpha_command(1.0, 0.0) == -0.5
         # Null set of the law: y = n alpha / 2.
-        assert ctl.alpha_command(P.n * 40.0 / 2.0, 40.0, P) == pytest.approx(0.0, abs=1e-18)
+        assert alpha_command(P.n * 40.0 / 2.0, 40.0) == pytest.approx(0.0, abs=1e-18)
 
     def test_guard_examples(self):
-        h = ctl.alpha_guard(0.0, 1.0, 0.0, 1.0, 0.01, P, 0.01)
+        h = alpha_guard(0.0, 1.0, 0.0, 0.01)
         assert h == (0.0, 1.0, 0.0)
-        h = ctl.alpha_guard(1.0, 0.0, 0.0, 1.0, 2.0, P, 0.01)
+        h = alpha_guard(1.0, 0.0, 0.0, 2.0)
         assert h[0] == pytest.approx(-P.n)
-        h = ctl.alpha_guard(0.0, -1.0, 0.0, 1.0, 2.0, P, 0.01)
+        h = alpha_guard(0.0, -1.0, 0.0, 2.0)
         assert h[1] == -1.0  # polarity veto
 
     def test_jump_saturated_example(self):
@@ -184,8 +218,8 @@ class TestAlphaChannel:
         assert y_plus == pytest.approx(0.8)
         assert a_plus == pytest.approx(0.4 / P.n)
         assert ev.state_post[cl.QA] == 1.0  # saturated: stays armed
-        v0 = ctl.alpha_lyapunov(0.0, 1.0, 0.0, P.n)
-        v1 = ctl.alpha_lyapunov(0.0, y_plus, a_plus, P.n)
+        v0 = v_alpha(0.0, 1.0, 0.0)
+        v1 = v_alpha(0.0, y_plus, a_plus)
         assert v0 == 1.0
         assert v1 == pytest.approx(0.68)
         assert v1 - v0 == pytest.approx(-0.32)
@@ -204,23 +238,19 @@ class TestAlphaChannel:
     )
     @settings(max_examples=300)
     def test_jump_decrease_bound(self, y, alpha, x):
-        u = ctl.alpha_command(y, alpha, P)
+        u = alpha_command(y, alpha)
         s, _ = ctl.fire(u, P.umax)
         y_plus, a_plus = y + s, alpha - 2.0 * s / P.n
-        delta = ctl.alpha_lyapunov(x, y_plus, a_plus, P.n) - ctl.alpha_lyapunov(
-            x, y, alpha, P.n
-        )
-        scale = max(1.0, ctl.alpha_lyapunov(x, y, alpha, P.n))
+        delta = v_alpha(x, y_plus, a_plus) - v_alpha(x, y, alpha)
+        scale = max(1.0, v_alpha(x, y, alpha))
         assert delta <= -2.0 * s * u + 1e-12 * scale
 
     def test_unsaturated_decrease_is_minus_two_u_squared(self):
         y, alpha = 0.3, 0.0
-        u = ctl.alpha_command(y, alpha, P)
+        u = alpha_command(y, alpha)
         assert abs(u) <= P.umax
         ev = alpha_event(y, alpha, 1.0)
         _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
-        delta = ctl.alpha_lyapunov(0, y_plus, a_plus, P.n) - ctl.alpha_lyapunov(
-            0, y, alpha, P.n
-        )
+        delta = v_alpha(0, y_plus, a_plus) - v_alpha(0, y, alpha)
         assert delta == pytest.approx(-2.0 * u * u, rel=1e-12)
         assert ev.state_post[cl.QA] == -1.0
