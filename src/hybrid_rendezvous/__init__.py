@@ -9,9 +9,9 @@ engine
     Generic hybrid executor: fixed-step flow, guard localization, prioritized
     jump resolution.
 controllers
-    The z, beta, and alpha impulsive stabilizer laws and dwell timers.
+    Dwell timers and ``fire``, the firing rule that every channel shares.
 closed_loop
-    Composition of plant and controllers; Lyapunov functions and attractors.
+    Plant plus ``CHANNELS``, each channel's guard, law and V; attractors.
 analysis
     Certificate checks (flow invariance, jump decrease), delta-v budgets,
     convergence times.

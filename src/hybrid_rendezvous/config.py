@@ -92,6 +92,8 @@ class ScenarioConfig:
             raise ConfigError("output_dir must not be empty")
         # An initial V that overflows is rejected on every channel, whatever the
         # subsystem: trajectory.csv and the flow certificate read all three.
+        # So is an attractor distance that overflows although each V is
+        # finite: its default radius would be infinite, converged at t = 0.
         # The error names it, so NumPy's warnings on the way are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -99,12 +101,15 @@ class ScenarioConfig:
                 self.thresholds()
                 state = self.initial_state()
                 self.options()
-                self.attractor()
+                spec = self.attractor()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             v0 = lyapunov_values(state, p)
+            d0 = distance_to_attractor(state, p, spec)
         if overflow := [f"V_{name}" for name, v in v0.items() if not np.isfinite(v)]:
             raise ConfigError(f"initial state too large: {', '.join(overflow)} not finite")
+        if not np.isfinite(d0):
+            raise ConfigError("initial state too large: attractor distance not finite")
 
     def params(self) -> OrbitParams:
         return OrbitParams(n=self.n, umax=self.umax)
@@ -138,9 +143,7 @@ class ScenarioConfig:
         which = self.subsystem
         if self.convergence_eps is not None:
             return AttractorSpec(which=which, epsilon=self.convergence_eps)
-        d0 = distance_to_attractor(
-            self.initial_state(), self.params(), AttractorSpec(which=which, epsilon=1.0)
-        )
+        d0 = distance_to_attractor(self.initial_state(), self.params(), AttractorSpec(which))
         eps = 1e-3 * d0 if d0 > 0 else 1e-9
         return AttractorSpec(which=which, epsilon=eps)
 

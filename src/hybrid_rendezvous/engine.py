@@ -16,9 +16,8 @@ fixed-step flow integration with jump application:
 
 The jump set is the union of the channels' sets, and :func:`first_active`
 is its one query: the first channel whose guard holds, or ``None``.  Each
-flow sample is asked once, on one ``tolist()`` that every guard reads; an
-accepted step end is already known to lie outside every jump set, and a
-drained state too.
+state is asked once, on one ``tolist()`` that every guard reads, and its
+answer travels with it into :func:`locate_event` and :func:`resolve_jumps`.
 
 Jump sets are closed: margins are compared against zero with exact
 floating-point ``>=`` after localization, with no epsilon inflation.  A run
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -208,71 +208,69 @@ def first_active(channels: Sequence[JumpChannel], state: np.ndarray) -> JumpChan
 
 
 def locate_event(
-    inside: Callable[[np.ndarray], bool],
+    query: Callable[[np.ndarray], object],
     flow_to: Callable[[np.ndarray, float], np.ndarray],
     state_a: np.ndarray,
     state_b: np.ndarray,
     t_a: float,
     t_b: float,
     event_tol: float,
-) -> tuple[float, np.ndarray]:
+    found_b: object,
+) -> tuple[float, np.ndarray, object]:
     """Localize the first guard activation inside a flow step by bisection.
 
-    Requires jump-set membership ``inside(state_b)`` but not
-    ``inside(state_a)``.  Each probe re-integrates from ``state_a`` (no guard
-    interpolation).  The bisection is left-biased: it keeps the earliest
-    entry found, so a set entered twice within the bracket resolves to its
-    first entry.  Returns the earliest probed ``(t, state)`` inside once the
-    bracket is narrower than ``event_tol`` (at least the spacing at ``t_b``).
+    The caller has asked ``query`` of both ends: ``state_a`` is outside and
+    ``found_b``, the answer at ``state_b``, is truthy (inside).  Each probe
+    re-integrates from ``state_a`` (no guard interpolation) and is asked
+    once.  The bisection is left-biased: it keeps the earliest entry found,
+    so a set entered twice within the bracket resolves to its first entry.
+    Returns the earliest probed ``(t, state, found)`` inside, with its
+    answer, once the bracket is narrower than ``event_tol`` (at least the
+    spacing at ``t_b``).
     """
     if t_a >= t_b:
         raise EventBracketError(f"need t_a < t_b, got [{t_a}, {t_b}]")
-    if inside(state_a):
-        raise EventBracketError("bracket precondition violated: state_a is inside")
-    if not inside(state_b):
+    if not found_b:
         raise EventBracketError("no guard crossing inside the bracket")
     lo, hi = t_a, t_b
-    state_hi = state_b
+    state_hi, found = state_b, found_b
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         state_mid = flow_to(state_a, mid - t_a)
-        if inside(state_mid):
-            hi, state_hi = mid, state_mid
+        if found_mid := query(state_mid):
+            hi, state_hi, found = mid, state_mid, found_mid
         else:
             lo = mid
-    return hi, state_hi
+    return hi, state_hi, found
 
 
 def resolve_jumps(
     state: np.ndarray,
     t: float,
     j: int,
+    ch: JumpChannel,
     channels: Sequence[JumpChannel],
     j_max: int,
 ) -> tuple[np.ndarray, list[ImpulseEvent], bool]:
     """Apply jumps while any guard is active, one at a time in channel order.
 
-    Each jump fires the first active channel of ``channels``; guards after
-    it are not evaluated.  The channel's jump map returns the event, and the
-    next jump starts from its ``state_post``.  Guards are re-evaluated on the
-    post-jump state after every applied jump, so a later channel still
-    active after an earlier one's jump fires next at the same ``t``.  Returns
-    the post-jump state, the events in application order, and a flag set
-    when ``j_max`` was hit while guards were still active (the Zeno guard).
+    It fires ``ch``, the caller's :func:`first_active` of ``state``; guards
+    after the first active one are not evaluated.  The channel's jump map
+    returns the event, and the next jump starts from its ``state_post``.
+    Guards are re-evaluated on the post-jump state after every applied
+    jump, so a later channel still active after an earlier one's jump fires
+    next at the same ``t``.  Returns the post-jump state, the events in
+    application order, and a flag set when ``j_max`` was hit while guards
+    were still active (the Zeno guard).
     """
-    ch = first_active(channels, state)
-    if ch is None:
-        raise ValueError("resolve_jumps requires at least one active channel")
     events: list[ImpulseEvent] = []
-    budget_hit = False
     while ch is not None:
         if j + len(events) >= j_max:
-            budget_hit = True
-            break
+            return state, events, True
         events.append(ch.jump(state, t, j + len(events)))
         state = events[-1].state_post
         ch = first_active(channels, state)
-    return state, events, budget_hit
+    return state, events, False
 
 
 def simulate(
@@ -280,9 +278,10 @@ def simulate(
 ) -> HybridSolution:
     """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
 
-    Each sample's membership in the union jump set is asked of
-    :func:`first_active` once: ``x0`` before the loop, and each step's
-    candidate end state after integrating it.  Jumps are drained at
+    Each state is asked of :func:`first_active` once, and the answer is
+    carried: ``x0`` before the loop, each step's candidate end state after
+    integrating it, and the probes and post-jump states inside
+    :func:`locate_event` and :func:`resolve_jumps`.  Jumps are drained at
     ``t = 0`` when ``x0`` is in the union, and after every landing on a
     guard before ``t_max``; a landing at exactly ``t_max`` is not drained.
 
@@ -304,15 +303,13 @@ def simulate(
     events: list[ImpulseEvent] = []
     status = "t_max"
 
-    def inside(s: np.ndarray) -> bool:
-        return first_active(system.channels, s) is not None
-
-    in_jump_set = inside(state)
+    query = partial(first_active, system.channels)
+    active = query(state)
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
-        if in_jump_set:
+        if active is not None:
             state, new_events, budget_hit = resolve_jumps(
-                state, t, j, system.channels, opts.j_max
+                state, t, j, active, system.channels, opts.j_max
             )
             for ev in new_events:
                 events.append(ev)
@@ -327,15 +324,14 @@ def simulate(
         candidate = flow_to(state, h)
         if not np.isfinite(candidate).all():
             raise IntegrationFailure("non-finite state during flow", candidate)
-        in_jump_set = inside(candidate)
-        if in_jump_set:
+        active = query(candidate)
+        if active is not None:
             # A guard activates inside this step; land exactly on it.  The
             # step's start state was accepted or drained, so it is not
             # inside here.
-            t_star, state = locate_event(
-                inside, flow_to, state, candidate, t, t + h, opts.event_tol
+            t, state, active = locate_event(
+                query, flow_to, state, candidate, t, t + h, opts.event_tol, active
             )
-            t = t_star
         else:
             state = candidate
             t += h

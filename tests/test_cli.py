@@ -204,21 +204,42 @@ class TestExitCodes:
         assert "config error: output_dir must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "command,edits,too_large",
+        [
+            # r_x = 1e200 overflows V_beta and V_alpha, which would put NaN
+            # into the certificates and summary.json.
+            *(
+                pytest.param(c, {"r_x": "1e200"}, "V_beta, V_alpha", id=c)
+                for c in ("simulate", "verify")
+            ),
+            # Each V is finite (V_z 1.0e308, V_beta 8.1e307, V_alpha
+            # 3.6e307), but their sum, the full attractor distance, is not:
+            # it would write "epsilon": Infinity and converge at t = 0.
+            *(
+                pytest.param(
+                    c, {"v_y": "3e153", "v_z": "1e154"}, "attractor distance", id=f"sum-{c}"
+                )
+                for c in ("simulate", "verify")
+            ),
+        ],
+    )
     def test_overflowing_initial_state_is_config_error(
-        self, command, tmp_path, monkeypatch, capsys
+        self, command, edits, too_large, tmp_path, monkeypatch, capsys
     ):
-        # r_x = 1e200 overflows V_beta and V_alpha, which would put NaN into
-        # the certificates and summary.json.  The error is the only output:
-        # NumPy warns of no overflow (the suite turns warnings into errors).
+        # The error is the only output: NumPy warns of no overflow (the
+        # suite turns warnings into errors).
         cfg = tmp_path / "overflow.cfg"
         text = scenario_path("full_ref").read_text()
-        cfg.write_text(re.sub(r"(?m)^r_x = .*$", "r_x = 1e200", text))
+        for key, value in edits.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert all(f"\n{key} = {value}\n" in text for key, value in edits.items())
+        cfg.write_text(text)
         monkeypatch.chdir(tmp_path)
         assert run([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert "config error: " in err
-        assert "initial state too large: V_beta, V_alpha not finite" in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"initial state too large: {too_large} not finite" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.cfg"]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -99,12 +99,18 @@ class TestErrors:
             ("r_x = inf", "r_x"),
             # an initial state whose V overflows, checked whatever the subsystem
             ("r_x = 1e200", "initial state too large: V_beta, V_alpha not finite"),
+            # finite Vs whose sum, the full attractor distance, overflows
+            (
+                "subsystem = full\nv_y = 3e153\nv_z = 1e154",
+                "initial state too large: attractor distance not finite",
+            ),
             ("output_dir =", "output_dir"),
         ],
     )
     def test_field_level_messages(self, tmp_path, line, fragment):
-        # The line replaces MINIMAL's own setting of its key, so the error is
-        # never the duplicate-key one, whose message names the field too.
+        # The line replaces MINIMAL's own setting of its (first) key, so the
+        # error is never the duplicate-key one, whose message names the field
+        # too.
         key = line.partition("=")[0].strip()
         base = [row for row in MINIMAL.splitlines() if row.partition("=")[0].strip() != key]
         # No case warns on the way (the suite turns warnings into errors): an

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybrid_rendezvous import engine
 from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
     QZ,
@@ -100,7 +102,7 @@ class TestLocateEvent:
         t_b = self.t_cross + 200.0
         state_a = self.flow_to(self.s0, t_a)
         state_b = self.flow_to(self.s0, t_b)
-        t_star, state_star = locate_event(
+        t_star, state_star, found = locate_event(
             self.inside,
             lambda s, dt: self.flow_to(s, dt),
             state_a,
@@ -108,16 +110,12 @@ class TestLocateEvent:
             t_a,
             t_b,
             event_tol=1e-6,
+            found_b=self.inside(state_b),
         )
         assert abs(t_star - self.t_cross) <= 1e-6
         assert self.inside(state_star)
-
-    def test_rejects_bracket_already_inside(self):
-        state_a = self.flow_to(self.s0, self.t_cross + 1.0)
-        with pytest.raises(EventBracketError):
-            locate_event(
-                self.inside, self.flow_to, state_a, state_a, 0.0, 1.0, 1e-6
-            )
+        # the answer handed back is the query's at the landing state
+        assert found == self.inside(state_star)
 
     def test_rejects_bracket_without_crossing(self):
         t_a = self.t_cross - 300.0
@@ -126,12 +124,15 @@ class TestLocateEvent:
         state_b = self.flow_to(self.s0, t_b)
         with pytest.raises(EventBracketError):
             locate_event(
-                self.inside, self.flow_to, state_a, state_b, t_a, t_b, 1e-6
+                self.inside, self.flow_to, state_a, state_b, t_a, t_b, 1e-6, None
             )
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(EventBracketError):
-            locate_event(self.inside, self.flow_to, self.s0, self.s0, 2.0, 1.0, 1e-6)
+            locate_event(
+                self.inside, self.flow_to, self.s0, self.s0, 2.0, 1.0, 1e-6,
+                self.inside(self.s0),
+            )
 
 
 class TestSimulationOptions:
@@ -192,7 +193,8 @@ class TestResolveJumps:
         # Unsaturated z firing: q_z flips, tau_z resets to 0.
         system = self.system("z")
         state = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)
-        out, events, budget_hit = resolve_jumps(state, 0.0, 0, system.channels, 100)
+        ch = first_active(system.channels, state)
+        out, events, budget_hit = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
         assert not budget_hit
         assert [e.channel for e in events] == ["z"]
         # The event records the guard terms at the trigger state.
@@ -211,7 +213,8 @@ class TestResolveJumps:
             tau_z=THRESHOLDS.z,
             tau_beta=THRESHOLDS.beta,
         )
-        out, events, _ = resolve_jumps(state, 0.0, 0, system.channels, 100)
+        ch = first_active(system.channels, state)
+        out, events, _ = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
         assert [e.channel for e in events][:2] == ["z", "beta"]
         assert [e.j_pre for e in events] == list(range(len(events)))
         assert all(e.t == 0.0 for e in events)
@@ -225,14 +228,10 @@ class TestResolveJumps:
             tau_beta=THRESHOLDS.beta,
         )
         z, beta, alpha = system.channels
-        out, events, _ = resolve_jumps(state, 0.0, 0, (beta, alpha, z), 100)
+        channels = (beta, alpha, z)
+        ch = first_active(channels, state)
+        out, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
         assert events[0].channel == "beta"
-
-    def test_empty_active_set_is_an_error(self):
-        system = self.system("z")
-        state = make_state(r=(0, 0, 100.0))  # tau_z = 0 vetoes the jump
-        with pytest.raises(ValueError):
-            resolve_jumps(state, 0.0, 0, system.channels, 100)
 
 
 class TestSimulate:
@@ -336,6 +335,82 @@ class TestSimulate:
         final_rk = simulate(system, x0, o_rk).states[-1]
         final_cf = simulate(system, x0, o_cf).states[-1]
         assert np.max(np.abs(final_rk - final_cf)) <= 1e-6
+
+
+#: Scenario runs, by id: a bundled scenario file plus config overrides.
+RUNS = {
+    **{name: (name, {}) for name in ("z_fast", "z_slow", "inplane_ref", "full_ref")},
+    "inplane_ref_rk4": ("inplane_ref", dict(integrator="rk4", step_h=10.0, t_max_orbits=2)),
+}
+
+
+def scenario_system(run):
+    """The built system and the config of one of :data:`RUNS`."""
+    name, overrides = RUNS[run]
+    cfg = replace(parse_config(scenario_path(name)), **overrides)
+    return build_system(cfg.params(), cfg.thresholds(), subsystem=cfg.subsystem), cfg
+
+
+class TestCarriedAnswers:
+    """``simulate`` asks :func:`first_active` of each state once and hands
+    the answer on, so ``locate_event`` and ``resolve_jumps`` check no
+    precondition that costs a query; their callers keep them instead."""
+
+    @pytest.mark.parametrize("run", ["full_ref", "inplane_ref", "inplane_ref_rk4"])
+    def test_each_state_is_asked_once(self, run, monkeypatch):
+        # x0, every flow sample (step ends and bisection probes) and every
+        # post-jump state: one query each.
+        system, cfg = scenario_system(run)
+        counts = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(engine, "first_active", counted("asked", engine.first_active))
+        monkeypatch.setattr(engine, "rk4_step", counted("flow", engine.rk4_step))
+        system = dataclasses.replace(system, flow_to=counted("flow", system.flow_to))
+        sol = simulate(system, cfg.initial_state(), cfg.options())
+        assert sol.events and counts["flow"] > 0
+        assert counts["asked"] == 1 + counts["flow"] + len(sol.events)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_callers_meet_the_unchecked_preconditions(self, run, monkeypatch):
+        # On every call: the bracket starts outside the jump set, the answers
+        # handed in and back are first_active's, and resolve_jumps is handed
+        # an active channel, the first one.
+        system, cfg = scenario_system(run)
+        locate, resolve = engine.locate_event, engine.resolve_jumps
+        calls = Counter()
+
+        def asked(state):
+            return first_active(system.channels, state)
+
+        def checked_locate(query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b):
+            assert asked(state_a) is None
+            assert found_b is asked(state_b)
+            t, state, found = locate(
+                query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b
+            )
+            assert found is asked(state)
+            calls["locate"] += 1
+            return t, state, found
+
+        def checked_resolve(state, t, j, ch, channels, j_max):
+            assert channels is system.channels
+            assert ch is not None
+            assert ch is asked(state)
+            calls["resolve"] += 1
+            return resolve(state, t, j, ch, channels, j_max)
+
+        monkeypatch.setattr(engine, "locate_event", checked_locate)
+        monkeypatch.setattr(engine, "resolve_jumps", checked_resolve)
+        sol = simulate(system, cfg.initial_state(), cfg.options())
+        assert calls["locate"] > 0
+        assert calls["resolve"] > 0 and sol.events
 
 
 def arcs_by_loop(j):
