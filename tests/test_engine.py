@@ -117,6 +117,13 @@ class TestLocateEvent:
         # the answer handed back is the query's at the landing state
         assert found == self.inside(state_star)
 
+    def test_rejects_bracket_already_inside(self, engine_calls):
+        # locate_event no longer asks state_a, so the caller keeps this: on
+        # every call simulate makes over RUNS, the bracket starts outside.
+        for run, (_, located, _) in engine_calls.items():
+            assert located, run
+            assert all(found_a is None for found_a, *_ in located), run
+
     def test_rejects_bracket_without_crossing(self):
         t_a = self.t_cross - 300.0
         t_b = self.t_cross - 100.0
@@ -232,6 +239,16 @@ class TestResolveJumps:
         ch = first_active(channels, state)
         out, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
         assert events[0].channel == "beta"
+
+    def test_empty_active_set_is_an_error(self, engine_calls):
+        # resolve_jumps no longer asks its start state (handed None, it would
+        # fire nothing), so the caller keeps this: on every call simulate
+        # makes over RUNS, the channel handed in is active, the first one.
+        for run, (_, _, resolved) in engine_calls.items():
+            assert resolved, run
+            for _, ch, first in resolved:
+                assert ch is not None, run
+                assert ch is first, run
 
 
 class TestSimulate:
@@ -378,39 +395,60 @@ class TestCarriedAnswers:
         assert counts["asked"] == 1 + counts["flow"] + len(sol.events)
 
     @pytest.mark.parametrize("run", sorted(RUNS))
-    def test_callers_meet_the_unchecked_preconditions(self, run, monkeypatch):
-        # On every call: the bracket starts outside the jump set, the answers
-        # handed in and back are first_active's, and resolve_jumps is handed
-        # an active channel, the first one.
-        system, cfg = scenario_system(run)
-        locate, resolve = engine.locate_event, engine.resolve_jumps
-        calls = Counter()
+    def test_callers_meet_the_unchecked_preconditions(self, run, engine_calls):
+        # On every call: the answers handed in and back are first_active's,
+        # and resolve_jumps is handed the system's channels.  The bracket
+        # start and the channel handed in are checked by
+        # TestLocateEvent::test_rejects_bracket_already_inside and
+        # TestResolveJumps::test_empty_active_set_is_an_error.
+        sol, located, resolved = engine_calls[run]
+        assert located and resolved and sol.events
+        for _, found_b, at_b, found, at_landing in located:
+            assert found_b is at_b
+            assert found is at_landing
+        assert all(same_channels for same_channels, _, _ in resolved)
 
-        def asked(state):
-            return first_active(system.channels, state)
 
-        def checked_locate(query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b):
-            assert asked(state_a) is None
-            assert found_b is asked(state_b)
-            t, state, found = locate(
-                query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b
-            )
-            assert found is asked(state)
-            calls["locate"] += 1
-            return t, state, found
+def record_calls(run):
+    """Run one of :data:`RUNS`, asking :func:`first_active` at every
+    ``locate_event`` and ``resolve_jumps`` call ``simulate`` makes.
 
-        def checked_resolve(state, t, j, ch, channels, j_max):
-            assert channels is system.channels
-            assert ch is not None
-            assert ch is asked(state)
-            calls["resolve"] += 1
-            return resolve(state, t, j, ch, channels, j_max)
+    Returns the solution and two lists.  Per ``locate_event`` call: the
+    answers at ``state_a``, handed in (``found_b``), at ``state_b``, handed
+    back, and at the landing state.  Per ``resolve_jumps`` call: whether it
+    got the system's channels, the channel handed in, and the answer at its
+    state.
+    """
+    system, cfg = scenario_system(run)
+    locate, resolve = engine.locate_event, engine.resolve_jumps
+    located, resolved = [], []
 
-        monkeypatch.setattr(engine, "locate_event", checked_locate)
-        monkeypatch.setattr(engine, "resolve_jumps", checked_resolve)
+    def asked(state):
+        return first_active(system.channels, state)
+
+    def recording_locate(query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b):
+        found_a, at_b = asked(state_a), asked(state_b)
+        t, state, found = locate(
+            query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b
+        )
+        located.append((found_a, found_b, at_b, found, asked(state)))
+        return t, state, found
+
+    def recording_resolve(state, t, j, ch, channels, j_max):
+        resolved.append((channels is system.channels, ch, asked(state)))
+        return resolve(state, t, j, ch, channels, j_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "locate_event", recording_locate)
+        mp.setattr(engine, "resolve_jumps", recording_resolve)
         sol = simulate(system, cfg.initial_state(), cfg.options())
-        assert calls["locate"] > 0
-        assert calls["resolve"] > 0 and sol.events
+    return sol, located, resolved
+
+
+@pytest.fixture(scope="module")
+def engine_calls():
+    """:func:`record_calls` of every run in :data:`RUNS`, by run id."""
+    return {run: record_calls(run) for run in RUNS}
 
 
 def arcs_by_loop(j):
