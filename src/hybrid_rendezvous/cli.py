@@ -13,8 +13,8 @@ for the format), each reading one run record, :func:`build_summary`:
   scenario for each parameter value and tabulate each record's impulse
   count, delta-v, convergence time and status (the dwell-time trade-off study).
 
-Flags override config keys through :func:`config.replace`, so they are
-validated as keys are (``--out ""`` is rejected); argparse checks their syntax.
+Flags are config keys, put on top of the file's by :func:`config.parse_config`
+before its one validation (``--out ""`` is rejected); argparse checks syntax.
 Exit codes: 0 success, 1 usage (with argparse's message) or configuration
 error, 2 numerical failure, 3 certificate violation.
 """
@@ -40,7 +40,7 @@ from .analysis import (
     convergence_time,
 )
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
-from .config import ConfigError, ScenarioConfig, parse_config, replace
+from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import HybridSolution, ImpulseEvent, IntegrationFailure, simulate
 from .hcw import OrbitParams
 
@@ -70,12 +70,6 @@ def _numbers(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
     return values
-
-
-def _load(args, **flags) -> ScenarioConfig:
-    """The config file with each flag given applied as an override of its key."""
-    given = {key: value for key, value in flags.items() if value is not None}
-    return replace(parse_config(args.config), **given)
 
 
 def _fmt(x: float) -> str:
@@ -296,7 +290,7 @@ def _budget_exhausted(sol: HybridSolution, where: str = "") -> bool:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args, subsystem=args.subsystem, output_dir=args.out)
+    cfg = parse_config(args.config, subsystem=args.subsystem, output_dir=args.out)
     start = time.perf_counter()
     sol, p, spec = run_scenario(cfg)
     elapsed = time.perf_counter() - start
@@ -338,14 +332,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args, output_dir=args.out)
+    cases = [
+        parse_config(args.config, output_dir=args.out, **{args.param: value})
+        for value in args.values
+    ]
     print(
         f"{args.param:>12} {'impulses':>9} {'total_dv':>10} "
         f"{'conv_orbits':>12} {'status':>10}"
     )
     csv_lines = [f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"]
-    for value in args.values:
-        case = replace(cfg, **{args.param: value})
+    for value, case in zip(args.values, cases):
         try:
             sol, p, spec = run_scenario(case)
         except IntegrationFailure as exc:
@@ -366,7 +362,7 @@ def cmd_sweep(args) -> int:
             f"{_fmt(value)},{count},{_fmt(total_dv)},"
             f"{'' if conv_orbits is None else _fmt(conv_orbits)},{summary['status']}"
         )
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cases[0].output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
     return EXIT_OK

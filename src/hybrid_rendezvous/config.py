@@ -43,6 +43,7 @@ from .closed_loop import (
 from .engine import SimulationOptions
 from .hcw import OrbitParams
 
+#: Kept for ``bench/`` and the tests; a copy validates itself (the CLI never copies).
 replace = dataclasses.replace
 
 
@@ -155,8 +156,10 @@ _KINDS = {f.name: {"str": str, "int": int}.get(f.type, float) for f in fields(Sc
 _TIMER_KEYS = {"tau_z", "tau_beta", "tau_alpha"}
 
 
-def parse_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file; raises :class:`ConfigError`."""
+def parse_config(path: str | Path, **overrides) -> ScenarioConfig:
+    """Parse a scenario file, put each override that is not None (a given CLI
+    flag) on top of its key and validate once, by one :class:`ScenarioConfig`
+    construction; raises :class:`ConfigError` naming the file."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -175,6 +178,7 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _convert(key, value, path, lineno)
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return ScenarioConfig(**values)
     except (ValueError, TypeError) as exc:

@@ -201,7 +201,7 @@ class TestExitCodes:
         cfg.write_text("r_z = 10.0\nsubsystem = z\nt_max_orbits = 1\noutput_dir = o\n")
         monkeypatch.chdir(tmp_path)
         assert run(["simulate", "--config", cfg, "--out", ""]) == 1
-        assert "config error: output_dir must not be empty" in capsys.readouterr().err
+        assert f"config error: {cfg}: output_dir must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
     @pytest.mark.parametrize(
@@ -305,14 +305,105 @@ class TestExitCodes:
         assert "argument --values: no numbers in ''" in captured.err
         assert captured.out == ""
 
-    def test_invalid_sweep_value_is_config_error(self, tmp_path, capsys):
-        # Each value is a key override, validated as the key is.
-        argv = ["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
-                "--values", "2.5", "--out", tmp_path / "o"]
-        assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: dwell threshold for z channel")
-        assert not (tmp_path / "o").exists()
+    def test_invalid_sweep_value_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # Each value is a key override, validated as the key is, and every
+        # value is validated before the first run: nothing runs or prints.
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("a value ran"))
+        for values in ("2.5", "0.01,2.5"):
+            argv = ["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
+                    "--values", values, "--out", tmp_path / "o"]
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"config error: {scenario_path('z_fast')}: dwell threshold for z channel"
+            )
+            assert captured.out == ""
+            assert not (tmp_path / "o").exists()
+
+
+def set_keys(text, **keys):
+    """``text`` with each key's line set to its value (the line must exist)."""
+    for key, value in keys.items():
+        text, count = re.subn(rf"(?m)^{key} =.*$", f"{key} = {value}".rstrip(), text)
+        assert count == 1, key
+    return text
+
+
+def run_in(cwd, text, argv, monkeypatch, capsys):
+    """Run ``argv`` on config ``text`` from ``cwd``: the exit code, stdout
+    without the elapsed time and output path, and every file written."""
+    cwd.mkdir()
+    (cwd / "run.cfg").write_text(text)
+    monkeypatch.chdir(cwd)
+    code = run([argv[0], "--config", "run.cfg", *argv[1:]])
+    out = re.sub(r"\(\d+\.\d+ s\) -> .*", "", capsys.readouterr().out)
+    files = {
+        str(f.relative_to(cwd)): f.read_bytes()
+        for f in sorted(cwd.rglob("*"))
+        if f.is_file() and f.name != "run.cfg"
+    }
+    return code, out, files
+
+
+SWEEP_TAU_M_Z = ["sweep", "--param", "tau_m_z", "--values", "0.01,0.05"]
+
+
+class TestFlagIsKey:
+    @pytest.mark.parametrize(
+        "name, file_keys, argv, keyed, keyed_argv",
+        [
+            pytest.param(
+                "z_fast", {"output_dir": ""}, ["simulate", "--out", "d"],
+                {"output_dir": "d"}, ["simulate"], id="out",
+            ),
+            pytest.param(
+                "full_ref", {"subsystem": "sideways", "t_max_orbits": 2},
+                ["simulate", "--subsystem", "z"], {"subsystem": "z"}, ["simulate"],
+                id="subsystem",
+            ),
+            pytest.param(
+                "z_fast", {"tau_m_z": 7}, SWEEP_TAU_M_Z, {"tau_m_z": 0.01}, SWEEP_TAU_M_Z,
+                id="sweep",
+            ),
+        ],
+    )
+    def test_flag_run_equals_keyed_copy(
+        self, name, file_keys, argv, keyed, keyed_argv, tmp_path, monkeypatch, capsys
+    ):
+        # A flag replaces the file's value of its key before validation, so a
+        # file value it replaces is never checked: the run equals that of a
+        # copy of the file that sets the key itself, and does not fail.
+        text = set_keys(scenario_path(name).read_text(), **file_keys)
+        flagged = run_in(tmp_path / "flag", text, argv, monkeypatch, capsys)
+        copy = run_in(
+            tmp_path / "key", set_keys(text, **keyed), keyed_argv, monkeypatch, capsys
+        )
+        assert flagged == copy
+        assert flagged[0] == 0 and flagged[2]
+
+    def test_one_validation_per_run(self, tmp_path, monkeypatch):
+        # One ScenarioConfig construction per simulate and verify, and one per
+        # sweep value.
+        constructions = []
+        validate = cli.ScenarioConfig.__post_init__
+
+        def counted(cfg):
+            constructions.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(cli.ScenarioConfig, "__post_init__", counted)
+        z_fast = scenario_path("z_fast")
+        counts = []
+        for argv in (
+            ["simulate", "--config", z_fast, "--subsystem", "z", "--out", tmp_path / "s"],
+            ["verify", "--config", z_fast],
+            ["sweep", "--config", z_fast, "--param", "umax", "--values", "0.1,0.2,0.3",
+             "--out", tmp_path / "w"],
+        ):
+            constructions.clear()
+            assert run(argv) == 0
+            counts.append(len(constructions))
+        assert counts == [1, 1, 3]
 
 
 class TestVerify:
@@ -348,6 +439,29 @@ VERIFY_ROW = re.compile(
     r"(PASS|FAIL)  flow invariance  worst drift (\S+) \(tol (\S+)\)\n"
     r"(PASS|FAIL)  jump decrease    (\d+) events, min margin (\S+)\n"
 )
+
+
+class TestPlotScript:
+    def test_plot_columns_match_csv_headers(self):
+        # gnuplot numbers the columns from 1: each plotted column is the one
+        # its title names, against t_orbits on the x axis.
+        headers = {
+            "trajectory.csv": cli.TRAJECTORY_COLUMNS.split(","),
+            "events.csv": cli.EVENT_COLUMNS.split(","),
+        }
+        names = {"|u|": "u_applied"}
+        plotted = []
+        for line in cli.PLOT_TEMPLATE.splitlines():
+            if match := re.match(r"plot '(\S+)'", line):
+                header = headers[match[1]]
+            if match := re.search(r"using (\d+):\D*(\d+).* title '([^']+)'", line):
+                x, y, title = match.groups()
+                assert header[int(x) - 1] == "t_orbits"
+                assert header[int(y) - 1] == names.get(title, title)
+                plotted.append(title)
+        assert plotted == [
+            "r_x", "r_y", "r_z", "v_x", "v_y", "v_z", "V_z", "V_beta", "V_alpha", "|u|"
+        ]
 
 
 class TestOneRecord:
