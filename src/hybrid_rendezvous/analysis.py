@@ -208,7 +208,7 @@ def budget(sol: HybridSolution) -> ManeuverBudget:
         impulse_counts=counts,
         event_counts=event_counts,
         delta_v=dv,
-        total_delta_v=sum(dv.values()),
+        total_delta_v=sum(dv.values(), 0.0),
         last_impulse_time=last,
     )
 

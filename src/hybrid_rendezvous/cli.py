@@ -52,15 +52,6 @@ EXIT_CERTIFICATE = 3
 SWEEPABLE = ("tau_m_z", "tau_m_beta", "tau_m_alpha", "umax")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage errors with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _numbers(text: str) -> list[float]:
     """``--values``: a comma-separated list of at least one number."""
     try:
@@ -369,7 +360,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="hybrid-rdv",
         description="Impulsive hybrid-control rendezvous simulator and verifier.",
     )
@@ -399,7 +390,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -6,16 +6,16 @@ by the controller variables of each channel::
     index  0    1    2    3    4    5    6    7      8         9        10
     value  r_x  r_y  r_z  v_x  v_y  v_z  q_z  tau_z  tau_beta  q_alpha  tau_alpha
 
-The transformed in-plane view (x, y, alpha, beta) is recomputed from the
-plant once per state, never stored.  Each channel is declared once, as a
-:class:`ChannelLaw` in :data:`CHANNELS`: its guard, command law and
-Lyapunov function, which read the state by component index ``s[k]`` (the
-command and the Lyapunov function take the view from their caller), and
-the components its jump edits.  The views (``zeta_of``, ``lyapunov_values``
-and ``distance_to_attractor``) pass ``state.T`` of one state ``(11,)`` or a
-block ``(N, 11)``: a scalar for one state and a column for a block.
-(``state[..., k]`` would give a 0-d array for one state, whose arithmetic
-is several times slower.)
+The transformed in-plane view (x, y, alpha, beta) is :func:`hcw.to_zeta`
+of the state itself, recomputed once per state, never stored.  Each channel
+is declared once, as a :class:`ChannelLaw` in :data:`CHANNELS`: its guard,
+command law and Lyapunov function, which read the state by component index
+``s[k]`` as ``to_zeta`` does (the command and the Lyapunov function take
+the view from their caller), and the components its jump edits.  The views
+(``zeta_of``, ``lyapunov_values`` and ``distance_to_attractor``) pass
+``state.T`` of one state ``(11,)`` or a block ``(N, 11)``: a scalar for one
+state and a column for a block.  (``state[..., k]`` would give a 0-d array
+for one state, whose arithmetic is several times slower.)
 
 The per-sample hot path (the propagator, the guards, the jump maps and
 every stage of the RK4 flow) reads a state once with ``tolist()`` and
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -39,7 +38,6 @@ import numpy as np
 from . import controllers as ctl
 from .engine import GuardConjunction, HybridSystem, ImpulseEvent, JumpChannel
 from .hcw import (
-    INPLANE,
     RX,
     RY,
     RZ,
@@ -55,10 +53,6 @@ from .hcw import (
 
 QZ, TAUZ, TAUB, QA, TAUA = 6, 7, 8, 9, 10
 DIM = 11
-
-#: The in-plane components ``(r_x, v_x, r_y, v_y)`` of anything indexed by
-#: state component, as a tuple.
-_inplane_of = itemgetter(*INPLANE)
 
 #: Each subsystem's channels, in jump priority order: where jump sets
 #: overlap, the first active channel listed fires first.
@@ -130,13 +124,6 @@ def make_state(
     return state
 
 
-def zeta_components(s, p: OrbitParams) -> tuple:
-    """``(x, y, alpha, beta)`` of ``s``, indexed by state component: a list
-    of 11 floats gives four floats, and ``state.T`` of a block gives four
-    columns."""
-    return to_zeta(_inplane_of(s), p)
-
-
 def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     """Transformed in-plane view (x, y, alpha, beta) of a full state.
 
@@ -144,7 +131,7 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     block of states ``(N, 11)``, giving ``(N, 4)`` with row ``i`` equal, bit
     for bit, to the view of ``state[i]``.
     """
-    return np.array(zeta_components(state.T, p)).T
+    return np.array(to_zeta(state.T, p)).T
 
 
 def full_flow(p: OrbitParams, s) -> tuple:
@@ -198,7 +185,7 @@ class ChannelLaw:
     ``tau - tau^M``; the state is in the channel's jump set iff all are
     ``>= 0``.  ``command(s, zeta, p)`` is the commanded impulse and
     ``lyapunov(s, zeta, p)`` the channel's Lyapunov function, with ``zeta``
-    the :func:`zeta_components` of ``s``.  All three read ``s`` by state
+    the :func:`hcw.to_zeta` view of ``s``.  All three read ``s`` by state
     component: a list of 11 floats (the guards and jump maps) or ``state.T``
     of one state or a block (the views).  A firing adds the applied impulse
     to velocity ``thrust``, resets ``timer``, negates ``logic`` (if any) when
@@ -216,7 +203,7 @@ class ChannelLaw:
 
 
 def _alpha_guard(s, p: OrbitParams, tau_m: float) -> tuple[float, float, float]:
-    x, y, alpha, _ = zeta_components(s, p)
+    x, y, alpha, _ = to_zeta(s, p)
     w = y - p.n * alpha / 2.0
     return ((w - p.n * x) * x, s[QA] * w, s[TAUA] - tau_m)
 
@@ -282,7 +269,7 @@ def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
 
     def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
         s = state.tolist()
-        zeta = zeta_components(s, p)
+        zeta = to_zeta(s, p)
         margins = terms(s)
         lyap_pre = lyapunov(s, zeta, p)
         u_cmd = command(s, zeta, p)
@@ -293,7 +280,7 @@ def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
             s[logic] = -s[logic]
         return ImpulseEvent(
             name, t, j_pre, u_cmd, u, state, np.array(s), margins,
-            lyap_pre, lyapunov(s, zeta_components(s, p), p), -gain * u * u_cmd,
+            lyap_pre, lyapunov(s, to_zeta(s, p), p), -gain * u * u_cmd,
         )
 
     return JumpChannel(name=name, guard=GuardConjunction(terms=terms), jump=jump)
@@ -311,7 +298,7 @@ def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float | np.n
     each is an ``(N,)`` array whose entry ``i`` equals, bit for bit, the
     value at ``state[i]``.
     """
-    zeta = zeta_components(state.T, p)
+    zeta = to_zeta(state.T, p)
     return {name: law.lyapunov(state.T, zeta, p) for name, law in CHANNELS.items()}
 
 

@@ -162,8 +162,8 @@ def parse_config(path: str | Path, **overrides) -> ScenarioConfig:
     construction; raises :class:`ConfigError` naming the file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

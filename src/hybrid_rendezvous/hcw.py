@@ -3,7 +3,8 @@
 Everything here is a pure function; the transition matrix is the tuple of
 its 36 entries row by row.  The plant state vector is ordered
 ``(r_x, r_y, r_z, v_x, v_y, v_z)`` in the LVLH frame (x radial, y
-along-track, z cross-track), in meters and meters/second.
+along-track, z cross-track), in meters and meters/second; ``to_zeta``
+reads any state by these indices, the closed loop's longer one too.
 
 The in-plane coordinate change splits the coupled (r_x, r_y) motion into a
 harmonic oscillator (x, y) and a double integrator (alpha, beta):
@@ -25,9 +26,6 @@ import numpy as np
 
 # Plant state vector layout.
 RX, RY, RZ, VX, VY, VZ = range(6)
-
-#: Order of the in-plane sub-vector fed to the coordinate change.
-INPLANE = (RX, VX, RY, VY)
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ def hcw_derivative(state, p: OrbitParams) -> tuple:
     ``a_z = -n^2 r_z``.  The equilibria are exactly the states with
     ``r_x = r_z = 0`` and ``v = 0`` (``r_y`` free).
 
-    ``state`` is any sequence of six entries, as in :func:`to_zeta`: floats
-    give a tuple of floats, and the rows of a (6, k) array a tuple of rows.
+    ``state`` is any sequence of six entries: floats give a tuple of floats,
+    and the rows of a (6, k) array a tuple of rows.
     """
     n = p.n
     rx, ry, rz, vx, vy, vz = state
@@ -136,16 +134,15 @@ def apply_stm(m, s) -> tuple:
     )
 
 
-def to_zeta(inplane, p: OrbitParams) -> tuple:
-    """Map an in-plane state (r_x, v_x, r_y, v_y) to the four rows
-    (x, y, alpha, beta).
-
-    ``inplane`` is any sequence of four entries: Python floats give a tuple
-    of floats, and the four rows of a (4, k) array give a tuple of length-k
-    rows.  Callers that need an array wrap the tuple in ``np.array``.
+def to_zeta(s, p: OrbitParams) -> tuple:
+    """The in-plane rows (x, y, alpha, beta) of a state ``s``, read at
+    ``s[RX]``, ``s[VX]``, ``s[RY]``, ``s[VY]``: six or 11 Python floats give
+    a tuple of floats, and ``state.T`` of one state or of a block a tuple of
+    scalars or of columns.  Callers that need an array wrap the tuple in
+    ``np.array``.
     """
     n = p.n
-    rx, vx, ry, vy = inplane
+    rx, vx, ry, vy = s[RX], s[VX], s[RY], s[VY]
     return (
         -3.0 * rx - 2.0 * vy / n,
         vx,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybrid_rendezvous import closed_loop as cl
-from hybrid_rendezvous.hcw import VX, OrbitParams, hcw_stm, to_zeta
+from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_stm, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -32,11 +32,21 @@ def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:
 # Criterion 8 and ``test_hcw`` check :func:`transform_matrix` against them.
 
 
+def plant_of(inplane) -> np.ndarray:
+    """The plant state whose ``(r_x, v_x, r_y, v_y)`` is ``inplane`` and whose
+    out-of-plane entries are zero; for a (4, k) array, the (6, k) array whose
+    rows ``RX, VX, RY, VY`` are its rows."""
+    inplane = np.asarray(inplane, dtype=float)
+    s = np.zeros((6, *inplane.shape[1:]))
+    s[[RX, VX, RY, VY]] = inplane
+    return s
+
+
 def transform_matrix(n: float) -> np.ndarray:
     """The in-plane change of coordinates T mapping (r_x, v_x, r_y, v_y) to
-    (x, y, alpha, beta): :func:`hcw.to_zeta` applied to the identity, column
-    by column."""
-    return np.array(to_zeta(np.eye(4), OrbitParams(n=n)))
+    (x, y, alpha, beta): :func:`hcw.to_zeta` applied to the plant embedding
+    of the identity, column by column."""
+    return np.array(to_zeta(plant_of(np.eye(4)), OrbitParams(n=n)))
 
 
 def transform_matrix_inv(n: float) -> np.ndarray:

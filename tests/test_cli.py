@@ -81,6 +81,10 @@ class TestSimulate:
         assert events == [cli.EVENT_COLUMNS]
         summary = strict_json(out / "summary.json")
         assert summary["budget"]["event_counts"] == {}
+        # No impulse fired, yet the total is a float like every other run's.
+        total = summary["budget"]["total_delta_v"]
+        assert type(total) is float and total == 0.0
+        assert '"total_delta_v": 0.0' in (out / "summary.json").read_text()
         trajectory = (out / "trajectory.csv").read_text().splitlines()
         assert len(trajectory) == 2 and trajectory[0] == cli.TRAJECTORY_COLUMNS
 
@@ -173,6 +177,22 @@ class TestCsvBytes:
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.cfg"]) == 1
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 0.0011\xff\n")
+        assert run(["verify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_ok(self, argv, capsys):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: hybrid-rdv {' '.join(argv[:-1])}".rstrip())
+        assert captured.err == ""
 
     def test_invalid_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

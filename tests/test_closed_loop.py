@@ -15,10 +15,10 @@ from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
 from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
 from hybrid_rendezvous.hcw import (
-    RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat,
+    RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
-from conftest import flip_alpha_sign, zeta_b
+from conftest import flip_alpha_sign, plant_of, zeta_b
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -150,9 +150,7 @@ class TestLyapunovAndDistance:
     def test_zeta_view_consistency(self):
         rng = np.random.default_rng(1)
         s = cl.make_state(r=rng.uniform(-100, 100, 3), v=rng.uniform(-1, 1, 3))
-        from hybrid_rendezvous.hcw import to_zeta
-
-        direct = to_zeta(np.array([s[RX], s[VX], s[RY], s[VY]]), P)
+        direct = to_zeta(plant_of([s[RX], s[VX], s[RY], s[VY]]), P)
         assert np.max(np.abs(cl.zeta_of(s, P) - direct)) <= 1e-12 * max(
             1.0, np.max(np.abs(direct))
         )
@@ -166,6 +164,18 @@ STATE_BLOCKS = st.integers(1, 6).flatmap(
 
 
 class TestBlockViews:
+    @given(states=STATE_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_to_zeta_reads_every_layout(self, states):
+        # One definition for the 11 floats of the guards and jump maps, the
+        # six plant floats, and the columns of a block's view, bit for bit.
+        columns = to_zeta(states.T, P)
+        for i, s in enumerate(states):
+            full = to_zeta(s.tolist(), P)
+            assert all(type(v) is float for v in full)
+            assert to_zeta(s.tolist()[:6], P) == full
+            assert tuple(col[i] for col in columns) == full
+
     @given(states=STATE_BLOCKS)
     @settings(max_examples=100, deadline=None)
     def test_block_rows_equal_single_state_calls(self, states):
@@ -200,7 +210,7 @@ class TestBlockViews:
                 law = cl.CHANNELS[ch.name]
                 tau_m = getattr(THRESHOLDS, ch.name)
                 assert law.guard(s.tolist(), P, tau_m) == ch.guard.terms(s)
-                zeta_s = cl.zeta_components(s.tolist(), P)
+                zeta_s = to_zeta(s.tolist(), P)
                 assert law.lyapunov(s.tolist(), zeta_s, P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
             u_cmd = -s[VZ]
@@ -241,11 +251,10 @@ class TestZetaOncePerState:
         # one in the alpha guard, which computes its own view.
         calls = []
 
-        def counting(inplane, p):
+        def counting(s, p):
             calls.append(1)
-            return to_zeta(inplane, p)
+            return to_zeta(s, p)
 
-        to_zeta = cl.to_zeta
         monkeypatch.setattr(cl, "to_zeta", counting)
         state = cl.make_state(r=(-60.0, 1000.0, 500.0), tau_z=0.01, tau_beta=0.02,
                               tau_alpha=0.01)

@@ -25,6 +25,7 @@ from hybrid_rendezvous.hcw import (
 from conftest import (
     inplane_a0,
     inplane_b0,
+    plant_of,
     stm_matrix,
     transform_matrix,
     transform_matrix_inv,
@@ -301,20 +302,20 @@ class TestSatDz:
 class TestZetaTransform:
     def test_reference_initial_condition(self):
         # (r_x, v_x, r_y, v_y) = (-60, 0, 1000, 0) maps to (180, 0, 1000, 0.396).
-        zeta = to_zeta(np.array([-60.0, 0.0, 1000.0, 0.0]), P)
+        zeta = to_zeta(plant_of([-60.0, 0.0, 1000.0, 0.0]), P)
         assert zeta[0] == pytest.approx(180.0, abs=1e-12)
         assert zeta[1] == 0.0
         assert zeta[2] == pytest.approx(1000.0, abs=1e-12)
         assert zeta[3] == pytest.approx(0.396, abs=1e-12)
 
     def test_zero_maps_to_zero(self):
-        assert np.array_equal(to_zeta(np.zeros(4), P), np.zeros(4))
+        assert np.array_equal(to_zeta(plant_of(np.zeros(4)), P), np.zeros(4))
 
     @given(st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=4, max_size=4))
     @settings(max_examples=200)
     def test_round_trip(self, vals):
         s = np.array(vals)
-        back = transform_matrix_inv(P.n) @ to_zeta(s, P)
+        back = transform_matrix_inv(P.n) @ to_zeta(plant_of(s), P)
         assert np.max(np.abs(back - s)) <= 1e-12 * max(1.0, np.max(np.abs(s)))
 
     def test_matrix_and_function_agree(self):
@@ -323,10 +324,10 @@ class TestZetaTransform:
         # that comparison keeps a tolerance.
         t = transform_matrix(P.n)
         for j, e in enumerate(np.eye(4)):
-            assert np.array_equal(t[:, j], to_zeta(e, P))
+            assert np.array_equal(t[:, j], to_zeta(plant_of(e), P))
         rng = np.random.default_rng(11)
         s = rng.uniform(-100, 100, 4)
-        assert np.allclose(to_zeta(s, P), t @ s, atol=1e-12)
+        assert np.allclose(to_zeta(plant_of(s), P), t @ s, atol=1e-12)
 
     def test_inverse_is_exact(self):
         t = transform_matrix(P.n)
@@ -343,8 +344,8 @@ class TestZetaTransform:
         # xdot = y, ydot = -n^2 x, alphadot = beta, betadot = 0.
         rng = np.random.default_rng(5)
         s = rng.uniform(-100, 100, 4)
-        zeta = to_zeta(s, P)
-        dzeta = to_zeta(inplane_a0(P.n) @ s, P)
+        zeta = to_zeta(plant_of(s), P)
+        dzeta = to_zeta(plant_of(inplane_a0(P.n) @ s), P)
         expected = np.array(
             [zeta[1], -P.n**2 * zeta[0], zeta[3], 0.0]
         )
