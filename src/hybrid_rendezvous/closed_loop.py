@@ -153,13 +153,13 @@ def make_flow_to(p: OrbitParams):
     Every engine path calls it with ``dt > 0``, and the step lengths repeat:
     full steps share ``h``, and a probe of a step's bracket ``[t_a, t_b]``
     has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m``
-    of a bracket length that takes few values.  So the entries of the pure
-    ``hcw_stm(p, dt)`` are cached by ``dt``, the 256 most recently used (as
-    brackets need not recur), by this propagator alone (so no two ``p`` mix).
-    Each call applies them in :func:`apply_stm`'s order to one ``tolist()``
-    of the state and advances the timers on Python floats.
+    of a bracket length that takes few values.  So the pure ``hcw_stm``,
+    bound to ``p`` as the propagator is built, is cached by ``dt``: the 256
+    most recent (as brackets need not recur), by this propagator alone (so no
+    two ``p`` mix).  Each call applies its entries in :func:`apply_stm`'s
+    order to one ``tolist()`` and advances the timers on Python floats.
     """
-    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
+    stm = lru_cache(maxsize=256)(partial(hcw_stm, p))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
         rx, ry, rz, vx, vy, vz, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
@@ -181,7 +181,7 @@ def make_flow_to(p: OrbitParams):
 class ChannelLaw:
     """One impulse channel, declared once over the 11-vector.
 
-    ``guard(s, p, tau_m)`` gives the margins, the last one the dwell margin
+    ``guard(p, tau_m, s)`` gives the margins, the last one the dwell margin
     ``tau - tau^M``; the state is in the channel's jump set iff all are
     ``>= 0``.  ``command(s, zeta, p)`` is the commanded impulse and
     ``lyapunov(s, zeta, p)`` the channel's Lyapunov function, with ``zeta``
@@ -202,7 +202,7 @@ class ChannelLaw:
     gain: float = 1.0
 
 
-def _alpha_guard(s, p: OrbitParams, tau_m: float) -> tuple[float, float, float]:
+def _alpha_guard(p: OrbitParams, tau_m: float, s) -> tuple[float, float, float]:
     x, y, alpha, _ = to_zeta(s, p)
     w = y - p.n * alpha / 2.0
     return ((w - p.n * x) * x, s[QA] * w, s[TAUA] - tau_m)
@@ -231,13 +231,13 @@ def _alpha_guard(s, p: OrbitParams, tau_m: float) -> tuple[float, float, float]:
 #:   unforced in-plane flow.
 CHANNELS = {
     "z": ChannelLaw(
-        guard=lambda s, p, tau_m: (s[RZ] * (s[VZ] - p.n * s[RZ]), s[QZ] * s[VZ], s[TAUZ] - tau_m),
+        guard=lambda p, tau_m, s: (s[RZ] * (s[VZ] - p.n * s[RZ]), s[QZ] * s[VZ], s[TAUZ] - tau_m),
         command=lambda s, zeta, p: -s[VZ],
         lyapunov=lambda s, zeta, p: p.n * p.n * s[RZ] * s[RZ] + s[VZ] * s[VZ],
         thrust=VZ, timer=TAUZ, logic=QZ,
     ),
     "beta": ChannelLaw(
-        guard=lambda s, p, tau_m: (s[TAUB] - tau_m,),
+        guard=lambda p, tau_m, s: (s[TAUB] - tau_m,),
         command=lambda s, zeta, p: zeta[3] / 3.0,
         lyapunov=lambda s, zeta, p: zeta[3] * zeta[3],
         thrust=VY, timer=TAUB,
@@ -256,16 +256,14 @@ CHANNELS = {
 
 def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
     """Channel ``name`` of :data:`CHANNELS` with dwell threshold ``tau_m``:
-    its guard, and the jump map all channels share.  On one ``tolist()`` and
-    its zeta the jump records the margins and V, fires the command through
-    :func:`ctl.fire`, applies the law's edits, and records V after and the
-    bound ``-gain * u_applied * u_commanded`` on its change."""
+    its guard terms ``partial(law.guard, p, tau_m)``, and the jump map all
+    channels share.  On one ``tolist()`` and its zeta the jump records the
+    margins by those terms and V, fires the command through :func:`ctl.fire`,
+    applies the law's edits, and records V after and the theorem bound."""
     law = CHANNELS[name]
-    guard, command, lyapunov = law.guard, law.command, law.lyapunov
+    terms = partial(law.guard, p, tau_m)
+    command, lyapunov = law.command, law.lyapunov
     thrust, timer, logic, gain = law.thrust, law.timer, law.logic, law.gain
-
-    def terms(s) -> tuple[float, ...]:
-        return guard(s, p, tau_m)
 
     def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
         s = state.tolist()

@@ -91,6 +91,8 @@ class ScenarioConfig:
         # output_dir would write the outputs into the working directory.
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
+        if self.t_max_orbits < 0:  # SimulationOptions would name t_max
+            raise ConfigError(f"t_max_orbits must be non-negative, got {self.t_max_orbits}")
         # An initial V that overflows is rejected on every channel, whatever the
         # subsystem: trajectory.csv and the flow certificate read all three.
         # So is an attractor distance that overflows although each V is
@@ -162,7 +164,7 @@ def parse_config(path: str | Path, **overrides) -> ScenarioConfig:
     construction; raises :class:`ConfigError` naming the file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}

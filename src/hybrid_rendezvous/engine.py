@@ -42,10 +42,6 @@ class IntegrationFailure(Exception):
         self.state = state
 
 
-class EventBracketError(ValueError):
-    """Bisection preconditions violated (bad bracket or no crossing)."""
-
-
 class HybridTime(NamedTuple):
     """A point (t, j) of a hybrid time domain: continuous time in seconds
     and cumulative jump count."""
@@ -175,10 +171,11 @@ class HybridSolution:
         return list(zip(bounds[:-1], bounds[1:]))
 
 
-def rk4_step(state: np.ndarray, derivative_fn, h: float) -> np.ndarray:
+def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta update of step ``h``, with
-    ``derivative_fn`` from a list of floats to a sequence of floats.  The
-    stages run on one ``tolist()`` in the operation order of the array form
+    ``derivative_fn`` (first, so ``partial(rk4_step, flow)`` propagates)
+    from a list of floats to a sequence of floats.  The stages run on one
+    ``tolist()`` in the operation order of the array form
     ``state + (h/6) (k1 + 2 k2 + 2 k3 + k4)``; elementwise float operations
     round as NumPy's do, so the bits are the same at a fraction of the cost."""
     if h <= 0:
@@ -226,12 +223,13 @@ def locate_event(
     so a set entered twice within the bracket resolves to its first entry.
     Returns the earliest probed ``(t, state, found)`` inside, with its
     answer, once the bracket is narrower than ``event_tol`` (at least the
-    spacing at ``t_b``).
+    spacing at ``t_b``).  Raises ``ValueError`` if ``t_a >= t_b`` or
+    ``found_b`` is falsy.
     """
     if t_a >= t_b:
-        raise EventBracketError(f"need t_a < t_b, got [{t_a}, {t_b}]")
+        raise ValueError(f"need t_a < t_b, got [{t_a}, {t_b}]")
     if not found_b:
-        raise EventBracketError("no guard crossing inside the bracket")
+        raise ValueError("no guard crossing inside the bracket")
     lo, hi = t_a, t_b
     state_hi, found = state_b, found_b
     while hi - lo > event_tol:
@@ -278,9 +276,10 @@ def simulate(
 ) -> HybridSolution:
     """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
 
-    Each state is asked of :func:`first_active` once, and the answer is
-    carried: ``x0`` before the loop, each step's candidate end state after
-    integrating it, and the probes and post-jump states inside
+    It flows by ``system.flow_to``, or ``partial(rk4_step, system.flow)``
+    under ``rk4``.  Each state is asked of :func:`first_active` once, and the
+    answer is carried: ``x0`` before the loop, each step's candidate end
+    state after integrating it, and the probes and post-jump states inside
     :func:`locate_event` and :func:`resolve_jumps`.  Jumps are drained at
     ``t = 0`` when ``x0`` is in the union, and after every landing on a
     guard before ``t_max``; a landing at exactly ``t_max`` is not drained.
@@ -290,10 +289,7 @@ def simulate(
     if opts.integrator == "closed_form":
         flow_to = system.flow_to
     else:
-        flow = system.flow
-
-        def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
-            return rk4_step(state, flow, dt)
+        flow_to = partial(rk4_step, system.flow)
 
     state = np.array(x0, dtype=float)
     if not np.isfinite(state).all():

@@ -46,9 +46,9 @@ class OrbitParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.n) and self.n > 0):
-            raise ValueError(f"mean motion n must be positive, got {self.n}")
+            raise ValueError(f"mean motion n must be positive and finite, got {self.n}")
         if not (np.isfinite(self.umax) and self.umax > 0):
-            raise ValueError(f"impulse bound umax must be positive, got {self.umax}")
+            raise ValueError(f"impulse bound umax must be positive and finite, got {self.umax}")
 
     @property
     def period(self) -> float:

@@ -309,6 +309,20 @@ class TestExitCodes:
             "numerical failure at umax=0.1: jump budget exhausted (possible Zeno)\n"
         )
 
+    def test_nonfinite_sweep_value_is_config_error(self, tmp_path, capsys):
+        # Every value is validated before the first run, so 0.2 neither runs
+        # nor writes, and the message says why inf is out of range.
+        argv = ["sweep", "--config", scenario_path("z_fast"), "--param", "umax",
+                "--values", "0.2,inf", "--out", tmp_path / "o"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {scenario_path('z_fast')}: "
+            "impulse bound umax must be positive and finite, got inf\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_values_is_usage_error(self, capsys):
         assert (
             run(["sweep", "--config", scenario_path("z_fast"), "--param", "tau_m_z",
@@ -432,6 +446,21 @@ class TestVerify:
             assert run(["verify", "--config", scenario_path(name)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows editors often start a UTF-8 file with a byte-order mark.
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + scenario_path("z_fast").read_bytes())
+        assert parse_config(cfg) == parse_config(scenario_path("z_fast"))
+        assert run(["verify", "--config", cfg]) == 0
+
+    def test_rk4_run_gets_the_fixed_step_tolerance(self, tmp_path, capsys):
+        # flow_drift_tolerance allows fixed-step RK4 1e-8 per orbit.
+        cfg = tmp_path / "rk4.cfg"
+        text = scenario_path("inplane_ref").read_text()
+        cfg.write_text(set_keys(text, integrator="rk4", t_max_orbits=2))
+        assert run(["verify", "--config", cfg]) == 0
+        assert "(tol 2e-08)" in capsys.readouterr().out
 
     def test_zero_state_scenario_passes_vacuously(self, tmp_path):
         cfg = tmp_path / "rest.cfg"

@@ -86,7 +86,7 @@ class TestFullFlow:
         exact = cl.make_flow_to(P)(s, dt)
         stepped = s
         for _ in range(100):
-            stepped = rk4_step(stepped, partial(cl.full_flow, P), dt / 100)
+            stepped = rk4_step(partial(cl.full_flow, P), stepped, dt / 100)
         assert np.max(np.abs(exact - stepped)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestBlockViews:
                 assert ch.guard.margin(s.tolist()) == ch.guard.margin(s)
                 law = cl.CHANNELS[ch.name]
                 tau_m = getattr(THRESHOLDS, ch.name)
-                assert law.guard(s.tolist(), P, tau_m) == ch.guard.terms(s)
+                assert law.guard(P, tau_m, s.tolist()) == ch.guard.terms(s)
                 zeta_s = to_zeta(s.tolist(), P)
                 assert law.lyapunov(s.tolist(), zeta_s, P) == lyap[ch.name][i]
             _, y, al, beta = zeta[i]
@@ -316,7 +316,7 @@ class TestFlowToCache:
         assert not np.array_equal(flows[slow](s, 30.0), flows[fast](s, 30.0))
 
 
-def numpy_rk4_step(state, flow, h):
+def numpy_rk4_step(flow, state, h):
     """One RK4 step written as whole-array NumPy expressions."""
     k1 = np.array(flow(state))
     k2 = np.array(flow(state + 0.5 * h * k1))
@@ -339,8 +339,8 @@ class TestRk4Flow:
         if knee is not None:
             state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
         flow = partial(cl.full_flow, P)
-        got = rk4_step(state, flow, h)
-        expected = numpy_rk4_step(state, flow, h)
+        got = rk4_step(flow, state, h)
+        expected = numpy_rk4_step(flow, state, h)
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()  # signed zeros too
 
@@ -361,7 +361,7 @@ class TestRk4Flow:
         monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
         monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
         state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.95)
-        rk4_step(state, partial(cl.full_flow, P), 10.0)
+        rk4_step(partial(cl.full_flow, P), state, 10.0)
         assert calls == {"derivative": 4, "timer_rate": 12}
 
 

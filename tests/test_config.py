@@ -93,6 +93,7 @@ class TestErrors:
             ("umax = 0", "umax must be positive"),
             ("convergence_eps = -1", "convergence_eps"),
             ("t_max_orbits = nan", "t_max_orbits"),
+            ("t_max_orbits = -1", "t_max_orbits must be non-negative"),
             # horizons that overflow to inf name t_max, not event_tol
             ("t_max_orbits = 1e308", "t_max must be finite"),
             ("n = 1e-320", "t_max must be finite"),

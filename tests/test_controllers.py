@@ -36,7 +36,7 @@ def alpha_guard(x, y, alpha, tau_a):
     state = cl.make_state(r=(x, alpha + 2.0 * y / P.n, 0.0), v=(y, -2.0 * P.n * x, 0.0),
                           tau_alpha=tau_a)
     assert tuple(cl.zeta_of(state, P)[:3]) == (x, y, alpha)
-    return ALPHA.guard(state.tolist(), P, 0.01)
+    return ALPHA.guard(P, 0.01, state.tolist())
 
 
 def v_alpha(x, y, alpha):
@@ -123,17 +123,17 @@ class TestZChannel:
         assert ctl.fire(Z.command(z_state(0.0, v_z), None, P), P.umax)[0] == expected
 
     def test_guard_fires_at_zero_crossing_with_matured_timer(self):
-        h = Z.guard(cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.01).tolist(), P, 0.01)
+        h = Z.guard(P, 0.01, cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.01).tolist())
         assert h == (0.0, 0.1, 0.0)
         assert min(h) >= 0.0
 
     def test_guard_vetoes_wrong_phase(self):
-        h = Z.guard(cl.make_state(r=(0.0, 0.0, 1.0), tau_z=2.0).tolist(), P, 0.01)
+        h = Z.guard(P, 0.01, cl.make_state(r=(0.0, 0.0, 1.0), tau_z=2.0).tolist())
         assert h[0] == pytest.approx(-P.n)
         assert min(h) < 0.0
 
     def test_guard_dwell_time_veto(self):
-        h = Z.guard(cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.0).tolist(), P, 0.01)
+        h = Z.guard(P, 0.01, cl.make_state(v=(0.0, 0.0, 0.1), tau_z=0.0).tolist())
         assert h[2] < 0.0
 
     def test_jump_saturated(self):
@@ -174,8 +174,8 @@ class TestBetaChannel:
         assert ctl.fire(BETA.command(None, zeta, P), P.umax)[0] == pytest.approx(expected)
 
     def test_guard_boundary_and_veto(self):
-        assert BETA.guard(cl.make_state(tau_beta=0.02).tolist(), P, 0.02)[0] == 0.0
-        assert BETA.guard(cl.make_state(tau_beta=0.0).tolist(), P, 0.02)[0] < 0.0
+        assert BETA.guard(P, 0.02, cl.make_state(tau_beta=0.02).tolist())[0] == 0.0
+        assert BETA.guard(P, 0.02, cl.make_state(tau_beta=0.0).tolist())[0] < 0.0
 
     def test_firing_period(self):
         # With tau^M = 0.02 the timer matures every 0.02 * 2pi/n seconds.
