@@ -121,6 +121,16 @@ def _write_csv(path: Path, header: str, rows: Iterable[Sequence[str]]) -> None:
             f.write("".join(",".join(row) + "\n" for row in chunk))
 
 
+def _format_block(floats: np.ndarray) -> np.ndarray:
+    """``repr`` of each entry of ``floats``, called once per distinct bit
+    pattern: equal bits give equal text, and keying by bits keeps ``-0.0``
+    and each NaN payload apart.  (The inverse is reshaped here: NumPy 1.x
+    returns it flat, 2.x in the input's shape.)"""
+    bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
+    return text[inverse.reshape(floats.shape)]
+
+
 def _trajectory_rows(sol: HybridSolution, p: OrbitParams) -> Iterator[tuple[str, ...]]:
     """Formatted trajectory rows, computed from whole-array calls on blocks
     of :data:`CHUNK_ROWS` samples.  ``repr`` of a ``.tolist()`` float is
@@ -133,7 +143,7 @@ def _trajectory_rows(sol: HybridSolution, p: OrbitParams) -> Iterator[tuple[str,
             [t, t / p.period, states, zeta_of(states, p)]
             + [*lyapunov_values(states, p).values()]
         )
-        columns = [map(repr, col) for col in floats.T.tolist()]
+        columns = _format_block(floats).T.tolist()
         columns.insert(2, map(str, sol.j[part].tolist()))
         yield from zip(*columns)
 

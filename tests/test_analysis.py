@@ -10,17 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_rendezvous import analysis
+from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
     AttractorSpec,
     DwellThresholds,
     build_system,
     full_flow,
+    lyapunov_values,
     make_channel,
     make_flow_to,
     make_state,
 )
+from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import HybridSystem, SimulationOptions, simulate
 from hybrid_rendezvous.hcw import RZ, OrbitParams
+
+from conftest import scenario_path
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -71,6 +76,58 @@ class TestFlowInvariance:
         assert not report.passed
         assert {v.quantity for v in report.violations} == {"V_z flow drift"}
         assert all(math.isnan(v.observed) for v in report.violations)
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["as_run", "nan_and_inf"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-16, 0.0])
+    def test_matches_the_per_arc_loop(self, tol, corrupt):
+        # Two orbits of full_ref hold z arcs and in-plane arcs with beta
+        # live and zeroed; corrupted samples make NaN and inf drifts, and a
+        # NaN or inf V_beta at an arc start.
+        cfg = parse_config(scenario_path("full_ref"), t_max_orbits=2.0)
+        sol, p, _ = run_scenario(cfg)
+        if corrupt:
+            rng = np.random.default_rng(5)
+            starts = [start for start, _ in sol.arcs()]
+            for col in range(sol.states.shape[1]):
+                rows = [*rng.choice(starts, 2), *rng.choice(len(sol.t), 2)]
+                sol.states[rows, col] = [np.nan, np.inf, -np.inf, 1e200]
+        with np.errstate(all="ignore"):
+            report = analysis.check_flow_invariance(sol, p, tol=tol)
+            expected = per_arc_flow_invariance(sol, p, tol)
+        assert report.violations or tol > 0.0
+        assert repr(report.arc_drift) == repr(expected.arc_drift)
+        assert repr(report.violations) == repr(expected.violations)
+
+
+def per_arc_flow_invariance(sol, p, tol):
+    """Reference flow-invariance check: one arc at a time."""
+    report = analysis.CertificateReport()
+    lyap = lyapunov_values(sol.states, p)
+    names = tuple(lyap)
+    values = np.column_stack(tuple(lyap.values()))
+    worst = {name: 0.0 for name in names}
+    for start, stop in sol.arcs():
+        ref = values[start]
+        drift = np.abs(values[start:stop] - ref) / np.maximum(ref, analysis.DRIFT_FLOOR)
+        arc_worst = drift.max(axis=0)
+        beta_live = lyap["beta"][start] > analysis.BETA_GATE**2
+        for k, name in enumerate(names):
+            if name == "alpha" and beta_live:
+                continue
+            worst[name] = max(worst[name], float(arc_worst[k]))
+            if not arc_worst[k] <= tol:
+                idx = start + int(np.argmax(drift[:, k]))
+                report.violations.append(
+                    analysis.Violation(
+                        t=float(sol.t[idx]),
+                        j=int(sol.j[idx]),
+                        quantity=f"V_{name} flow drift",
+                        observed=float(arc_worst[k]),
+                        bound=tol,
+                    )
+                )
+    report.arc_drift = worst
+    return report
 
 
 class TestJumpDecrease:

@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous import cli
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
@@ -151,9 +154,38 @@ def per_event_rows(sol, p, event_tol):
         )
 
 
+#: Bit patterns of the formatter's test blocks, few so that repeats abound:
+#: both zeros, both infinities, NaNs of either sign with different payloads,
+#: subnormals (V_beta reaches ~7.6e-313 on inplane_ref) and ordinary values.
+FORMAT_POOL = np.concatenate(
+    [
+        np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, 7.6e-313, -2.2e-310, 1e-120,
+                  0.1, -1.0, 1.0, 1 / 3, 5400.0, 1.7976931348623157e308]).view(np.uint64),
+        np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                  0xFFF80000DEADBEEF, 0x7FF0000000000001], dtype=np.uint64),
+    ]
+)
+SIDE = st.integers(1, 12)
+
+
 class TestCsvBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.just(1), SIDE), st.tuples(SIDE, st.just(1)),
+                        st.tuples(SIDE, SIDE)),
+        data=st.data(),
+    )
+    def test_block_entries_are_repr_of_their_floats(self, shape, data):
+        picks = data.draw(arrays(np.intp, shape, elements=st.integers(0, len(FORMAT_POOL) - 1)))
+        block = FORMAT_POOL[picks].view(np.float64)
+        text = cli._format_block(block)
+        assert text.shape == block.shape
+        assert text.tolist() == [[repr(x) for x in row] for row in block.tolist()]
+
     @pytest.mark.parametrize(
-        "name, orbits", [("z_fast", None), ("full_ref", 2)], ids=["z_fast", "full_ref"]
+        "name, orbits",
+        [("z_fast", None), ("full_ref", 2), ("inplane_ref", None)],
+        ids=["z_fast", "full_ref", "inplane_ref"],
     )
     def test_rows_match_per_sample_formatting(self, name, orbits, tmp_path):
         text = scenario_path(name).read_text()
