@@ -149,7 +149,7 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
     for ev in sol.events:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:
-            report.jump_margins.append(-abs(delta))
+            report.jump_margins.append(0.0 - abs(delta))  # 0.0, not -0.0, at rest
             if not abs(delta) <= JUMP_SLACK:
                 report.violations.append(
                     Violation(

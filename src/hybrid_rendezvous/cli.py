@@ -26,9 +26,9 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from itertools import islice
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from .analysis import (
 )
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config
-from .engine import HybridSolution, ImpulseEvent, IntegrationFailure, simulate
+from .controllers import timer_rate
+from .engine import HybridSolution, IntegrationFailure, simulate
 from .hcw import OrbitParams
 
 EXIT_OK = 0
@@ -63,11 +64,6 @@ def _numbers(text: str) -> list[float]:
     return values
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form, for byte-stable CSV output."""
-    return repr(float(x))
-
-
 def run_scenario(cfg: ScenarioConfig):
     """Simulate one scenario; returns (solution, params, attractor spec)."""
     p = cfg.params()
@@ -87,7 +83,7 @@ def flow_drift_tolerance(cfg: ScenarioConfig) -> float:
 def classify_z_event(h3: float, p: OrbitParams, event_tol: float) -> str:
     """Label a z firing: dwell-delayed (timer margin at zero up to the event
     localization resolution) or triggered by an ``r_z`` zero crossing."""
-    h3_tol = 4.0 * (p.n / (2.0 * np.pi)) * event_tol
+    h3_tol = 4.0 * timer_rate(0.0, p.n) * event_tol
     return "dwell_delayed" if h3 <= h3_tol else "zero_crossing"
 
 
@@ -107,18 +103,21 @@ EVENT_COLUMNS = (
 
 
 #: Rows formatted and written per file write: output memory stays bounded
-#: by one chunk, whatever the length of the run.
+#: by one block, whatever the length of the run.
 CHUNK_ROWS = 1024
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[Sequence[str]]) -> None:
-    """Write ``header`` and one line per row of formatted fields to ``path``,
-    :data:`CHUNK_ROWS` rows per write; ``rows`` is consumed lazily."""
-    rows = iter(rows)
+def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], np.ndarray]) -> None:
+    """Write ``header`` and ``rows`` lines of text fields to ``path``, one
+    write per :data:`CHUNK_ROWS` rows; ``block(part)`` gives the fields of
+    the rows in the slice ``part`` as a 2-D array."""
     with path.open("w") as f:
         f.write(header + "\n")
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            f.write("".join(",".join(row) + "\n" for row in chunk))
+        for start in range(0, rows, CHUNK_ROWS):
+            # rows as zip's tuples, not as .tolist()'s lists: those leave ~1 MB
+            # more heap behind, which the next run's peak RSS adds to
+            columns = block(slice(start, start + CHUNK_ROWS)).T.tolist()
+            f.write("".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
 def _format_block(floats: np.ndarray) -> np.ndarray:
@@ -131,50 +130,48 @@ def _format_block(floats: np.ndarray) -> np.ndarray:
     return text[inverse.reshape(floats.shape)]
 
 
-def _trajectory_rows(sol: HybridSolution, p: OrbitParams) -> Iterator[tuple[str, ...]]:
-    """Formatted trajectory rows, computed from whole-array calls on blocks
-    of :data:`CHUNK_ROWS` samples.  ``repr`` of a ``.tolist()`` float is
-    :func:`_fmt` of it, so the bytes equal a per-sample formatting."""
-    for start in range(0, len(sol.t), CHUNK_ROWS):
-        part = slice(start, start + CHUNK_ROWS)
-        t, states = sol.t[part], sol.states[part]
-        floats = np.column_stack(
-            # the 11-vector's layout is the column order r_x .. tau_alpha
-            [t, t / p.period, states, zeta_of(states, p)]
-            + [*lyapunov_values(states, p).values()]
-        )
-        columns = _format_block(floats).T.tolist()
-        columns.insert(2, map(str, sol.j[part].tolist()))
-        yield from zip(*columns)
+def _trajectory_block(sol: HybridSolution, p: OrbitParams, part: slice) -> np.ndarray:
+    """The trajectory rows of the samples ``part``, from whole-array view calls."""
+    t, states = sol.t[part], sol.states[part]
+    floats = np.column_stack(
+        # the 11-vector's layout is the column order r_x .. tau_alpha
+        [t, t / p.period, states, zeta_of(states, p)]
+        + [*lyapunov_values(states, p).values()]
+    )
+    # j goes before r_x
+    return np.insert(_format_block(floats), 2, [*map(str, sol.j[part].tolist())], axis=1)
 
 
 def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
     """Write ``trajectory.csv``: one row per sample with hybrid time, the
     11-vector, the in-plane view (x, y, alpha, beta) and the three Lyapunov
     values (columns :data:`TRAJECTORY_COLUMNS`)."""
-    _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(sol, p))
+    _write_csv(path, TRAJECTORY_COLUMNS, len(sol.t), partial(_trajectory_block, sol, p))
 
 
-def _event_row(ev: ImpulseEvent, p: OrbitParams, event_tol: float) -> list[str]:
-    # Guard terms fill h1..h3 from the right: the last is the dwell margin.
-    h = ["", "", *map(_fmt, ev.margins)][-3:]
-    classification = (
-        classify_z_event(float(ev.margins[-1]), p, event_tol) if ev.channel == "z" else ""
+def _event_block(
+    sol: HybridSolution, p: OrbitParams, event_tol: float, part: slice
+) -> np.ndarray:
+    """The rows of the events ``part``.  Guard terms fill ``h1..h3`` from the
+    right (the last is the dwell margin); absent ones are blank."""
+    events = sol.events[part]
+    pads = np.array([3 - len(ev.margins) for ev in events])
+    floats = np.array(
+        [
+            (ev.t, ev.t / p.period, ev.u_commanded, ev.u_applied, ev.delta_lyap, ev.bound,
+             *[0.0] * pad, *ev.margins, ev.lyap_pre, ev.lyap_post, *ev.state_pre[:6])
+            for ev, pad in zip(events, pads.tolist())
+        ]
     )
-    return [
-        _fmt(ev.t),
-        _fmt(ev.t / p.period),
-        str(ev.j_pre + 1),
-        ev.channel,
-        _fmt(ev.u_commanded),
-        _fmt(ev.u_applied),
-        _fmt(ev.delta_lyap),
-        _fmt(ev.bound),
-        *h,
-        _fmt(ev.lyap_pre),
-        _fmt(ev.lyap_post),
-        classification,
-    ] + [*map(repr, ev.state_pre[:6].tolist())]
+    text = [
+        (str(ev.j_pre + 1), ev.channel,
+         classify_z_event(ev.margins[-1], p, event_tol) if ev.channel == "z" else "")
+        for ev in events
+    ]
+    # j and channel go before u_commanded, classification before r_x_pre
+    block = np.insert(_format_block(floats), [2, 2, 11], text, axis=1)
+    block[:, 8:11][pads[:, None] > np.arange(3)] = ""
+    return block
 
 
 def write_events(
@@ -184,7 +181,7 @@ def write_events(
     Lyapunov change against its bound, the guard margins, the z firing's
     classification and the pre-jump plant state (columns
     :data:`EVENT_COLUMNS`)."""
-    _write_csv(path, EVENT_COLUMNS, (_event_row(ev, p, event_tol) for ev in sol.events))
+    _write_csv(path, EVENT_COLUMNS, len(sol.events), partial(_event_block, sol, p, event_tol))
 
 
 def build_summary(
@@ -341,7 +338,7 @@ def cmd_sweep(args) -> int:
         f"{args.param:>12} {'impulses':>9} {'total_dv':>10} "
         f"{'conv_orbits':>12} {'status':>10}"
     )
-    csv_lines = [f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"]
+    floats, text = [], []
     for value, case in zip(args.values, cases):
         try:
             sol, p, spec = run_scenario(case)
@@ -359,13 +356,15 @@ def cmd_sweep(args) -> int:
         )
         if _budget_exhausted(sol, f" at {args.param}={value}"):
             return EXIT_NUMERICAL
-        csv_lines.append(
-            f"{_fmt(value)},{count},{_fmt(total_dv)},"
-            f"{'' if conv_orbits is None else _fmt(conv_orbits)},{summary['status']}"
-        )
+        floats.append((value, total_dv, conv_orbits))
+        text.append((str(count), summary["status"]))
+    # impulse_count goes before total_delta_v, status last
+    block = np.insert(_format_block(np.array(floats, dtype=float)), [1, 3], text, axis=1)
+    block[[conv is None for *_, conv in floats], 3] = ""  # a run that did not converge
     out_dir = Path(cases[0].output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
+    header = f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"
+    _write_csv(out_dir / "sweep.csv", header, len(block), block.__getitem__)
     return EXIT_OK
 
 

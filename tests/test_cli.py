@@ -1,6 +1,7 @@
 """Command-line front end: files, exit codes, reproducibility."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -119,9 +120,13 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+def fmt(x):
+    """Reference formatting of one float: its shortest round-trip form."""
+    return repr(float(x))
+
+
 def per_sample_trajectory_rows(sol, p):
     """Reference formatting: one sample at a time, single-state views."""
-    fmt = cli._fmt
     orbit = 2.0 * np.pi / p.n
     for t, j, s in zip(sol.t, sol.j, sol.states):
         lyap = lyapunov_values(s, p)
@@ -135,7 +140,6 @@ def per_sample_trajectory_rows(sol, p):
 
 def per_event_rows(sol, p, event_tol):
     """Reference formatting of events.csv, one event at a time."""
-    fmt = cli._fmt
     orbit = 2.0 * np.pi / p.n
     for ev in sol.events:
         m = ev.margins
@@ -501,6 +505,20 @@ class TestVerify:
         cfg.write_text("subsystem = full\nt_max_orbits = 1\n")
         assert run(["verify", "--config", cfg]) == 0
 
+    def test_at_rest_min_margin_is_positive_zero(self, tmp_path, capsys):
+        # Every zero-input event of a run at rest has delta_V = 0: its margin
+        # is 0.0, not -0.0, on stdout and in summary.json.
+        cfg = tmp_path / "rest.cfg"
+        cfg.write_text(set_keys(scenario_path("z_fast").read_text(), r_z=0.0))
+        assert run(["verify", "--config", cfg]) == 0
+        assert "PASS  jump decrease    400 events, min margin 0.000e+00\n" in (
+            capsys.readouterr().out
+        )
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        margin = summary["certificates"]["jump_decrease"]["min_margin"]
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
     def test_corrupted_jump_map_fails_with_certificate_code(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -620,3 +638,27 @@ class TestSweep:
         assert float(row[2]) == summary["budget"]["total_delta_v"]
         assert float(row[3]) == summary["convergence"]["t_orbits"]
         assert row[4] == summary["status"]
+
+    def test_rows_match_per_field_formatting(self, tmp_path):
+        # One sweep value (umax = 0.01) does not converge within z_fast's
+        # horizon: its convergence_orbits field is blank.
+        out = tmp_path / "sweep"
+        values = [0.2, 0.05, 0.01]
+        assert run(
+            ["sweep", "--config", scenario_path("z_fast"), "--param", "umax",
+             "--values", ",".join(map(str, values)), "--out", out]
+        ) == 0
+        expected = ["umax,impulse_count,total_delta_v,convergence_orbits,status"]
+        for value in values:
+            cfg = parse_config(scenario_path("z_fast"), umax=value)
+            summary, _ = cli.build_summary(cfg, *cli.run_scenario(cfg))
+            conv = summary["convergence"]["t_orbits"]
+            expected.append(
+                ",".join(
+                    [fmt(value), str(sum(summary["budget"]["impulse_counts"].values())),
+                     fmt(summary["budget"]["total_delta_v"]),
+                     "" if conv is None else fmt(conv), summary["status"]]
+                )
+            )
+        assert conv is None and expected[1].split(",")[3] != ""
+        assert (out / "sweep.csv").read_text() == "\n".join(expected) + "\n"
