@@ -121,12 +121,23 @@ def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], np.n
 
 
 def _format_block(floats: np.ndarray) -> np.ndarray:
-    """``repr`` of each entry of ``floats``, called once per distinct bit
+    """``repr`` of each entry of ``floats``, made once per distinct bit
     pattern: equal bits give equal text, and keying by bits keeps ``-0.0``
-    and each NaN payload apart.  (The inverse is reshaped here: NumPy 1.x
-    returns it flat, 2.x in the input's shape.)"""
+    and each NaN payload apart.  One ``orjson.dumps`` writes the shortest
+    round-trip digits, as ``repr`` does; ``repr`` redoes the magnitudes whose
+    layouts may differ, ``[5e-11, 2e-3)`` and ``>= 5e14``, and NaN/inf.
+    (The inverse is reshaped here: NumPy 1.x returns it flat, 2.x in the
+    input's shape.)"""
+    import orjson  # here, not at the top: processes that write no CSV skip its load
     bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
-    text = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
+    values = bits.view(np.float64)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode().split(",")
+    text[0] = text[0][1:]  # the brackets off; "[]" leaves one "", which nothing indexes
+    text[-1] = text[-1][:-1]
+    text = np.array(text, dtype=object)
+    mag = np.abs(values)
+    redo = np.flatnonzero(~((mag < 5e-11) | ((mag >= 2e-3) & (mag < 5e14))))
+    text[redo] = [*map(repr, values[redo].tolist())]
     return text[inverse.reshape(floats.shape)]
 
 

@@ -170,23 +170,46 @@ FORMAT_POOL = np.concatenate(
     ]
 )
 SIDE = st.integers(1, 12)
+SHAPES = st.one_of(st.tuples(st.just(1), SIDE), st.tuples(SIDE, st.just(1)), st.tuples(SIDE, SIDE))
+
+
+def ten_to_the(e):
+    """Blocks of ±10**e and both its float neighbours, where one layout of
+    the shortest digits gives way to the next."""
+    x = float(f"1e{e}")
+    row = [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    return np.array([row, [-v for v in row]])
+
+
+#: Both zeros and the smallest and largest subnormal and normal floats.
+EXTREMES = np.array([0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931348623157e308])
 
 
 class TestCsvBytes:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        picks=arrays(
-            np.intp,
-            st.one_of(st.tuples(st.just(1), SIDE), st.tuples(SIDE, st.just(1)),
-                      st.tuples(SIDE, SIDE)),
-            elements=st.integers(0, len(FORMAT_POOL) - 1),
-        )
-    )
-    def test_block_entries_are_repr_of_their_floats(self, picks):
-        block = FORMAT_POOL[picks].view(np.float64)
+    def assert_entries_are_repr(self, block):
         text = cli._format_block(block)
         assert text.shape == block.shape
         assert text.tolist() == [[repr(x) for x in row] for row in block.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(picks=arrays(np.intp, SHAPES, elements=st.integers(0, len(FORMAT_POOL) - 1)))
+    def test_block_entries_are_repr_of_their_floats(self, picks):
+        self.assert_entries_are_repr(FORMAT_POOL[picks].view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=arrays(np.uint64, SHAPES, elements=st.integers(0, 2**64 - 1)))
+    def test_raw_bit_patterns_are_repr_of_their_floats(self, bits):
+        self.assert_entries_are_repr(bits.view(np.float64))
+
+    @pytest.mark.parametrize(
+        "block",
+        [ten_to_the(e) for e in range(-12, 23)] + [np.array([EXTREMES, -EXTREMES]), np.empty((0, 3))],
+        ids=[f"1e{e}" for e in range(-12, 23)] + ["extremes", "empty"],
+    )
+    def test_layout_boundaries_are_repr(self, block):
+        # every layout orjson and repr write differently, and the ones they share, near each edge
+        self.assert_entries_are_repr(block)
 
     @pytest.mark.parametrize(
         "name, orbits",
