@@ -174,14 +174,14 @@ SHAPES = st.one_of(st.tuples(st.just(1), SIDE), st.tuples(SIDE, st.just(1)), st.
 
 
 def ten_to_the(e):
-    """Blocks of ±10**e and both its float neighbours, where one layout of
-    the shortest digits gives way to the next."""
+    """A block of ±10**e and both float neighbours of each: a decimal
+    exponent is where the layout of the shortest digits can change."""
     x = float(f"1e{e}")
     row = [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
     return np.array([row, [-v for v in row]])
 
 
-#: Both zeros and the smallest and largest subnormal and normal floats.
+#: Zero and the smallest and largest subnormal and normal floats, tested with both signs.
 EXTREMES = np.array([0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                      1.7976931348623157e308])
 
