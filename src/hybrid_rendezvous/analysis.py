@@ -150,29 +150,15 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:
             report.jump_margins.append(0.0 - abs(delta))  # 0.0, not -0.0, at rest
-            if not abs(delta) <= JUMP_SLACK:
-                report.violations.append(
-                    Violation(
-                        t=ev.t,
-                        j=ev.j_pre + 1,
-                        quantity=f"{ev.channel} zero-input delta_V",
-                        observed=delta,
-                        bound=0.0,
-                    )
-                )
-            continue
-        margin = ev.bound - delta
-        report.jump_margins.append(margin)
-        if not delta <= ev.bound + JUMP_SLACK:
-            report.violations.append(
-                Violation(
-                    t=ev.t,
-                    j=ev.j_pre + 1,
-                    quantity=f"{ev.channel} jump delta_V",
-                    observed=delta,
-                    bound=ev.bound,
-                )
-            )
+            kind, bound, ok = "zero-input", 0.0, abs(delta) <= JUMP_SLACK
+        else:
+            report.jump_margins.append(ev.bound - delta)
+            kind, bound, ok = "jump", ev.bound, delta <= ev.bound + JUMP_SLACK
+        if not ok:
+            report.violations.append(Violation(
+                t=ev.t, j=ev.j_pre + 1, quantity=f"{ev.channel} {kind} delta_V",
+                observed=delta, bound=bound,
+            ))
     return report
 
 
@@ -185,8 +171,6 @@ def beta_jump_count(beta0: float, umax: float) -> int:
     """
     if umax <= 0:
         raise ValueError(f"umax must be positive, got {umax}")
-    if beta0 == 0.0:
-        return 0
     return math.ceil(abs(beta0) / (3.0 * umax))
 
 

@@ -44,8 +44,6 @@ def timer_advance(tau: float, dt: float, n: float) -> float:
     then exponential relaxation toward 2 (``tau(t) = 2 - (2 - tau0) e^{-kt}``
     with ``k = n / 2 pi``).  The interval [0, 2] is forward invariant.
     """
-    if dt < 0:
-        raise ValueError(f"timer flow is forward-only, got dt={dt}")
     k = n / TWO_PI
     if tau <= 1.0:
         linear_time = (1.0 - tau) / k

@@ -172,14 +172,12 @@ class HybridSolution:
 
 
 def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update of step ``h``, with
+    """One classical 4th-order Runge-Kutta update of step ``h > 0``, with
     ``derivative_fn`` (first, so ``partial(rk4_step, flow)`` propagates)
     from a list of floats to a sequence of floats.  The stages run on one
     ``tolist()`` in the operation order of the array form
     ``state + (h/6) (k1 + 2 k2 + 2 k3 + k4)``; elementwise float operations
     round as NumPy's do, so the bits are the same at a fraction of the cost."""
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
     s = state.tolist()
     half = 0.5 * h
     k1 = derivative_fn(s)
@@ -216,20 +214,15 @@ def locate_event(
 ) -> tuple[float, np.ndarray, object]:
     """Localize the first guard activation inside a flow step by bisection.
 
-    The caller has asked ``query`` of both ends: ``state_a`` is outside and
-    ``found_b``, the answer at ``state_b``, is truthy (inside).  Each probe
-    re-integrates from ``state_a`` (no guard interpolation) and is asked
-    once.  The bisection is left-biased: it keeps the earliest entry found,
-    so a set entered twice within the bracket resolves to its first entry.
-    Returns the earliest probed ``(t, state, found)`` inside, with its
-    answer, once the bracket is narrower than ``event_tol`` (at least the
-    spacing at ``t_b``).  Raises ``ValueError`` if ``t_a >= t_b`` or
-    ``found_b`` is falsy.
+    The caller guarantees ``t_a < t_b`` and has asked ``query`` of both
+    ends: ``state_a`` is outside and ``found_b``, the answer at ``state_b``,
+    is truthy (inside).  Each probe re-integrates from ``state_a`` (no guard
+    interpolation) and is asked once.  The bisection is left-biased: it
+    keeps the earliest entry found, so a set entered twice within the
+    bracket resolves to its first entry.  Returns the earliest probed
+    ``(t, state, found)`` inside, with its answer, once the bracket is
+    narrower than ``event_tol`` (at least the spacing at ``t_b``).
     """
-    if t_a >= t_b:
-        raise ValueError(f"need t_a < t_b, got [{t_a}, {t_b}]")
-    if not found_b:
-        raise ValueError("no guard crossing inside the bracket")
     lo, hi = t_a, t_b
     state_hi, found = state_b, found_b
     while hi - lo > event_tol:

@@ -158,20 +158,47 @@ class TestJumpDecrease:
         assert ev.delta_lyap == pytest.approx(-(0.396**2), abs=1e-12)
         assert ev.bound == pytest.approx(-0.132 * 0.132, abs=1e-12)
 
-    @pytest.mark.parametrize("u_applied", [0.0, 0.2], ids=["zero_input", "nonzero"])
-    def test_nan_delta_v_is_a_violation(self, u_applied):
+    @pytest.mark.parametrize(
+        "u_applied,quantity",
+        [(0.0, "z zero-input delta_V"), (0.2, "z jump delta_V")],
+        ids=["zero_input", "nonzero"],
+    )
+    def test_nan_delta_v_is_a_violation(self, u_applied, quantity):
         sol = z_solution(r_z=0.0, v_z=0.5, t_orbits=0.01)
-        ev = dataclasses.replace(sol.events[0], u_applied=u_applied, lyap_post=math.nan)
+        ev = dataclasses.replace(
+            sol.events[0], t=1234.5, j_pre=6, u_applied=u_applied, lyap_post=math.nan
+        )
         report = analysis.check_jump_decrease(dataclasses.replace(sol, events=[ev]))
         assert not report.passed
-        assert len(report.violations) == 1
-        assert math.isnan(report.violations[0].observed)
+        (violation,) = report.violations
+        assert math.isnan(violation.observed)
+        # the record names the event, and the branch's quantity and bound
+        bound = 0.0 if u_applied == 0.0 else ev.bound
+        assert (violation.t, violation.j, violation.quantity, violation.bound) == (
+            1234.5, 7, quantity, bound
+        )
+
+    def test_jump_slack_boundary(self):
+        # delta <= bound + JUMP_SLACK, with -0.1 + 1e-12 rounding to exactly
+        # -0.099999999999: that delta passes and the next float up fails.
+        # bound - delta >= -JUMP_SLACK rounds differently: it would judge
+        # both a violation.
+        sol = z_solution(r_z=0.0, v_z=0.5, t_orbits=0.01)
+        at_slack = -0.099999999999
+        for delta, passed in ((at_slack, True), (math.nextafter(at_slack, math.inf), False)):
+            ev = dataclasses.replace(
+                sol.events[0], u_applied=0.2, bound=-0.1, lyap_pre=0.0, lyap_post=delta
+            )
+            report = analysis.check_jump_decrease(dataclasses.replace(sol, events=[ev]))
+            assert report.passed is passed, delta
+            assert [v.observed for v in report.violations] == ([] if passed else [delta])
 
 
 class TestBetaJumpCount:
     @pytest.mark.parametrize(
         "beta0,umax,expected",
-        [(0.396, 0.2, 1), (0.0, 0.2, 0), (1.3, 0.2, 3), (0.6, 0.2, 1), (-1.3, 0.2, 3)],
+        [(0.396, 0.2, 1), (0.0, 0.2, 0), (-0.0, 0.2, 0), (1.3, 0.2, 3), (0.6, 0.2, 1),
+         (-1.3, 0.2, 3)],
     )
     def test_examples(self, beta0, umax, expected):
         assert analysis.beta_jump_count(beta0, umax) == expected

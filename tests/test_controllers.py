@@ -72,10 +72,6 @@ class TestTimer:
         assert ctl.timer_rate(2.0, P.n) == 0.0
         assert ctl.timer_rate(0.5, P.n) == pytest.approx(P.n / (2 * np.pi))
 
-    def test_rejects_backward_flow(self):
-        with pytest.raises(ValueError):
-            ctl.timer_advance(0.5, -1.0, P.n)
-
     @given(
         tau0=st.floats(0.0, 2.0, allow_nan=False),
         dt=st.floats(0.0, 20 * ORBIT, allow_nan=False),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_rendezvous import engine
+from hybrid_rendezvous import controllers, engine
 from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
     QZ,
@@ -67,10 +67,6 @@ class TestRk4Step:
         s = rk4_step(f, np.array([0.0]), 0.25 * P.period)
         assert s[0] == pytest.approx(0.25, rel=1e-12)
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            rk4_step(lambda s: s, np.zeros(1), 0.0)
-
     def test_nonfinite_derivative_raises_with_state(self):
         def f(s):
             return np.array([np.inf])
@@ -119,26 +115,9 @@ class TestLocateEvent:
     def test_rejects_bracket_already_inside(self, engine_calls):
         # locate_event no longer asks state_a, so the caller keeps this: on
         # every call simulate makes over RUNS, the bracket starts outside.
-        for run, (_, located, _) in engine_calls.items():
+        for run, (_, located, *_) in engine_calls.items():
             assert located, run
             assert all(found_a is None for found_a, *_ in located), run
-
-    def test_rejects_bracket_without_crossing(self):
-        t_a = self.t_cross - 300.0
-        t_b = self.t_cross - 100.0
-        state_a = self.flow_to(self.s0, t_a)
-        state_b = self.flow_to(self.s0, t_b)
-        with pytest.raises(ValueError, match="no guard crossing inside the bracket"):
-            locate_event(
-                self.inside, self.flow_to, state_a, state_b, t_a, t_b, 1e-6, None
-            )
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError, match=r"need t_a < t_b, got \[2.0, 1.0\]"):
-            locate_event(
-                self.inside, self.flow_to, self.s0, self.s0, 2.0, 1.0, 1e-6,
-                self.inside(self.s0),
-            )
 
 
 class TestSimulationOptions:
@@ -243,7 +222,7 @@ class TestResolveJumps:
         # resolve_jumps no longer asks its start state (handed None, it would
         # fire nothing), so the caller keeps this: on every call simulate
         # makes over RUNS, the channel handed in is active, the first one.
-        for run, (_, _, resolved) in engine_calls.items():
+        for run, (_, _, resolved, *_) in engine_calls.items():
             assert resolved, run
             for _, ch, first in resolved:
                 assert ch is not None, run
@@ -370,7 +349,9 @@ def scenario_system(run):
 class TestCarriedAnswers:
     """``simulate`` asks :func:`first_active` of each state once and hands
     the answer on, so ``locate_event`` and ``resolve_jumps`` check no
-    precondition that costs a query; their callers keep them instead."""
+    precondition that costs a query.  Nor do ``locate_event``, ``rk4_step``
+    and ``timer_advance`` check the brackets and steps their callers make.
+    Their callers keep these preconditions instead, on every recorded call."""
 
     @pytest.mark.parametrize("run", ["full_ref", "inplane_ref", "inplane_ref_rk4"])
     def test_each_state_is_asked_once(self, run, monkeypatch):
@@ -395,32 +376,44 @@ class TestCarriedAnswers:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_callers_meet_the_unchecked_preconditions(self, run, engine_calls):
-        # On every call: the answers handed in and back are first_active's,
-        # and resolve_jumps is handed the system's channels.  The bracket
-        # start and the channel handed in are checked by
-        # TestLocateEvent::test_rejects_bracket_already_inside and
+        # On every call: each bracket is t_a < t_b with a jump set entered at
+        # t_b, the answers handed in and back are first_active's, resolve_jumps
+        # is handed the system's channels, and each RK4 step and timer advance
+        # runs forward.  The bracket start and the channel handed in are
+        # checked by TestLocateEvent::test_rejects_bracket_already_inside and
         # TestResolveJumps::test_empty_active_set_is_an_error.
-        sol, located, resolved = engine_calls[run]
+        sol, located, resolved, steps, dts = engine_calls[run]
         assert located and resolved and sol.events
-        for _, found_b, at_b, found, at_landing in located:
+        for _, found_b, at_b, found, at_landing, t_a, t_b in located:
+            assert t_a < t_b
+            assert found_b is not None
             assert found_b is at_b
             assert found is at_landing
         assert all(same_channels for same_channels, _, _ in resolved)
+        # rk4 runs flow the timers by timer_rate, closed-form runs never take
+        # an RK4 step: each run makes one kind of call.
+        rk4 = scenario_system(run)[1].integrator == "rk4"
+        assert bool(steps) == rk4 and bool(dts) != rk4
+        assert all(h > 0 for h in steps)
+        assert all(dt > 0 for dt in dts)
 
 
 def record_calls(run):
     """Run one of :data:`RUNS`, asking :func:`first_active` at every
-    ``locate_event`` and ``resolve_jumps`` call ``simulate`` makes.
+    ``locate_event`` and ``resolve_jumps`` call ``simulate`` makes, and
+    recording the step of every ``rk4_step`` and ``timer_advance`` call.
 
-    Returns the solution and two lists.  Per ``locate_event`` call: the
+    Returns the solution and four lists.  Per ``locate_event`` call: the
     answers at ``state_a``, handed in (``found_b``), at ``state_b``, handed
-    back, and at the landing state.  Per ``resolve_jumps`` call: whether it
-    got the system's channels, the channel handed in, and the answer at its
-    state.
+    back, and at the landing state, then the bracket ``t_a, t_b``.  Per
+    ``resolve_jumps`` call: whether it got the system's channels, the channel
+    handed in, and the answer at its state.  Then each ``rk4_step``'s ``h``
+    and each ``timer_advance``'s ``dt``.
     """
     system, cfg = scenario_system(run)
     locate, resolve = engine.locate_event, engine.resolve_jumps
-    located, resolved = [], []
+    rk4, advance = engine.rk4_step, controllers.timer_advance
+    located, resolved, steps, dts = [], [], [], []
 
     def asked(state):
         return first_active(system.channels, state)
@@ -430,18 +423,28 @@ def record_calls(run):
         t, state, found = locate(
             query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b
         )
-        located.append((found_a, found_b, at_b, found, asked(state)))
+        located.append((found_a, found_b, at_b, found, asked(state), t_a, t_b))
         return t, state, found
 
     def recording_resolve(state, t, j, ch, channels, j_max):
         resolved.append((channels is system.channels, ch, asked(state)))
         return resolve(state, t, j, ch, channels, j_max)
 
+    def recording_rk4(derivative_fn, state, h):
+        steps.append(h)
+        return rk4(derivative_fn, state, h)
+
+    def recording_advance(tau, dt, n):
+        dts.append(dt)
+        return advance(tau, dt, n)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "locate_event", recording_locate)
         mp.setattr(engine, "resolve_jumps", recording_resolve)
+        mp.setattr(engine, "rk4_step", recording_rk4)
+        mp.setattr(controllers, "timer_advance", recording_advance)
         sol = simulate(system, cfg.initial_state(), cfg.options())
-    return sol, located, resolved
+    return sol, located, resolved, steps, dts
 
 
 @pytest.fixture(scope="module")
