@@ -27,8 +27,9 @@ import sys
 import time
 from dataclasses import asdict
 from functools import partial
+from itertools import groupby
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,42 +108,52 @@ EVENT_COLUMNS = (
 CHUNK_ROWS = 1024
 
 
-def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], np.ndarray]) -> None:
-    """Write ``header`` and ``rows`` lines of text fields to ``path``, one
-    write per :data:`CHUNK_ROWS` rows; ``block(part)`` gives the fields of
-    the rows in the slice ``part`` as a 2-D array."""
+def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], list[str]]) -> None:
+    """Write ``header`` and ``rows`` lines to ``path``, one write per
+    :data:`CHUNK_ROWS` rows; ``block(part)`` gives the lines of the rows in
+    the slice ``part``."""
     with path.open("w") as f:
         f.write(header + "\n")
         for start in range(0, rows, CHUNK_ROWS):
-            # rows as zip's tuples, not as .tolist()'s lists: those leave ~1 MB
-            # more heap behind, which the next run's peak RSS adds to
-            columns = block(slice(start, start + CHUNK_ROWS)).T.tolist()
-            f.write("".join(",".join(row) + "\n" for row in zip(*columns)))
+            f.write("\n".join([*block(slice(start, start + CHUNK_ROWS)), ""]))
 
 
-def _format_block(floats: np.ndarray) -> np.ndarray:
-    """``repr`` of each entry of ``floats``, made once per distinct bit
-    pattern: equal bits give equal text, and keying by bits keeps ``-0.0``
-    and each NaN payload apart.  One ``orjson.dumps`` writes the shortest
-    round-trip digits, as ``repr`` does; ``repr`` redoes the magnitudes whose
-    layouts may differ, ``[5e-11, 2e-3)`` and ``>= 5e14``, and NaN/inf.
-    (The inverse is reshaped here: NumPy 1.x returns it flat, 2.x in the
-    input's shape.)"""
-    import orjson  # here, not at the top: processes that write no CSV skip its load
-    bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
-    values = bits.view(np.float64)
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode().split(",")
-    text[0] = text[0][1:]  # the brackets off; "[]" leaves one "", which nothing indexes
-    text[-1] = text[-1][:-1]
-    text = np.array(text, dtype=object)
-    mag = np.abs(values)
-    redo = np.flatnonzero(~((mag < 5e-11) | ((mag >= 2e-3) & (mag < 5e14))))
-    text[redo] = [*map(repr, values[redo].tolist())]
-    return text[inverse.reshape(floats.shape)]
+def _format_rows(
+    floats: np.ndarray, at: Sequence[int], text: Sequence[Sequence[str]], blank=None
+) -> list[str]:
+    """The CSV lines of a block: ``repr`` of each float, empty where ``blank``
+    is set, and the text column ``text[k]`` (no commas) before float column
+    ``at[k]``.  Each run of float columns between text columns is one
+    ``orjson.dumps`` split at ``],[`` into rows.  Only the lines with a blank,
+    NaN or ±inf (orjson's ``null``) or a magnitude orjson lays out otherwise
+    are split into fields, and those fields remade: ``1e-9 <= |x| < 1e-4``
+    (``1e-9`` and ``0.00001`` for ``1e-09`` and ``1e-05``) and ``|x| >= 1e16``
+    (``1e16`` for ``1e+16``) by ``repr``."""
+    from orjson import OPT_SERIALIZE_NUMPY, dumps  # here: processes writing no CSV skip its load
+    blank = np.zeros(floats.shape, dtype=bool) if blank is None else blank
+    cuts = [0, *at, floats.shape[1]]
+    columns = []
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if a < b:
+            run = np.ascontiguousarray(floats[:, a:b])
+            columns.append(dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],["))
+        columns += text[k : k + 1]  # the text column after this run, if any
+    lines = [*map(",".join, zip(*columns))] if len(floats) else []
+    mag = np.abs(floats)
+    fix = blank | (mag >= 1e-9) & (mag < 1e-4) | ~(mag < 1e16)
+    texts_before = np.searchsorted(at, np.arange(floats.shape[1]), side="right").tolist()
+    rows, cols = (index.tolist() for index in np.nonzero(fix))
+    fixes = zip(rows, cols, floats[fix].tolist(), blank[fix].tolist())
+    for i, row_fixes in groupby(fixes, key=lambda entry: entry[0]):  # row-major: one per line
+        fields = lines[i].split(",")
+        for _, c, x, empty in row_fixes:
+            fields[c + texts_before[c]] = "" if empty else repr(x)
+        lines[i] = ",".join(fields)
+    return lines
 
 
-def _trajectory_block(sol: HybridSolution, p: OrbitParams, part: slice) -> np.ndarray:
-    """The trajectory rows of the samples ``part``, from whole-array view calls."""
+def _trajectory_block(sol: HybridSolution, p: OrbitParams, part: slice) -> list[str]:
+    """The trajectory lines of the samples ``part``, from whole-array view calls."""
     t, states = sol.t[part], sol.states[part]
     floats = np.column_stack(
         # the 11-vector's layout is the column order r_x .. tau_alpha
@@ -150,7 +161,7 @@ def _trajectory_block(sol: HybridSolution, p: OrbitParams, part: slice) -> np.nd
         + [*lyapunov_values(states, p).values()]
     )
     # j goes before r_x
-    return np.insert(_format_block(floats), 2, [*map(str, sol.j[part].tolist())], axis=1)
+    return _format_rows(floats, [2], [[*map(str, sol.j[part].tolist())]])
 
 
 def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
@@ -162,8 +173,8 @@ def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
 
 def _event_block(
     sol: HybridSolution, p: OrbitParams, event_tol: float, part: slice
-) -> np.ndarray:
-    """The rows of the events ``part``.  Guard terms fill ``h1..h3`` from the
+) -> list[str]:
+    """The lines of the events ``part``.  Guard terms fill ``h1..h3`` from the
     right (the last is the dwell margin); absent ones are blank."""
     events = sol.events[part]
     pads = np.array([3 - len(ev.margins) for ev in events])
@@ -174,15 +185,14 @@ def _event_block(
             for ev, pad in zip(events, pads.tolist())
         ]
     )
-    text = [
+    text = zip(*[
         (str(ev.j_pre + 1), ev.channel,
          classify_z_event(ev.margins[-1], p, event_tol) if ev.channel == "z" else "")
         for ev in events
-    ]
-    # j and channel go before u_commanded, classification before r_x_pre
-    block = np.insert(_format_block(floats), [2, 2, 11], text, axis=1)
-    block[:, 8:11][pads[:, None] > np.arange(3)] = ""
-    return block
+    ])
+    # j and channel go before u_commanded, classification before r_x_pre; h1..h3 are floats 6..8
+    blank = np.pad(pads[:, None] > np.arange(3), ((0, 0), (6, 8)))
+    return _format_rows(floats, [2, 2, 11], [*text], blank)
 
 
 def write_events(
@@ -369,13 +379,13 @@ def cmd_sweep(args) -> int:
             return EXIT_NUMERICAL
         floats.append((value, total_dv, conv_orbits))
         text.append((str(count), summary["status"]))
-    # impulse_count goes before total_delta_v, status last
-    block = np.insert(_format_block(np.array(floats, dtype=float)), [1, 3], text, axis=1)
-    block[[conv is None for *_, conv in floats], 3] = ""  # a run that did not converge
+    # impulse_count goes before total_delta_v, status last; blank: a run that did not converge
+    blank = np.array([[False, False, conv is None] for *_, conv in floats])
+    lines = _format_rows(np.array(floats, dtype=float), [1, 3], [*zip(*text)], blank)
     out_dir = Path(cases[0].output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"
-    _write_csv(out_dir / "sweep.csv", header, len(block), block.__getitem__)
+    _write_csv(out_dir / "sweep.csv", header, len(lines), lines.__getitem__)
     return EXIT_OK
 
 

@@ -16,8 +16,9 @@ fixed-step flow integration with jump application:
 
 The jump set is the union of the channels' sets, and :func:`first_active`
 is its one query: the first channel whose guard holds, or ``None``.  Each
-state is asked once, on one ``tolist()`` that every guard reads, and its
-answer travels with it into :func:`locate_event` and :func:`resolve_jumps`.
+state is asked once, on one ``tolist()`` that every guard reads (for ``x0``
+and each step's end state, the floats checked finite first), and its answer
+travels with it into :func:`locate_event` and :func:`resolve_jumps`.
 
 Jump sets are closed: margins are compared against zero with exact
 floating-point ``>=`` after localization, with no epsilon inflation.  A run
@@ -192,10 +193,9 @@ def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
     ])
 
 
-def first_active(channels: Sequence[JumpChannel], state: np.ndarray) -> JumpChannel | None:
-    """The first of ``channels`` whose jump set holds ``state``, or ``None``
-    outside their union; no guard after it is evaluated."""
-    values = state.tolist()
+def first_active(channels: Sequence[JumpChannel], values: Sequence[float]) -> JumpChannel | None:
+    """The first of ``channels`` whose jump set holds the state whose floats
+    are ``values``, or ``None`` outside their union; no later guard is run."""
     for ch in channels:
         if ch.guard.margin(values) >= 0.0:
             return ch
@@ -203,7 +203,7 @@ def first_active(channels: Sequence[JumpChannel], state: np.ndarray) -> JumpChan
 
 
 def locate_event(
-    query: Callable[[np.ndarray], object],
+    query: Callable[[list[float]], object],
     flow_to: Callable[[np.ndarray, float], np.ndarray],
     state_a: np.ndarray,
     state_b: np.ndarray,
@@ -215,20 +215,21 @@ def locate_event(
     """Localize the first guard activation inside a flow step by bisection.
 
     The caller guarantees ``t_a < t_b`` and has asked ``query`` of both
-    ends: ``state_a`` is outside and ``found_b``, the answer at ``state_b``,
-    is truthy (inside).  Each probe re-integrates from ``state_a`` (no guard
-    interpolation) and is asked once.  The bisection is left-biased: it
-    keeps the earliest entry found, so a set entered twice within the
-    bracket resolves to its first entry.  Returns the earliest probed
-    ``(t, state, found)`` inside, with its answer, once the bracket is
-    narrower than ``event_tol`` (at least the spacing at ``t_b``).
+    ends' floats: ``state_a`` is outside and ``found_b``, the answer at
+    ``state_b``, is truthy (inside).  Each probe re-integrates from
+    ``state_a`` (no guard interpolation) and its floats are asked once.
+    The bisection is left-biased: it keeps the earliest entry found, so a
+    set entered twice within the bracket resolves to its first entry.
+    Returns the earliest probed ``(t, state, found)`` inside, with its
+    answer, once the bracket is narrower than ``event_tol`` (at least the
+    spacing at ``t_b``).
     """
     lo, hi = t_a, t_b
     state_hi, found = state_b, found_b
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         state_mid = flow_to(state_a, mid - t_a)
-        if found_mid := query(state_mid):
+        if found_mid := query(state_mid.tolist()):
             hi, state_hi, found = mid, state_mid, found_mid
         else:
             lo = mid
@@ -260,7 +261,7 @@ def resolve_jumps(
             return state, events, True
         events.append(ch.jump(state, t, j + len(events)))
         state = events[-1].state_post
-        ch = first_active(channels, state)
+        ch = first_active(channels, state.tolist())
     return state, events, False
 
 
@@ -273,9 +274,11 @@ def simulate(
     under ``rk4``.  Each state is asked of :func:`first_active` once, and the
     answer is carried: ``x0`` before the loop, each step's candidate end
     state after integrating it, and the probes and post-jump states inside
-    :func:`locate_event` and :func:`resolve_jumps`.  Jumps are drained at
-    ``t = 0`` when ``x0`` is in the union, and after every landing on a
-    guard before ``t_max``; a landing at exactly ``t_max`` is not drained.
+    :func:`locate_event` and :func:`resolve_jumps`.  ``x0`` and each
+    candidate are read as floats once, which are checked finite before they
+    are asked.  Jumps are drained at ``t = 0`` when ``x0`` is in the union,
+    and after every landing on a guard before ``t_max``; a landing at
+    exactly ``t_max`` is not drained.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
@@ -285,7 +288,8 @@ def simulate(
         flow_to = partial(rk4_step, system.flow)
 
     state = np.array(x0, dtype=float)
-    if not np.isfinite(state).all():
+    values = state.tolist()
+    if not all(map(math.isfinite, values)):
         raise IntegrationFailure("non-finite initial state", state)
     t, j = 0.0, 0
     ts, js, samples = [t], [j], [state]
@@ -293,7 +297,7 @@ def simulate(
     status = "t_max"
 
     query = partial(first_active, system.channels)
-    active = query(state)
+    active = query(values)
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
         if active is not None:
@@ -311,9 +315,10 @@ def simulate(
                 break
         h = min(opts.step_h, opts.t_max - t)
         candidate = flow_to(state, h)
-        if not np.isfinite(candidate).all():
+        values = candidate.tolist()
+        if not all(map(math.isfinite, values)):
             raise IntegrationFailure("non-finite state during flow", candidate)
-        active = query(candidate)
+        active = query(values)
         if active is not None:
             # A guard activates inside this step; land exactly on it.  The
             # step's start state was accepted or drained, so it is not

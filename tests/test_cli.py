@@ -186,11 +186,63 @@ EXTREMES = np.array([0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-30
                      1.7976931348623157e308])
 
 
+def reference_lines(floats, at=(), text=(), blank=None):
+    """Reference formatting of a block, one field at a time: ``repr`` of
+    each float, blank where ``blank`` is set, and ``text[k]`` inserted
+    before float column ``at[k]``."""
+    blank = np.zeros(floats.shape, dtype=bool) if blank is None else blank
+    for i, row in enumerate(floats.tolist()):
+        fields = ["" if b else repr(x) for x, b in zip(row, blank[i].tolist())]
+        for k in reversed(range(len(at))):
+            fields.insert(at[k], text[k][i])
+        yield ",".join(fields)
+
+
+def events_like_block():
+    """Four events.csv rows: j and channel before float column 2 and the
+    classification before column 11; the beta row blanks h1 and h2 (float
+    columns 6 and 7).  Two rows hold only layouts orjson shares with repr,
+    two hold one it does not (1e-05, 1e+16), the beta row one of each."""
+    floats = np.array([
+        [100.0, 0.25, -0.1, -0.1, -2.5, 0.0, 3.0, 0.5, 0.0, 7.0, 4.5, 1.0, 2.0, -3.0, 0.0, 0.125, -0.0],
+        [200.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.01, 0.0, 0.0, 1e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [300.0, 0.75, 1e16, 1e16, -1.0, -1.0, 2.0, 2.0, 0.0, 1e16, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [400.0, 1.0, 0.5, 0.5, -0.5, 0.0, -1.0, 2.0, 3e-300, 8.0, 7.5, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+    ])
+    text = [["1", "2", "3", "4"], ["z", "beta", "alpha", "z"],
+            ["zero_crossing", "", "", "dwell_delayed"]]
+    blank = np.zeros(floats.shape, dtype=bool)
+    blank[1, 6:8] = True
+    return floats, [2, 2, 11], text, blank
+
+
+def sweep_like_block():
+    """Three sweep.csv rows: impulse_count before float column 1 and the
+    status after the last; the last run did not converge, so its
+    convergence_orbits (float column 2) is blank over a NaN."""
+    floats = np.array([[0.2, 1.5, 2.25], [0.05, 3e-06, 4.75], [0.01, 0.75, np.nan]])
+    text = [["12", "9", "40"], ["t_max", "t_max", "t_max"]]
+    return floats, [1, 3], text, np.isnan(floats)
+
+
+def mostly_nonfinite_block():
+    """A trajectory-like block (j before float column 2) of 40 rows, 32 of
+    which hold inf or NaN, as the V_alpha-overflow run writes them."""
+    rng = np.random.default_rng(25)
+    floats = rng.normal(size=(40, 20)) * 10.0 ** rng.integers(-12, 20, size=(40, 20))
+    floats[:32, 18:] = rng.choice([np.inf, -np.inf, np.nan], size=(32, 2))
+    rng.shuffle(floats)
+    return floats, [2], [[str(j) for j in range(40)]], None
+
+
 class TestCsvBytes:
-    def assert_entries_are_repr(self, block):
-        text = cli._format_block(block)
-        assert text.shape == block.shape
-        assert text.tolist() == [[repr(x) for x in row] for row in block.tolist()]
+    def assert_entries_are_repr(self, block, at=(), text=(), blank=None):
+        lines = cli._format_rows(block, at, text, blank)
+        assert len(lines) == len(block)
+        assert [len(line.split(",")) for line in lines] == [block.shape[1] + len(at)] * len(block)
+        assert lines == [*reference_lines(block, at, text, blank)]
+        if not at and blank is None:
+            assert [line.split(",") for line in lines] == [[repr(x) for x in row] for row in block.tolist()]
 
     @settings(max_examples=200, deadline=None)
     @given(picks=arrays(np.intp, SHAPES, elements=st.integers(0, len(FORMAT_POOL) - 1)))
@@ -210,6 +262,29 @@ class TestCsvBytes:
     def test_layout_boundaries_are_repr(self, block):
         # every layout orjson and repr write differently, and the ones they share, near each edge
         self.assert_entries_are_repr(block)
+
+    @pytest.mark.parametrize(
+        "block",
+        [events_like_block(), sweep_like_block(), mostly_nonfinite_block()],
+        ids=["events", "sweep", "mostly_nonfinite"],
+    )
+    def test_text_columns_and_blanks(self, block):
+        self.assert_entries_are_repr(*block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        picks=arrays(np.intp, SHAPES, elements=st.integers(0, len(FORMAT_POOL) - 1)),
+        data=st.data(),
+    )
+    def test_text_columns_anywhere(self, picks, data):
+        # text columns at any float column, repeats and both ends included,
+        # and blanks anywhere
+        block = FORMAT_POOL[picks].view(np.float64)
+        rows, width = block.shape
+        at = sorted(data.draw(st.lists(st.integers(0, width), max_size=4)))
+        text = [[f"c{k}r{i}" for i in range(rows)] for k in range(len(at))]
+        blank = data.draw(arrays(np.bool_, block.shape))
+        self.assert_entries_are_repr(block, at, text, blank)
 
     @pytest.mark.parametrize(
         "name, orbits",

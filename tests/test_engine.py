@@ -149,11 +149,14 @@ class TestFirstActive:
     @settings(max_examples=200, deadline=None)
     def test_first_nonnegative_margin_in_order(self, margins):
         # Channel i's guard has the single margin margins[i]; every guard
-        # evaluation is logged by channel index.
+        # evaluation is logged by channel index, and each reads the very
+        # list of floats handed in.
         evaluated = []
+        values = [0.0, 1.0, -2.0]
 
         def channel(i, m):
-            def terms(values):
+            def terms(read):
+                assert read is values
                 evaluated.append(i)
                 return (m,)
 
@@ -161,7 +164,7 @@ class TestFirstActive:
 
         channels = [channel(i, m) for i, m in enumerate(margins)]
         active = [i for i, m in enumerate(margins) if m >= 0.0]
-        ch = first_active(channels, np.zeros(3))
+        ch = first_active(channels, values)
         if active:
             assert ch is channels[active[0]]
             assert evaluated == list(range(active[0] + 1))
@@ -178,7 +181,7 @@ class TestResolveJumps:
         # Unsaturated z firing: q_z flips, tau_z resets to 0.
         system = self.system("z")
         state = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)
-        ch = first_active(system.channels, state)
+        ch = first_active(system.channels, state.tolist())
         out, events, budget_hit = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
         assert not budget_hit
         assert [e.channel for e in events] == ["z"]
@@ -198,7 +201,7 @@ class TestResolveJumps:
             tau_z=THRESHOLDS.z,
             tau_beta=THRESHOLDS.beta,
         )
-        ch = first_active(system.channels, state)
+        ch = first_active(system.channels, state.tolist())
         out, events, _ = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
         assert [e.channel for e in events][:2] == ["z", "beta"]
         assert [e.j_pre for e in events] == list(range(len(events)))
@@ -214,7 +217,7 @@ class TestResolveJumps:
         )
         z, beta, alpha = system.channels
         channels = (beta, alpha, z)
-        ch = first_active(channels, state)
+        ch = first_active(channels, state.tolist())
         out, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
         assert events[0].channel == "beta"
 
@@ -295,6 +298,48 @@ class TestSimulate:
         with pytest.raises(IntegrationFailure):
             simulate(system, x0, opts())
 
+    @pytest.mark.parametrize("integrator", ["closed_form", "rk4"])
+    @pytest.mark.parametrize(
+        "bad, stages",
+        [(np.inf, [1e308] * 4), (-np.inf, [-1e308] * 4), (np.nan, [1e308, -1e308, 1e308, 0.0])],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_nonfinite_flow_state_raises(self, integrator, bad, stages):
+        # A stub flow leaves x0 in place on the first step and puts `bad` in
+        # component 1 of the second, a plain step: no guard ever holds.
+        # Under rk4 its derivative is zero on the first step's four stages,
+        # then `stages` on the second's, finite, whose update overflows to `bad`.
+        x0 = np.array([1.0, 2.0, 3.0])
+        calls, asked = [], []
+
+        def flow_to(state, dt):
+            calls.append(dt)
+            out = state.copy()
+            if len(calls) == 2:
+                out[1] = bad
+            return out
+
+        def flow(s):
+            calls.append(s)
+            k = [0.0, 0.0, 0.0]
+            if len(calls) > 4:
+                k[1] = stages[len(calls) - 5]
+            return k
+
+        def terms(values):
+            asked.append(list(values))
+            return (-1.0,)
+
+        channel = JumpChannel("never", GuardConjunction(terms), jump=None)
+        system = engine.HybridSystem(flow=flow, channels=(channel,), flow_to=flow_to)
+        with pytest.raises(IntegrationFailure, match="^non-finite state during flow$") as err:
+            simulate(system, x0, opts(step_h=10.0, t_max=50.0, integrator=integrator))
+        expected = x0.copy()
+        expected[1] = bad
+        assert np.array_equal(err.value.state, expected, equal_nan=True)
+        # x0 and the first step's end were asked; the non-finite state was not
+        assert asked == [x0.tolist(), x0.tolist()]
+
     def test_one_guard_evaluation_per_flow_sample(self):
         # x0 and each of the five step ends are checked once; from tau_z = 0
         # the dwell timer vetoes the z jump for the whole 50 s horizon.
@@ -356,13 +401,16 @@ class TestCarriedAnswers:
     @pytest.mark.parametrize("run", ["full_ref", "inplane_ref", "inplane_ref_rk4"])
     def test_each_state_is_asked_once(self, run, monkeypatch):
         # x0, every flow sample (step ends and bisection probes) and every
-        # post-jump state: one query each.
+        # post-jump state: one query each, on the state's 11 floats.
         system, cfg = scenario_system(run)
         counts = Counter()
 
         def counted(name, fn):
             def call(*args):
                 counts[name] += 1
+                if name == "asked":
+                    assert type(args[1]) is list and len(args[1]) == 11
+                    assert all(type(x) is float for x in args[1])
                 return fn(*args)
 
             return call
@@ -416,7 +464,7 @@ def record_calls(run):
     located, resolved, steps, dts = [], [], [], []
 
     def asked(state):
-        return first_active(system.channels, state)
+        return first_active(system.channels, state.tolist())
 
     def recording_locate(query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b):
         found_a, at_b = asked(state_a), asked(state_b)
