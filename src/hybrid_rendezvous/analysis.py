@@ -105,34 +105,32 @@ def check_flow_invariance(
 
     For each arc and each checked function, the drift is
     ``max_t |V(t) - V(arc start)| / max(V(arc start), DRIFT_FLOOR)`` and
-    must not exceed ``tol``; a NaN drift fails.
+    must not exceed ``tol``; a NaN drift fails.  The arcs are taken a
+    :meth:`~HybridSolution.blocks` block at a time, so the temporaries are
+    one block's, and the violations come in arc order.
     """
     report = CertificateReport()
-    lyap = lyapunov_values(sol.states, p)
-    names = tuple(lyap)
-    values = np.column_stack(tuple(lyap.values()))
-    starts, stops = np.array(sol.arcs()).T
-    ref = values[np.repeat(starts, stops - starts)]  # each sample's arc start
-    drift = np.abs(values - ref) / np.maximum(ref, DRIFT_FLOOR)
-    arc_worst = np.maximum.reduceat(drift, starts, axis=0)
-    checked = np.ones_like(arc_worst, dtype=bool)
-    checked[:, names.index("alpha")] = ~(lyap["beta"][starts] > BETA_GATE**2)  # V_beta = beta^2
-    for arc, k in zip(*np.nonzero(checked & ~(arc_worst <= tol))):
-        idx = starts[arc] + int(np.argmax(drift[starts[arc] : stops[arc], k]))
-        report.violations.append(
-            Violation(
-                t=float(sol.t[idx]),
-                j=int(sol.j[idx]),
-                quantity=f"V_{names[k]} flow drift",
-                observed=float(arc_worst[arc, k]),
-                bound=tol,
-            )
-        )
-    # Python's max, in arc order, leaves a NaN drift (a violation) out.
-    report.arc_drift = {
-        name: max([0.0, *arc_worst[checked[:, k], k].tolist()])
-        for k, name in enumerate(names)
-    }
+    for lo, hi in sol.blocks():
+        lyap = lyapunov_values(sol.states[lo:hi], p)
+        names = tuple(lyap)
+        values = np.column_stack(tuple(lyap.values()))
+        starts = np.flatnonzero(np.diff(sol.j[lo:hi], prepend=-1))  # the block's arcs
+        stops = np.append(starts[1:], hi - lo)
+        ref = values[np.repeat(starts, stops - starts)]  # each sample's arc start
+        drift = np.abs(values - ref) / np.maximum(ref, DRIFT_FLOOR)
+        arc_worst = np.maximum.reduceat(drift, starts, axis=0)
+        checked = np.ones_like(arc_worst, dtype=bool)
+        checked[:, names.index("alpha")] = ~(lyap["beta"][starts] > BETA_GATE**2)  # V_beta = beta^2
+        for arc, k in zip(*np.nonzero(checked & ~(arc_worst <= tol))):
+            idx = lo + starts[arc] + int(np.argmax(drift[starts[arc] : stops[arc], k]))
+            report.violations.append(Violation(
+                t=float(sol.t[idx]), j=int(sol.j[idx]), quantity=f"V_{names[k]} flow drift",
+                observed=float(arc_worst[arc, k]), bound=tol,
+            ))
+        # Python's max, in arc order, leaves a NaN drift (a violation) out.
+        for k, name in enumerate(names):
+            worst = [report.arc_drift.get(name, 0.0), *arc_worst[checked[:, k], k].tolist()]
+            report.arc_drift[name] = max(worst)
     return report
 
 
@@ -202,11 +200,16 @@ def convergence_time(
     spec: AttractorSpec,
 ) -> HybridTime | None:
     """First hybrid time after which the attractor distance stays within
-    ``spec.epsilon`` for the rest of the horizon; ``None`` if never."""
-    inside = distance_to_attractor(sol.states, p, spec) <= spec.epsilon
-    if not inside[-1]:
+    ``spec.epsilon`` for the rest of the horizon; ``None`` if never.  The
+    samples are scanned a :meth:`~HybridSolution.blocks` block at a time,
+    last block first, down to the last sample outside the ball."""
+    idx = 0  # the sample after the last one outside the ball
+    for lo, hi in reversed([*sol.blocks()]):
+        dist = distance_to_attractor(sol.states[lo:hi], p, spec)
+        outside = np.flatnonzero(~(dist <= spec.epsilon))
+        if len(outside):
+            idx = lo + int(outside[-1]) + 1
+            break
+    if idx == len(sol.t):
         return None
-    # Last sample outside the ball; convergence is the next sample.
-    outside = np.nonzero(~inside)[0]
-    idx = 0 if len(outside) == 0 else int(outside[-1]) + 1
     return HybridTime(float(sol.t[idx]), int(sol.j[idx]))

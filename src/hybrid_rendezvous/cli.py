@@ -43,7 +43,7 @@ from .analysis import (
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config
 from .controllers import timer_rate
-from .engine import HybridSolution, IntegrationFailure, simulate
+from .engine import CHUNK_ROWS, HybridSolution, IntegrationFailure, simulate
 from .hcw import OrbitParams
 
 EXIT_OK = 0
@@ -101,11 +101,6 @@ EVENT_COLUMNS = (
     "lyap_pre,lyap_post,classification,"
     "r_x_pre,r_y_pre,r_z_pre,v_x_pre,v_y_pre,v_z_pre"
 )
-
-
-#: Rows formatted and written per file write: output memory stays bounded
-#: by one block, whatever the length of the run.
-CHUNK_ROWS = 1024
 
 
 def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], list[str]]) -> None:

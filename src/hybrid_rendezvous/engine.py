@@ -28,9 +28,10 @@ ends at ``t_max`` or when ``j_max`` jumps are spent, never on convergence.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class JumpChannel:
     jump: Callable[[np.ndarray, float, int], ImpulseEvent]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpulseEvent:
     """Record of one applied jump.
 
@@ -149,13 +150,21 @@ class HybridSystem:
     flow_to: Callable[[np.ndarray, float], np.ndarray]
 
 
+#: Rows per block of the passes over a whole run (the certificate checks and
+#: the CSV writers): their memory stays bounded by one block.
+CHUNK_ROWS = 1024
+
+
 @dataclass
 class HybridSolution:
     """A sampled hybrid arc: states indexed by hybrid time, plus events.
 
     Samples include every integration step endpoint and the pre/post state of
     every jump (jumps contribute two samples at the same ``t`` with ``j``
-    incremented).  ``status`` is ``"t_max"`` or ``"jump_budget_exhausted"``.
+    incremented).  ``t``, ``j`` and the rows of ``states`` are views of the
+    flat buffers :func:`simulate` filled, 104 bytes a sample for 11 floats;
+    each event holds its own ``state_pre`` and ``state_post``.  ``status`` is
+    ``"t_max"`` or ``"jump_budget_exhausted"``.
     """
 
     t: np.ndarray
@@ -164,12 +173,20 @@ class HybridSolution:
     events: list[ImpulseEvent]
     status: str
 
-    def arcs(self) -> list[tuple[int, int]]:
-        """Index ranges [start, stop) of maximal constant-``j`` sample runs
-        (the flow arcs, including zero-duration ones between immediate
-        jumps)."""
-        bounds = [0, *(np.flatnonzero(np.diff(self.j)) + 1).tolist(), len(self.j)]
-        return list(zip(bounds[:-1], bounds[1:]))
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Index ranges [lo, hi) that tile the samples with whole flow arcs
+        (maximal constant-``j`` runs, zero-duration ones included): each
+        ends before the arc that would take it past :data:`CHUNK_ROWS` rows,
+        or after its first arc if that alone is longer."""
+        j, lo = self.j, 0  # j is non-decreasing: each arc is the run of one value
+        while lo < len(j):
+            hi = len(j)
+            if lo + CHUNK_ROWS < hi:  # end where the arc holding row lo + CHUNK_ROWS starts
+                hi = int(np.searchsorted(j, j[lo + CHUNK_ROWS]))
+            if hi == lo:
+                hi = int(np.searchsorted(j, j[lo], side="right"))
+            yield lo, hi
+            lo = hi
 
 
 def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
@@ -278,7 +295,9 @@ def simulate(
     candidate are read as floats once, which are checked finite before they
     are asked.  Jumps are drained at ``t = 0`` when ``x0`` is in the union,
     and after every landing on a guard before ``t_max``; a landing at
-    exactly ``t_max`` is not drained.
+    exactly ``t_max`` is not drained.  Each sample's bytes go onto one flat
+    buffer, and ``t`` and ``j`` onto typed arrays, which the solution views
+    as they are: no array per sample is kept, and nothing is copied at the end.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
@@ -292,7 +311,7 @@ def simulate(
     if not all(map(math.isfinite, values)):
         raise IntegrationFailure("non-finite initial state", state)
     t, j = 0.0, 0
-    ts, js, samples = [t], [j], [state]
+    ts, js, samples = array("d", [t]), array("q", [j]), bytearray(state.tobytes())
     events: list[ImpulseEvent] = []
     status = "t_max"
 
@@ -309,7 +328,7 @@ def simulate(
                 j += 1
                 ts.append(t)
                 js.append(j)
-                samples.append(ev.state_post)
+                samples += ev.state_post.tobytes()
             if budget_hit:
                 status = "jump_budget_exhausted"
                 break
@@ -331,12 +350,12 @@ def simulate(
             t += h
         ts.append(t)
         js.append(j)
-        samples.append(state)
+        samples += state.tobytes()
 
     return HybridSolution(
-        t=np.array(ts),
-        j=np.array(js, dtype=int),
-        states=np.array(samples),
+        t=np.frombuffer(ts),
+        j=np.frombuffer(js, dtype=np.int64).astype(int, copy=False),
+        states=np.frombuffer(samples).reshape(len(ts), -1),
         events=events,
         status=status,
     )

@@ -1,10 +1,13 @@
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybrid_rendezvous import closed_loop as cl
+from hybrid_rendezvous.cli import run_scenario
+from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_stm, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +21,40 @@ def scenario_dir() -> Path:
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.cfg"
+
+
+@pytest.fixture(scope="session")
+def reference_runs():
+    """The 20-orbit closed-form runs of ``inplane_ref`` and ``full_ref``, run
+    once per session: name -> ``(cfg, sol, p, spec, elapsed)``, with the wall
+    time of the run.  Every array of each solution is read-only, so a test
+    that writes to a shared run fails instead of changing the next test's.
+    Tests that compare two runs, that patch the engine, or that run the CLI
+    make their own runs."""
+    runs = {}
+    for name in ("inplane_ref", "full_ref"):
+        cfg = parse_config(scenario_path(name))
+        start = time.perf_counter()
+        sol, p, spec = run_scenario(cfg)
+        elapsed = time.perf_counter() - start
+        for ev in sol.events:
+            ev.state_pre.flags.writeable = ev.state_post.flags.writeable = False
+        sol.t.flags.writeable = sol.j.flags.writeable = sol.states.flags.writeable = False
+        runs[name] = (cfg, sol, p, spec, elapsed)
+    return runs
+
+
+def arcs_by_loop(j) -> list[tuple[int, int]]:
+    """The flow arcs of a run, by walking its jump counters ``j`` sample by
+    sample: index ranges [start, stop) of maximal constant-``j`` runs."""
+    out = []
+    start = 0
+    for i in range(1, len(j)):
+        if j[i] != j[i - 1]:
+            out.append((start, i))
+            start = i
+    out.append((start, len(j)))
+    return out
 
 
 def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:

@@ -53,16 +53,17 @@ BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
 
 
 @pytest.fixture(scope="module")
-def bundled_runs():
-    """Closed-form runs of every bundled scenario, with wall-clock times."""
-    runs = {}
-    for name in BUNDLED:
+def bundled_runs(reference_runs):
+    """Closed-form runs of every bundled scenario, with wall-clock times;
+    the reference scenarios' are the session's shared runs."""
+    runs = dict(reference_runs)
+    for name in ("z_fast", "z_slow"):
         cfg = parse_config(scenario_path(name))
         start = time.perf_counter()
         sol, p, spec = cli.run_scenario(cfg)
         elapsed = time.perf_counter() - start
         runs[name] = (cfg, sol, p, spec, elapsed)
-    return runs
+    return {name: runs[name] for name in BUNDLED}
 
 
 def test_criterion_01_lyapunov_flow_invariance(bundled_runs):
@@ -316,11 +317,12 @@ def test_criterion_09_stm_against_rk4_oracle():
     )
 
 
-def test_criterion_10_priority_permutation_robustness():
+def test_criterion_10_priority_permutation_robustness(reference_runs):
     """All six jump-priority orders keep the certificates, the reference
     beta count, and convergence intact on every bundled scenario.  Each
     distinct order of a scenario's own channels is run once: permutations
-    that differ only in absent channels are the same simulation."""
+    that differ only in absent channels are the same simulation, and a
+    reference scenario's own order is its shared run."""
     cases = 0
     for name in BUNDLED:
         cfg = parse_config(scenario_path(name))
@@ -334,8 +336,11 @@ def test_criterion_10_priority_permutation_robustness():
         )
         for perm in orders:
             channels = tuple(by_name[ch] for ch in perm)
-            permuted = dataclasses.replace(system, channels=channels)
-            sol = simulate(permuted, cfg.initial_state(), cfg.options())
+            if channels == system.channels and name in reference_runs:
+                sol = reference_runs[name][1]
+            else:
+                permuted = dataclasses.replace(system, channels=channels)
+                sol = simulate(permuted, cfg.initial_state(), cfg.options())
             assert check_flow_invariance(sol, p, tol=1e-12).passed, (name, perm)
             assert check_jump_decrease(sol).passed, (name, perm)
             assert convergence_time(sol, p, spec) is not None, (name, perm)

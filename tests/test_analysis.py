@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_rendezvous import analysis
-from hybrid_rendezvous.cli import run_scenario
+from hybrid_rendezvous import analysis, engine
+from hybrid_rendezvous.cli import flow_drift_tolerance, run_scenario
 from hybrid_rendezvous.closed_loop import (
     AttractorSpec,
     DwellThresholds,
@@ -25,7 +25,7 @@ from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import HybridSystem, SimulationOptions, simulate
 from hybrid_rendezvous.hcw import RZ, OrbitParams
 
-from conftest import scenario_path
+from conftest import arcs_by_loop, scenario_path
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -87,7 +87,7 @@ class TestFlowInvariance:
         sol, p, _ = run_scenario(cfg)
         if corrupt:
             rng = np.random.default_rng(5)
-            starts = [start for start, _ in sol.arcs()]
+            starts = [start for start, _ in arcs_by_loop(sol.j)]
             for col in range(sol.states.shape[1]):
                 rows = [*rng.choice(starts, 2), *rng.choice(len(sol.t), 2)]
                 sol.states[rows, col] = [np.nan, np.inf, -np.inf, 1e200]
@@ -106,7 +106,7 @@ def per_arc_flow_invariance(sol, p, tol):
     names = tuple(lyap)
     values = np.column_stack(tuple(lyap.values()))
     worst = {name: 0.0 for name in names}
-    for start, stop in sol.arcs():
+    for start, stop in arcs_by_loop(sol.j):
         ref = values[start]
         drift = np.abs(values[start:stop] - ref) / np.maximum(ref, analysis.DRIFT_FLOOR)
         arc_worst = drift.max(axis=0)
@@ -294,3 +294,48 @@ class TestConvergenceTime:
         sol = z_solution(t_orbits=0.05)  # far from rest the whole horizon
         ht = analysis.convergence_time(sol, P, AttractorSpec(which="z", epsilon=1e-6))
         assert ht is None
+
+
+#: Runs whose checks go a block at a time, by id: a bundled scenario file
+#: plus config overrides.  Besides the scenarios: the two reference ones
+#: under rk4; inplane_ref with r_x, r_y and umax scaled by 2^9, which fails
+#: the flow check (ROADMAP's D3); and full_ref's z channel from v_y = 3e153,
+#: v_z = 1e154, whose V_alpha overflows to inf, with NaN drifts.
+BLOCK_RUNS = {
+    **{name: (name, {}) for name in ("z_fast", "z_slow", "inplane_ref", "full_ref")},
+    **{
+        f"{name}_rk4": (name, dict(integrator="rk4", step_h=10.0, t_max_orbits=2.0))
+        for name in ("inplane_ref", "full_ref")
+    },
+    "inplane_ref_x512": ("inplane_ref", dict(r_x=-60.0 * 512, r_y=1000.0 * 512, umax=0.2 * 512)),
+    "v_alpha_overflow": ("full_ref", dict(v_y=3e153, v_z=1e154, subsystem="z")),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("run", BLOCK_RUNS)
+    def test_seven_row_blocks_report_as_one_block(self, run, reference_runs, monkeypatch):
+        name, overrides = BLOCK_RUNS[run]
+        if run in reference_runs:
+            cfg, sol, p, spec, _ = reference_runs[run]
+        else:
+            cfg = parse_config(scenario_path(name), **overrides)
+            sol, p, spec = run_scenario(cfg)
+        tol = flow_drift_tolerance(cfg)
+        reports = []
+        for rows in (7, len(sol.t)):
+            monkeypatch.setattr(engine, "CHUNK_ROWS", rows)
+            assert (len([*sol.blocks()]) == 1) == (rows == len(sol.t))
+            with np.errstate(all="ignore"):
+                flow = analysis.check_flow_invariance(sol, p, tol=tol)
+                reports.append((flow, analysis.convergence_time(sol, p, spec)))
+        assert repr(reports[0]) == repr(reports[1])
+        flow, conv = reports[0]
+        if run == "inplane_ref_x512":
+            assert (flow.violations[0].quantity, flow.violations[0].j) == ("V_beta flow drift", 17)
+        elif run == "v_alpha_overflow":
+            with np.errstate(all="ignore"):
+                assert np.isinf(lyapunov_values(sol.states, p)["alpha"]).any()  # inf - inf drifts
+            assert conv is None
+        else:
+            assert flow.passed and conv is not None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -32,7 +33,7 @@ from hybrid_rendezvous.engine import (
 from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams
 
-from conftest import scenario_path, stm_matrix
+from conftest import arcs_by_loop, scenario_path, stm_matrix
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -501,25 +502,62 @@ def engine_calls():
     return {run: record_calls(run) for run in RUNS}
 
 
-def arcs_by_loop(j):
-    """Reference arc split: walk the jump counters sample by sample."""
-    out = []
-    start = 0
-    for i in range(1, len(j)):
-        if j[i] != j[i - 1]:
-            out.append((start, i))
-            start = i
-    out.append((start, len(j)))
-    return out
-
-
 class TestArcs:
     @pytest.mark.parametrize("t_max_orbits", [20.0, 0.0])
-    def test_matches_sample_loop(self, t_max_orbits):
-        cfg = parse_config(scenario_path("full_ref"))
-        sol, _, _ = run_scenario(replace(cfg, t_max_orbits=t_max_orbits))
-        arcs = sol.arcs()
-        assert arcs == arcs_by_loop(sol.j)
-        assert all(type(i) is int for arc in arcs for i in arc)
+    def test_matches_sample_loop(self, t_max_orbits, reference_runs, monkeypatch):
+        # The blocks tile the samples with the arcs of the loop, whole: each
+        # takes arcs while they fit in CHUNK_ROWS rows, and at least one.
+        if t_max_orbits == 20.0:
+            sol = reference_runs["full_ref"][1]
+        else:
+            cfg = parse_config(scenario_path("full_ref"))
+            sol, _, _ = run_scenario(replace(cfg, t_max_orbits=t_max_orbits))
+        stop_of = dict(arcs_by_loop(sol.j))
+        for rows in (engine.CHUNK_ROWS, 7, 1):
+            monkeypatch.setattr(engine, "CHUNK_ROWS", rows)
+            blocks = [*sol.blocks()]
+            assert all(type(i) is int for block in blocks for i in block)
+            assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
+            assert blocks[-1][1] == len(sol.j)
+            for lo, hi in blocks:
+                assert lo in stop_of and (hi == len(sol.j) or hi in stop_of)
+                assert hi - lo <= rows or hi == stop_of[lo]
+                assert hi == len(sol.j) or stop_of[hi] - lo > rows
         if t_max_orbits == 0.0:
-            assert arcs == [(0, 1)]
+            assert blocks == [(0, 1)]
+
+
+class TestFlatRecord:
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_samples_are_one_block_and_events_their_rows(self, run, reference_runs):
+        if run in reference_runs:
+            sol = reference_runs[run][1]
+        else:
+            system, cfg = scenario_system(run)
+            sol = simulate(system, cfg.initial_state(), cfg.options())
+        assert sol.states.dtype == np.float64 and sol.states.flags.c_contiguous
+        assert sol.states.shape == (len(sol.t), 11)
+        assert sol.t.dtype == np.float64
+        assert sol.j.dtype == np.array([0], dtype=int).dtype
+        # each event's post-jump state is the first sample of its jump count
+        rows = np.searchsorted(sol.j, [ev.j_pre + 1 for ev in sol.events])
+        assert sol.events and sol.t[rows].tolist() == [ev.t for ev in sol.events]
+        for row, ev in zip(rows.tolist(), sol.events):
+            assert sol.states[row].tobytes() == ev.state_post.tobytes()
+
+    def test_simulate_peaks_at_the_memory_it_keeps(self):
+        # Under tracemalloc, a 2-orbit full_ref run: simulate's peak exceeds
+        # what it keeps (the solution and the propagator's matrix cache) by
+        # less than a quarter of that.  An array per sample, copied into one
+        # at the end, put the peak 72 % above it.
+        system, cfg = scenario_system("full_ref")
+        opts = replace(cfg, t_max_orbits=2.0).options()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = simulate(system, cfg.initial_state(), opts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sol.t) > 1000
+        assert peak - kept < 0.25 * (kept - before)
