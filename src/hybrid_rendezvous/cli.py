@@ -43,7 +43,7 @@ from .analysis import (
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config
 from .controllers import timer_rate
-from .engine import CHUNK_ROWS, HybridSolution, IntegrationFailure, simulate
+from .engine import HybridSolution, IntegrationFailure, simulate
 from .hcw import OrbitParams
 
 EXIT_OK = 0
@@ -52,6 +52,9 @@ EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
 SWEEPABLE = ("tau_m_z", "tau_m_beta", "tau_m_alpha", "umax")
+
+#: Rows per block of the CSV writers: a writer's memory is one block at any run length.
+WRITE_ROWS = 256
 
 
 def _numbers(text: str) -> list[float]:
@@ -105,12 +108,12 @@ EVENT_COLUMNS = (
 
 def _write_csv(path: Path, header: str, rows: int, block: Callable[[slice], list[str]]) -> None:
     """Write ``header`` and ``rows`` lines to ``path``, one write per
-    :data:`CHUNK_ROWS` rows; ``block(part)`` gives the lines of the rows in
+    :data:`WRITE_ROWS` rows; ``block(part)`` gives the lines of the rows in
     the slice ``part``."""
     with path.open("w") as f:
         f.write(header + "\n")
-        for start in range(0, rows, CHUNK_ROWS):
-            f.write("\n".join([*block(slice(start, start + CHUNK_ROWS)), ""]))
+        for start in range(0, rows, WRITE_ROWS):
+            f.write("\n".join([*block(slice(start, start + WRITE_ROWS)), ""]))
 
 
 def _format_rows(
@@ -173,11 +176,12 @@ def _event_block(
     right (the last is the dwell margin); absent ones are blank."""
     events = sol.events[part]
     pads = np.array([3 - len(ev.margins) for ev in events])
+    pres = sol.states[sol.event_rows(part) - 1, :6].tolist()  # each pre-jump plant state
     floats = np.array(
         [
             (ev.t, ev.t / p.period, ev.u_commanded, ev.u_applied, ev.delta_lyap, ev.bound,
-             *[0.0] * pad, *ev.margins, ev.lyap_pre, ev.lyap_post, *ev.state_pre[:6])
-            for ev, pad in zip(events, pads.tolist())
+             *[0.0] * pad, *ev.margins, ev.lyap_pre, ev.lyap_post, *pre)
+            for ev, pad, pre in zip(events, pads.tolist(), pres)
         ]
     )
     text = zip(*[

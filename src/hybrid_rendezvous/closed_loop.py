@@ -259,13 +259,14 @@ def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
     its guard terms ``partial(law.guard, p, tau_m)``, and the jump map all
     channels share.  On one ``tolist()`` and its zeta the jump records the
     margins by those terms and V, fires the command through :func:`ctl.fire`,
-    applies the law's edits, and records V after and the theorem bound."""
+    applies the law's edits, and records V after and the theorem bound.  It
+    returns the post-jump state, a new array, and the event, which keeps none."""
     law = CHANNELS[name]
     terms = partial(law.guard, p, tau_m)
     command, lyapunov = law.command, law.lyapunov
     thrust, timer, logic, gain = law.thrust, law.timer, law.logic, law.gain
 
-    def jump(state: np.ndarray, t: float, j_pre: int) -> ImpulseEvent:
+    def jump(state: np.ndarray, t: float, j_pre: int) -> tuple[np.ndarray, ImpulseEvent]:
         s = state.tolist()
         zeta = to_zeta(s, p)
         margins = terms(s)
@@ -276,8 +277,8 @@ def make_channel(name: str, p: OrbitParams, tau_m: float) -> JumpChannel:
         s[timer] = 0.0
         if logic is not None and unsaturated:
             s[logic] = -s[logic]
-        return ImpulseEvent(
-            name, t, j_pre, u_cmd, u, state, np.array(s), margins,
+        return np.array(s), ImpulseEvent(
+            name, t, j_pre, u_cmd, u, margins,
             lyap_pre, lyapunov(s, to_zeta(s, p), p), -gain * u * u_cmd,
         )
 

@@ -1,9 +1,9 @@
 """Generic hybrid-automaton execution.
 
-A hybrid system here is a continuous flow plus a list of jump channels.  Each
-channel owns a guard (a conjunction of scalar margins; the state is in the
-channel's jump set iff the smallest margin is >= 0) and a jump map, which
-returns the :class:`ImpulseEvent` of its firing.  The executor alternates
+A hybrid system here is a continuous flow plus jump channels.  Each channel
+owns a guard (a conjunction of scalar margins; the state is in its jump set
+iff the smallest margin is >= 0) and a jump map, which returns the post-jump
+state and the :class:`ImpulseEvent` of its firing.  The executor alternates
 fixed-step flow integration with jump application:
 
 * jumps preempt flow — whenever any guard is satisfied, jumps are applied
@@ -71,12 +71,12 @@ class GuardConjunction:
 @dataclass(frozen=True)
 class JumpChannel:
     """One impulse channel: a named guard conjunction plus a jump map
-    ``jump(state, t, j_pre)`` that returns the :class:`ImpulseEvent` of its
-    firing at hybrid time ``(t, j_pre)``, post-jump state included."""
+    ``jump(state, t, j_pre)`` that returns the post-jump state, a new array,
+    and the :class:`ImpulseEvent` of its firing at hybrid time ``(t, j_pre)``."""
 
     name: str
     guard: GuardConjunction
-    jump: Callable[[np.ndarray, float, int], ImpulseEvent]
+    jump: Callable[[np.ndarray, float, int], tuple[np.ndarray, ImpulseEvent]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +87,7 @@ class ImpulseEvent:
     number ``j_pre + 1``).  ``margins`` are the guard terms evaluated at the
     trigger state.  ``delta_lyap`` is the observed change of the channel's
     Lyapunov function and ``bound`` the theorem bound it must not exceed.
+    Its states are the rows :meth:`HybridSolution.event_rows` names.
     """
 
     channel: str
@@ -94,8 +95,6 @@ class ImpulseEvent:
     j_pre: int
     u_commanded: float
     u_applied: float
-    state_pre: np.ndarray
-    state_post: np.ndarray
     margins: tuple[float, ...]
     lyap_pre: float
     lyap_post: float
@@ -150,8 +149,8 @@ class HybridSystem:
     flow_to: Callable[[np.ndarray, float], np.ndarray]
 
 
-#: Rows per block of the passes over a whole run (the certificate checks and
-#: the CSV writers): their memory stays bounded by one block.
+#: Rows per block of the certificate checks' passes over a whole run: their
+#: memory stays bounded by one block.
 CHUNK_ROWS = 1024
 
 
@@ -163,8 +162,8 @@ class HybridSolution:
     every jump (jumps contribute two samples at the same ``t`` with ``j``
     incremented).  ``t``, ``j`` and the rows of ``states`` are views of the
     flat buffers :func:`simulate` filled, 104 bytes a sample for 11 floats;
-    each event holds its own ``state_pre`` and ``state_post``.  ``status`` is
-    ``"t_max"`` or ``"jump_budget_exhausted"``.
+    an event's states are two of those rows (:meth:`event_rows`), not copies.
+    ``status`` is ``"t_max"`` or ``"jump_budget_exhausted"``.
     """
 
     t: np.ndarray
@@ -172,6 +171,10 @@ class HybridSolution:
     states: np.ndarray
     events: list[ImpulseEvent]
     status: str
+
+    def event_rows(self, part: slice = slice(None)) -> np.ndarray:
+        """The post-jump row of each event in ``part``; the row before is its pre-jump row."""
+        return np.searchsorted(self.j, [ev.j_pre + 1 for ev in self.events[part]])
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """Index ranges [lo, hi) that tile the samples with whole flow arcs
@@ -260,26 +263,27 @@ def resolve_jumps(
     ch: JumpChannel,
     channels: Sequence[JumpChannel],
     j_max: int,
-) -> tuple[np.ndarray, list[ImpulseEvent], bool]:
+) -> tuple[list[np.ndarray], list[ImpulseEvent], bool]:
     """Apply jumps while any guard is active, one at a time in channel order.
 
     It fires ``ch``, the caller's :func:`first_active` of ``state``; guards
     after the first active one are not evaluated.  The channel's jump map
-    returns the event, and the next jump starts from its ``state_post``.
-    Guards are re-evaluated on the post-jump state after every applied
-    jump, so a later channel still active after an earlier one's jump fires
-    next at the same ``t``.  Returns the post-jump state, the events in
-    application order, and a flag set when ``j_max`` was hit while guards
-    were still active (the Zeno guard).
+    returns the post-jump state and the event, and the next jump starts from
+    that state.  Guards are re-evaluated on the post-jump state after every
+    applied jump, so a later channel still active after an earlier one's
+    jump fires next at the same ``t``.  Returns the post-jump states and the
+    events, in application order, and a flag set when ``j_max`` was hit
+    while guards were still active (the Zeno guard).
     """
-    events: list[ImpulseEvent] = []
+    states, events = [], []
     while ch is not None:
         if j + len(events) >= j_max:
-            return state, events, True
-        events.append(ch.jump(state, t, j + len(events)))
-        state = events[-1].state_post
+            return states, events, True
+        state, event = ch.jump(state, t, j + len(events))
+        states.append(state)
+        events.append(event)
         ch = first_active(channels, state.tolist())
-    return state, events, False
+    return states, events, False
 
 
 def simulate(
@@ -295,9 +299,10 @@ def simulate(
     candidate are read as floats once, which are checked finite before they
     are asked.  Jumps are drained at ``t = 0`` when ``x0`` is in the union,
     and after every landing on a guard before ``t_max``; a landing at
-    exactly ``t_max`` is not drained.  Each sample's bytes go onto one flat
-    buffer, and ``t`` and ``j`` onto typed arrays, which the solution views
-    as they are: no array per sample is kept, and nothing is copied at the end.
+    exactly ``t_max`` is not drained.  Each sample's bytes, post-jump states
+    included, go onto one flat buffer, and ``t`` and ``j`` onto typed arrays,
+    which the solution views as they are: no array per sample or event is
+    kept, and nothing is copied at the end.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
@@ -320,15 +325,15 @@ def simulate(
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
         if active is not None:
-            state, new_events, budget_hit = resolve_jumps(
+            posts, new_events, budget_hit = resolve_jumps(
                 state, t, j, active, system.channels, opts.j_max
             )
-            for ev in new_events:
-                events.append(ev)
+            events += new_events
+            for state in posts:  # the last one is where the flow resumes
                 j += 1
                 ts.append(t)
                 js.append(j)
-                samples += ev.state_post.tobytes()
+                samples += state.tobytes()
             if budget_hit:
                 status = "jump_budget_exhausted"
                 break

@@ -27,8 +27,9 @@ def scenario_path(name: str) -> Path:
 def reference_runs():
     """The 20-orbit closed-form runs of ``inplane_ref`` and ``full_ref``, run
     once per session: name -> ``(cfg, sol, p, spec, elapsed)``, with the wall
-    time of the run.  Every array of each solution is read-only, so a test
-    that writes to a shared run fails instead of changing the next test's.
+    time of the run.  Every array of each solution is read-only, the rows
+    that are its events' states included, so a test that writes to a shared
+    run fails instead of changing the next test's.
     Tests that compare two runs, that patch the engine, or that run the CLI
     make their own runs."""
     runs = {}
@@ -37,8 +38,6 @@ def reference_runs():
         start = time.perf_counter()
         sol, p, spec = run_scenario(cfg)
         elapsed = time.perf_counter() - start
-        for ev in sol.events:
-            ev.state_pre.flags.writeable = ev.state_post.flags.writeable = False
         sol.t.flags.writeable = sol.j.flags.writeable = sol.states.flags.writeable = False
         runs[name] = (cfg, sol, p, spec, elapsed)
     return runs
@@ -154,12 +153,10 @@ def flip_alpha_sign(system, p):
 
     def corrupt(jump):
         def wrong_sign(state: np.ndarray, t: float, j_pre: int):
-            ev = jump(state, t, j_pre)
-            out = np.array(ev.state_post)
+            out, ev = jump(state, t, j_pre)
             out[VX] = state[VX] - ev.u_applied
-            return dataclasses.replace(
+            return out, dataclasses.replace(
                 ev,
-                state_post=out,
                 u_applied=-ev.u_applied,
                 lyap_post=cl.lyapunov_values(out, p)["alpha"],
             )

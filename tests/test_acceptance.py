@@ -207,14 +207,15 @@ def test_criterion_05_impulse_placement(bundled_runs):
     for name in ("z_fast", "z_slow", "full_ref"):
         cfg, sol, p, spec, _ = bundled_runs[name]
         rz_max = float(np.max(np.abs(sol.states[:, RZ])))
-        for ev in sol.events:
+        rz_pre = sol.states[sol.event_rows() - 1, RZ].tolist()  # each event's pre-jump r_z
+        for ev, rz in zip(sol.events, rz_pre):
             if ev.channel != "z":
                 continue
             label = cli.classify_z_event(float(ev.margins[2]), p, cfg.event_tol)
             classified[label] += 1
             if label == "zero_crossing":
-                assert abs(ev.state_pre[RZ]) <= rz_max * 1e-3, (
-                    f"{name}: firing at |r_z|={abs(ev.state_pre[RZ]):.3g} "
+                assert abs(rz) <= rz_max * 1e-3, (
+                    f"{name}: firing at |r_z|={abs(rz):.3g} "
                     f"with timer margin {ev.margins[2]:.3g}"
                 )
     assert sum(classified.values()) > 0

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from hybrid_rendezvous import cli
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
 from hybrid_rendezvous.closed_loop import lyapunov_values, make_state, zeta_of
-from hybrid_rendezvous.config import parse_config
+from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.engine import IntegrationFailure
 from hybrid_rendezvous.hcw import OrbitParams
 
@@ -141,7 +142,7 @@ def per_sample_trajectory_rows(sol, p):
 def per_event_rows(sol, p, event_tol):
     """Reference formatting of events.csv, one event at a time."""
     orbit = 2.0 * np.pi / p.n
-    for ev in sol.events:
+    for ev, row in zip(sol.events, sol.event_rows().tolist()):
         m = ev.margins
         if ev.channel == "beta":
             h, cls = ["", "", fmt(m[0])], ""
@@ -154,7 +155,7 @@ def per_event_rows(sol, p, event_tol):
             + [fmt(v) for v in values]
             + h
             + [fmt(ev.lyap_pre), fmt(ev.lyap_post), cls]
-            + [fmt(x) for x in ev.state_pre[:6]]
+            + [fmt(x) for x in sol.states[row - 1, :6]]
         )
 
 
@@ -306,11 +307,42 @@ class TestCsvBytes:
         else:
             sol, p, _ = cli.run_scenario(cfg)
         if name == "full_ref":
-            assert len(sol.t) > cli.CHUNK_ROWS  # rows span a chunk boundary
+            assert len(sol.t) > cli.WRITE_ROWS  # rows span a block boundary
+        if name == "inplane_ref":
+            assert len(sol.events) > cli.WRITE_ROWS  # and events do
         expected = [cli.TRAJECTORY_COLUMNS, *per_sample_trajectory_rows(sol, p)]
         assert (out / "trajectory.csv").read_text() == "\n".join(expected) + "\n"
         expected = [cli.EVENT_COLUMNS, *per_event_rows(sol, p, cfg.event_tol)]
         assert (out / "events.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def traced_peak(write, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one call ``write(*args)``."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    def test_a_writer_holds_one_block_at_any_length(self, tmp_path, reference_runs):
+        # full_ref at 20 and at 60 orbits: each writer peaks at one block of
+        # WRITE_ROWS rows, at most 0.6 MB, and the two lengths agree within
+        # 10 %.  1024-row blocks peaked at about 1.6 MB at every length.
+        cfg, sol, p, _, _ = reference_runs["full_ref"]
+        runs = {20: sol, 60: cli.run_scenario(replace(cfg, t_max_orbits=60))[0]}
+        assert len(runs[60].events) > 2 * len(sol.events) > 2 * cli.WRITE_ROWS
+        writers = {
+            "trajectory": lambda sol: cli.write_trajectory(tmp_path / "t.csv", sol, p),
+            "events": lambda sol: cli.write_events(tmp_path / "e.csv", sol, p, cfg.event_tol),
+        }
+        for name, write in writers.items():
+            write(sol)  # the first call loads what the writers import
+            peaks = {orbits: traced_peak(write, run) for orbits, run in runs.items()}
+            assert max(peaks.values()) <= 0.6e6, (name, peaks)
+            assert max(peaks.values()) <= 1.1 * min(peaks.values()), (name, peaks)
 
 
 class TestExitCodes:

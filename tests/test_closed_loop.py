@@ -237,8 +237,8 @@ class TestBlockViews:
             lyap_post = cl.lyapunov_values(posts, P)[ch.name]
             gain = 2.0 if ch.name == "alpha" else 1.0
             for i, (post, u_cmd, u, pre) in enumerate(expected[ch.name]):
-                out = ch.jump(states[i], 0.0, 0)
-                assert np.array_equal(out.state_post, post)
+                out_state, out = ch.jump(states[i], 0.0, 0)
+                assert np.array_equal(out_state, post)
                 assert out.u_commanded == u_cmd and out.u_applied == u
                 assert out.lyap_pre == pre and out.lyap_post == lyap_post[i]
                 assert out.bound == -gain * u * u_cmd
@@ -375,9 +375,10 @@ class TestJumpMaps:
     def test_one_firing_rule_on_every_channel(self, state, t, j_pre):
         for ch in cl.build_system(P, THRESHOLDS, "full").channels:
             thrust, timer, logic = EDITS[ch.name]
-            ev = ch.jump(state, t, j_pre)
-            post = ev.state_post
-            assert ev.state_pre is state
+            pre = state.tobytes()
+            post, ev = ch.jump(state, t, j_pre)
+            # the state handed in is the pre-jump state, left as it was
+            assert post is not state and state.tobytes() == pre
             assert (ev.channel, ev.t, ev.j_pre) == (ch.name, t, j_pre)
             assert ev.margins == ch.guard.terms(state.tolist())
             assert ev.u_applied == sat(ev.u_commanded, P.umax)
@@ -405,8 +406,8 @@ class TestJumpMaps:
         # zeta sums terms up to 3 |r| and 2 |v| / n.
         scale = 1.0 + max(np.abs(state[:3]).max(), np.abs(state[3:6]).max() / P.n)
         for ch in cl.build_system(P, THRESHOLDS, "full").channels:
-            ev = ch.jump(state, 0.0, 0)
-            pre, post = ((*cl.zeta_of(s, P), s[VZ]) for s in (ev.state_pre, ev.state_post))
+            post_state, ev = ch.jump(state, 0.0, 0)
+            pre, post = ((*cl.zeta_of(s, P), s[VZ]) for s in (state, post_state))
             np.testing.assert_allclose(
                 np.subtract(post, pre), ev.u_applied * moves[ch.name], rtol=0.0, atol=1e-13 * scale
             )
@@ -446,6 +447,12 @@ def run_full_reference():
     return simulate(system, x0, opts)
 
 
+def event_states(sol):
+    """Each event of ``sol`` with its pre- and post-jump sample rows."""
+    rows = sol.event_rows()
+    return zip(sol.events, sol.states[rows - 1], sol.states[rows])
+
+
 class TestCompositionProperties:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -460,22 +467,22 @@ class TestCompositionProperties:
             "beta": {VY, cl.TAUB},
             "alpha": {VX, cl.QA, cl.TAUA},
         }
-        for ev in sol.events:
-            diff = np.nonzero(ev.state_post != ev.state_pre)[0]
+        for ev, state_pre, state_post in event_states(sol):
+            diff = np.nonzero(state_post != state_pre)[0]
             assert set(diff) <= touched[ev.channel]
 
     def test_composite_certificate_monotone(self, sol):
         # V_z + beta^2 never increases across any jump.
-        for ev in sol.events:
-            pre = sum(cl.lyapunov_values(ev.state_pre, P)[k] for k in ("z", "beta"))
-            post = sum(cl.lyapunov_values(ev.state_post, P)[k] for k in ("z", "beta"))
+        for _, state_pre, state_post in event_states(sol):
+            pre = sum(cl.lyapunov_values(state_pre, P)[k] for k in ("z", "beta"))
+            post = sum(cl.lyapunov_values(state_post, P)[k] for k in ("z", "beta"))
             assert post <= pre + 1e-12 * max(1.0, pre)
 
     def test_alpha_certificate_monotone_at_alpha_jumps(self, sol):
-        for ev in sol.events:
+        for ev, state_pre, state_post in event_states(sol):
             if ev.channel == "alpha":
-                post = cl.lyapunov_values(ev.state_post, P)["alpha"]
-                pre = cl.lyapunov_values(ev.state_pre, P)["alpha"]
+                post = cl.lyapunov_values(state_post, P)["alpha"]
+                pre = cl.lyapunov_values(state_pre, P)["alpha"]
                 assert post <= pre + 1e-12
 
     def test_no_zeno_termination(self, sol):

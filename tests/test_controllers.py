@@ -48,14 +48,15 @@ def v_beta(beta):
 
 
 def z_event(r_z, v_z, q_z):
-    """The z channel's jump event at ``(r_z, v_z, q_z)``."""
+    """The z channel's post-jump state and event at ``(r_z, v_z, q_z)``."""
     state = cl.make_state(r=(0.0, 0.0, r_z), v=(0.0, 0.0, v_z), q_z=q_z)
     return cl.make_channel("z", P, 0.01).jump(state, 0.0, 0)
 
 
 def alpha_event(y, alpha, q_a):
-    """The alpha channel's jump event at ``x = beta = 0`` and ``(y, alpha,
-    q_alpha)``; the state is checked to give ``(y, alpha)`` exactly."""
+    """The alpha channel's post-jump state and event at ``x = beta = 0``
+    and ``(y, alpha, q_alpha)``; the state is checked to give ``(y, alpha)``
+    exactly."""
     state = cl.make_state(r=(0.0, alpha + 2.0 * y / P.n, 0.0), v=(y, 0.0, 0.0), q_alpha=q_a)
     assert tuple(cl.zeta_of(state, P)[1:3]) == (y, alpha)
     return cl.make_channel("alpha", P, 0.01).jump(state, 0.0, 0)
@@ -133,19 +134,19 @@ class TestZChannel:
         assert h[2] < 0.0
 
     def test_jump_saturated(self):
-        ev = z_event(0.0, 0.5, 1.0)
-        assert (ev.state_post[VZ], ev.u_applied) == (pytest.approx(0.3), -0.2)
-        assert ev.state_post[cl.QZ] == 1.0  # saturated firing keeps the polarity armed
+        post, ev = z_event(0.0, 0.5, 1.0)
+        assert (post[VZ], ev.u_applied) == (pytest.approx(0.3), -0.2)
+        assert post[cl.QZ] == 1.0  # saturated firing keeps the polarity armed
 
     def test_jump_unsaturated_toggles(self):
-        ev = z_event(0.0, 0.1, 1.0)
-        assert ev.state_post[VZ] == 0.0 and ev.u_applied == -0.1
-        assert ev.state_post[cl.QZ] == -1.0
+        post, ev = z_event(0.0, 0.1, 1.0)
+        assert post[VZ] == 0.0 and ev.u_applied == -0.1
+        assert post[cl.QZ] == -1.0
 
     def test_jump_on_rest_state_is_noop(self):
-        ev = z_event(0.0, 0.0, -1.0)
-        assert ev.state_post[VZ] == 0.0 and ev.u_applied == 0.0
-        assert ev.state_post[cl.QZ] == 1.0
+        post, ev = z_event(0.0, 0.0, -1.0)
+        assert post[VZ] == 0.0 and ev.u_applied == 0.0
+        assert post[cl.QZ] == 1.0
 
     @pytest.mark.parametrize(
         "v_z,expected_delta", [(0.5, -0.16), (0.1, -0.01)]
@@ -153,7 +154,7 @@ class TestZChannel:
     def test_jump_decrease_identity(self, v_z, expected_delta):
         # Delta V_z = -sat(v_z) (2 v_z - sat(v_z)), independent of r_z.
         r_z = 123.0
-        v_plus = z_event(r_z, v_z, 1.0).state_post[VZ]
+        v_plus = z_event(r_z, v_z, 1.0)[0][VZ]
         delta = Z.lyapunov(z_state(r_z, v_plus), None, P) - Z.lyapunov(z_state(r_z, v_z), None, P)
         assert delta == pytest.approx(expected_delta, abs=1e-15)
         # and it obeys the jump-decrease bound -v_z sat(v_z)
@@ -208,12 +209,12 @@ class TestAlphaChannel:
     def test_jump_saturated_example(self):
         # x=0, y=1, alpha=0: command -0.5 saturates to -0.2;
         # V_alpha drops from 1 to 0.68.
-        ev = alpha_event(1.0, 0.0, 1.0)
-        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
+        post, ev = alpha_event(1.0, 0.0, 1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(post, P)
         assert ev.u_applied == -0.2
         assert y_plus == pytest.approx(0.8)
         assert a_plus == pytest.approx(0.4 / P.n)
-        assert ev.state_post[cl.QA] == 1.0  # saturated: stays armed
+        assert post[cl.QA] == 1.0  # saturated: stays armed
         v0 = v_alpha(0.0, 1.0, 0.0)
         v1 = v_alpha(0.0, y_plus, a_plus)
         assert v0 == 1.0
@@ -222,10 +223,10 @@ class TestAlphaChannel:
 
     def test_jump_null_command_is_noop(self):
         y, alpha = P.n * 10.0 / 2.0, 10.0
-        ev = alpha_event(y, alpha, -1.0)
-        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
+        post, ev = alpha_event(y, alpha, -1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(post, P)
         assert ev.u_applied == 0.0 and y_plus == y and a_plus == alpha
-        assert ev.state_post[cl.QA] == 1.0  # zero command counts as unsaturated: toggles
+        assert post[cl.QA] == 1.0  # zero command counts as unsaturated: toggles
 
     @given(
         y=st.floats(-1, 1, allow_nan=False),
@@ -245,8 +246,8 @@ class TestAlphaChannel:
         y, alpha = 0.3, 0.0
         u = alpha_command(y, alpha)
         assert abs(u) <= P.umax
-        ev = alpha_event(y, alpha, 1.0)
-        _, y_plus, a_plus, _ = cl.zeta_of(ev.state_post, P)
+        post, ev = alpha_event(y, alpha, 1.0)
+        _, y_plus, a_plus, _ = cl.zeta_of(post, P)
         delta = v_alpha(0, y_plus, a_plus) - v_alpha(0, y, alpha)
         assert delta == pytest.approx(-2.0 * u * u, rel=1e-12)
-        assert ev.state_post[cl.QA] == -1.0
+        assert post[cl.QA] == -1.0

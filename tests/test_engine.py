@@ -183,11 +183,13 @@ class TestResolveJumps:
         system = self.system("z")
         state = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)
         ch = first_active(system.channels, state.tolist())
-        out, events, budget_hit = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
+        posts, events, budget_hit = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
         assert not budget_hit
         assert [e.channel for e in events] == ["z"]
         # The event records the guard terms at the trigger state.
         assert events[0].margins == system.channels[0].guard.terms(state.tolist())
+        assert len(posts) == 1
+        out = posts[-1]
         assert out[QZ] == -1.0
         assert out[TAUZ] == 0.0
         assert out[VZ] == 0.0
@@ -203,7 +205,8 @@ class TestResolveJumps:
             tau_beta=THRESHOLDS.beta,
         )
         ch = first_active(system.channels, state.tolist())
-        out, events, _ = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
+        posts, events, _ = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
+        assert len(posts) == len(events)
         assert [e.channel for e in events][:2] == ["z", "beta"]
         assert [e.j_pre for e in events] == list(range(len(events)))
         assert all(e.t == 0.0 for e in events)
@@ -219,7 +222,7 @@ class TestResolveJumps:
         z, beta, alpha = system.channels
         channels = (beta, alpha, z)
         ch = first_active(channels, state.tolist())
-        out, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
+        _, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
         assert events[0].channel == "beta"
 
     def test_empty_active_set_is_an_error(self, engine_calls):
@@ -530,20 +533,34 @@ class TestArcs:
 class TestFlatRecord:
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_samples_are_one_block_and_events_their_rows(self, run, reference_runs):
+        system, cfg = scenario_system(run)
         if run in reference_runs:
             sol = reference_runs[run][1]
         else:
-            system, cfg = scenario_system(run)
             sol = simulate(system, cfg.initial_state(), cfg.options())
         assert sol.states.dtype == np.float64 and sol.states.flags.c_contiguous
         assert sol.states.shape == (len(sol.t), 11)
         assert sol.t.dtype == np.float64
         assert sol.j.dtype == np.array([0], dtype=int).dtype
-        # each event's post-jump state is the first sample of its jump count
-        rows = np.searchsorted(sol.j, [ev.j_pre + 1 for ev in sol.events])
-        assert sol.events and sol.t[rows].tolist() == [ev.t for ev in sol.events]
+        # each event's post-jump row is the first sample of its jump count,
+        # at its time, and the row before it is the last of the count before
+        rows = sol.event_rows()
+        assert sol.events and rows.tolist() == np.searchsorted(
+            sol.j, [ev.j_pre + 1 for ev in sol.events]
+        ).tolist()
+        assert sol.t[rows].tolist() == [ev.t for ev in sol.events]
+        assert sol.j[rows - 1].tolist() == [ev.j_pre for ev in sol.events]
+        assert sol.t[rows - 1].tolist() == [ev.t for ev in sol.events]
+        assert [rows[k].tolist() for k in (slice(3, 9), slice(-5, None))] == [
+            sol.event_rows(k).tolist() for k in (slice(3, 9), slice(-5, None))
+        ]
+        # re-applying each event's jump map to its pre-jump row gives its
+        # post-jump row and the event itself, bit for bit
+        jump = {ch.name: ch.jump for ch in system.channels}
         for row, ev in zip(rows.tolist(), sol.events):
-            assert sol.states[row].tobytes() == ev.state_post.tobytes()
+            post, again = jump[ev.channel](sol.states[row - 1], ev.t, ev.j_pre)
+            assert post.tobytes() == sol.states[row].tobytes()
+            assert repr(again) == repr(ev)
 
     def test_simulate_peaks_at_the_memory_it_keeps(self):
         # Under tracemalloc, a 2-orbit full_ref run: simulate's peak exceeds
