@@ -335,12 +335,12 @@ class TestWriterMemory:
         runs = {20: sol, 60: cli.run_scenario(replace(cfg, t_max_orbits=60))[0]}
         assert len(runs[60].events) > 2 * len(sol.events) > 2 * cli.WRITE_ROWS
         writers = {
-            "trajectory": lambda sol: cli.write_trajectory(tmp_path / "t.csv", sol, p),
-            "events": lambda sol: cli.write_events(tmp_path / "e.csv", sol, p, cfg.event_tol),
+            "trajectory": lambda s: cli.write_trajectory(tmp_path / "t.csv", s, p),
+            "events": lambda s: cli.write_events(tmp_path / "e.csv", s, p, cfg.event_tol),
         }
         for name, write in writers.items():
             write(sol)  # the first call loads what the writers import
-            peaks = {orbits: traced_peak(write, run) for orbits, run in runs.items()}
+            peaks = {orbits: traced_peak(write, s) for orbits, s in runs.items()}
             assert max(peaks.values()) <= 0.6e6, (name, peaks)
             assert max(peaks.values()) <= 1.1 * min(peaks.values()), (name, peaks)
 

@@ -188,8 +188,7 @@ class TestResolveJumps:
         assert [e.channel for e in events] == ["z"]
         # The event records the guard terms at the trigger state.
         assert events[0].margins == system.channels[0].guard.terms(state.tolist())
-        assert len(posts) == 1
-        out = posts[-1]
+        (out,) = posts
         assert out[QZ] == -1.0
         assert out[TAUZ] == 0.0
         assert out[VZ] == 0.0
@@ -545,9 +544,7 @@ class TestFlatRecord:
         # each event's post-jump row is the first sample of its jump count,
         # at its time, and the row before it is the last of the count before
         rows = sol.event_rows()
-        assert sol.events and rows.tolist() == np.searchsorted(
-            sol.j, [ev.j_pre + 1 for ev in sol.events]
-        ).tolist()
+        assert sol.events and rows.tolist() == (np.flatnonzero(np.diff(sol.j)) + 1).tolist()
         assert sol.t[rows].tolist() == [ev.t for ev in sol.events]
         assert sol.j[rows - 1].tolist() == [ev.j_pre for ev in sol.events]
         assert sol.t[rows - 1].tolist() == [ev.t for ev in sol.events]
