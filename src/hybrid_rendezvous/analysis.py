@@ -61,13 +61,12 @@ class CertificateReport:
     """Outcome of one certificate check over a whole solution.
 
     ``arc_drift`` maps each Lyapunov function name to its worst relative
-    drift over any flow arc; ``jump_margins`` lists, per event, the slack
-    ``bound - delta_V`` (non-negative when the theorem bound holds).  A
-    passing report has an empty ``violations`` list.
+    drift over any flow arc; ``min_margin`` is the least event margin
+    ``bound - delta_V`` (``None`` without events).  Passing means no violations.
     """
 
     arc_drift: dict[str, float] = field(default_factory=dict)
-    jump_margins: list[float] = field(default_factory=list)
+    min_margin: float | None = None
     violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -147,12 +146,13 @@ def check_jump_decrease(sol: HybridSolution) -> CertificateReport:
     for ev in sol.events:
         delta = ev.delta_lyap
         if abs(ev.u_applied) <= IMPULSE_FLOOR:
-            report.jump_margins.append(0.0 - abs(delta))  # 0.0, not -0.0, at rest
-            kind, bound, ok = "zero-input", 0.0, abs(delta) <= JUMP_SLACK
+            kind, bound, excess = "zero-input", 0.0, abs(delta)
         else:
-            report.jump_margins.append(ev.bound - delta)
-            kind, bound, ok = "jump", ev.bound, delta <= ev.bound + JUMP_SLACK
-        if not ok:
+            kind, bound, excess = "jump", ev.bound, delta
+        margin = bound - excess  # 0.0, not -0.0, at rest
+        if report.min_margin is None or margin < report.min_margin:  # as min(): NaN only if first
+            report.min_margin = margin
+        if not excess <= bound + JUMP_SLACK:
             report.violations.append(Violation(
                 t=ev.t, j=ev.j_pre + 1, quantity=f"{ev.channel} {kind} delta_V",
                 observed=delta, bound=bound,

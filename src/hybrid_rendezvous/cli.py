@@ -242,7 +242,7 @@ def build_summary(
             "jump_decrease": {
                 "passed": jump_report.passed,
                 "events_checked": len(sol.events),
-                "min_margin": min(jump_report.jump_margins, default=None),
+                "min_margin": jump_report.min_margin,
                 "violations": len(jump_report.violations),
             },
         },

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import time
 from pathlib import Path
 
@@ -23,24 +24,42 @@ def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.cfg"
 
 
-@pytest.fixture(scope="session")
-def reference_runs():
-    """The 20-orbit closed-form runs of ``inplane_ref`` and ``full_ref``, run
-    once per session: name -> ``(cfg, sol, p, spec, elapsed)``, with the wall
-    time of the run.  Every array of each solution is read-only, the rows
-    that are its events' states included, so a test that writes to a shared
-    run fails instead of changing the next test's.
-    Tests that compare two runs, that patch the engine, or that run the CLI
-    make their own runs."""
-    runs = {}
-    for name in ("inplane_ref", "full_ref"):
-        cfg = parse_config(scenario_path(name))
-        start = time.perf_counter()
-        sol, p, spec = run_scenario(cfg)
-        elapsed = time.perf_counter() - start
-        sol.t.flags.writeable = sol.j.flags.writeable = sol.states.flags.writeable = False
-        runs[name] = (cfg, sol, p, spec, elapsed)
-    return runs
+BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
+
+#: Scenario runs, by id: a bundled scenario file and config overrides; the
+#: one place tests declare a scenario variant.  Besides the four scenarios:
+#: inplane_ref and full_ref under rk4 (2 orbits, 10 s steps); inplane_ref
+#: with r_x, r_y and umax scaled by 2^9, which fails the flow check
+#: (ROADMAP's D3); full_ref's z channel from v_y = 3e153, v_z = 1e154, whose
+#: V_alpha overflows to inf, with NaN drifts; and full_ref and z_fast at 2
+#: orbits.
+RUNS = {
+    **{name: (name, {}) for name in BUNDLED},
+    **{
+        f"{name}_rk4": (name, dict(integrator="rk4", step_h=10.0, t_max_orbits=2.0))
+        for name in ("inplane_ref", "full_ref")
+    },
+    "inplane_ref_x512": ("inplane_ref", dict(r_x=-60.0 * 512, r_y=1000.0 * 512, umax=0.2 * 512)),
+    "v_alpha_overflow": ("full_ref", dict(v_y=3e153, v_z=1e154, subsystem="z")),
+    **{f"{name}_2orbits": (name, dict(t_max_orbits=2.0)) for name in ("full_ref", "z_fast")},
+}
+
+
+@functools.cache
+def scenario_run(run: str):
+    """One of :data:`RUNS`, simulated once per session: ``(cfg, sol, p, spec,
+    elapsed)``, with the wall time of the run.  The solution is frozen: its
+    arrays, the rows that are its events' states included, are read-only and
+    its events a tuple, so a test that writes to a shared run fails instead
+    of changing the next test's.  Tests that compare two runs, that patch the
+    engine, that run the CLI or that measure their own run make their own."""
+    name, overrides = RUNS[run]
+    cfg = parse_config(scenario_path(name), **overrides)
+    start = time.perf_counter()
+    sol, p, spec = run_scenario(cfg)
+    elapsed = time.perf_counter() - start
+    sol.t.flags.writeable = sol.j.flags.writeable = sol.states.flags.writeable = False
+    return cfg, dataclasses.replace(sol, events=tuple(sol.events)), p, spec, elapsed
 
 
 def arcs_by_loop(j) -> list[tuple[int, int]]:

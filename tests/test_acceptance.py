@@ -30,7 +30,6 @@ from hybrid_rendezvous.closed_loop import (
     make_flow_to,
     make_state,
 )
-from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import HybridSystem, SimulationOptions, simulate
 from hybrid_rendezvous.hcw import (
     RZ,
@@ -39,9 +38,10 @@ from hybrid_rendezvous.hcw import (
 )
 
 from conftest import (
+    BUNDLED,
     inplane_a0,
     inplane_b0,
-    scenario_path,
+    scenario_run,
     stm_matrix,
     transform_matrix,
     transform_matrix_inv,
@@ -49,28 +49,12 @@ from conftest import (
     zeta_b,
 )
 
-BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
-
-
-@pytest.fixture(scope="module")
-def bundled_runs(reference_runs):
-    """Closed-form runs of every bundled scenario, with wall-clock times;
-    the reference scenarios' are the session's shared runs."""
-    runs = dict(reference_runs)
-    for name in ("z_fast", "z_slow"):
-        cfg = parse_config(scenario_path(name))
-        start = time.perf_counter()
-        sol, p, spec = cli.run_scenario(cfg)
-        elapsed = time.perf_counter() - start
-        runs[name] = (cfg, sol, p, spec, elapsed)
-    return {name: runs[name] for name in BUNDLED}
-
-
-def test_criterion_01_lyapunov_flow_invariance(bundled_runs):
+def test_criterion_01_lyapunov_flow_invariance():
     """Per-arc drift of V_z, beta^2, V_alpha: <= 1e-12 closed-form on the full
     horizons, <= 1e-8 per orbit under rk4 at h = period / 1e4."""
     worst_cf, worst_rk = 0.0, 0.0
-    for name, (cfg, sol, p, spec, elapsed) in bundled_runs.items():
+    for name in BUNDLED:
+        cfg, sol, p, spec, elapsed = scenario_run(name)
         assert elapsed < 5.0, f"{name} exceeded the runtime budget: {elapsed:.2f} s"
         report = check_flow_invariance(sol, p, tol=1e-12)
         assert report.passed, f"{name}: closed-form drift violations"
@@ -88,24 +72,23 @@ def test_criterion_01_lyapunov_flow_invariance(bundled_runs):
         assert rk_report.passed, f"{name}: rk4 drift violations"
         worst_rk = max(worst_rk, max(rk_report.arc_drift.values()))
     print(
-        f"PASS criterion 1: flow invariance on {len(bundled_runs)} scenarios "
+        f"PASS criterion 1: flow invariance on {len(BUNDLED)} scenarios "
         f"(worst closed-form drift {worst_cf:.2e} <= 1e-12, rk4 {worst_rk:.2e} <= 1e-8)"
     )
 
 
-def _random_z_case(rng, p, thresholds):
+def _random_z_case(rng, system, p):
     x0 = make_state(
         r=(0, 0, rng.uniform(-1000, 1000)),
         v=(0, 0, rng.uniform(-1, 1)),
         q_z=rng.choice([-1.0, 1.0]),
         tau_z=rng.uniform(0, 1),
     )
-    system = build_system(p, thresholds, subsystem="z")
     opts = SimulationOptions(step_h=120.0, t_max=0.8 * p.period, event_tol=1e-6)
     return simulate(system, x0, opts)
 
 
-def _random_inplane_case(rng, p, thresholds, subsystem):
+def _random_inplane_case(rng, system, p, thresholds):
     x0 = make_state(
         r=(rng.uniform(-500, 500), rng.uniform(-1000, 1000), rng.uniform(-500, 500)),
         v=rng.uniform(-0.5, 0.5, 3),
@@ -115,24 +98,26 @@ def _random_inplane_case(rng, p, thresholds, subsystem):
         tau_beta=thresholds.beta,
         tau_alpha=thresholds.alpha,
     )
-    system = build_system(p, thresholds, subsystem=subsystem)
     opts = SimulationOptions(step_h=60.0, t_max=0.25 * p.period, event_tol=1e-6)
     return simulate(system, x0, opts)
 
 
 def test_criterion_02_jump_decrease_randomized():
     """Every nonzero-input firing obeys its jump-decrease bound with absolute
-    slack 1e-12, over 1000 randomized initial conditions per subsystem."""
+    slack 1e-12, over 1000 randomized initial conditions per subsystem.  One
+    system serves each subsystem's runs: its propagator's matrix cache is
+    exact, so a run's result does not depend on the runs before it."""
     p = OrbitParams()
     thresholds = DwellThresholds()
     rng = np.random.default_rng(2024)
     checked = 0
     for subsystem in ("z", "inplane", "full"):
+        system = build_system(p, thresholds, subsystem=subsystem)
         for _ in range(1000):
             if subsystem == "z":
-                sol = _random_z_case(rng, p, thresholds)
+                sol = _random_z_case(rng, system, p)
             else:
-                sol = _random_inplane_case(rng, p, thresholds, subsystem)
+                sol = _random_inplane_case(rng, system, p, thresholds)
             report = check_jump_decrease(sol)
             assert report.passed, f"{subsystem}: {report.violations[:3]}"
             checked += len(sol.events)
@@ -183,10 +168,10 @@ def test_criterion_03_finite_time_beta():
     )
 
 
-def test_criterion_04_reference_inplane_convergence(bundled_runs):
+def test_criterion_04_reference_inplane_convergence():
     """The reference in-plane scenario converges below 1e-3 of its initial
     attractor distance within 20 orbits, with passing certificates."""
-    cfg, sol, p, spec, _ = bundled_runs["inplane_ref"]
+    cfg, sol, p, spec, _ = scenario_run("inplane_ref")
     ht = convergence_time(sol, p, spec)
     assert ht is not None, "no convergence within the horizon"
     orbits = ht.t / p.period
@@ -199,13 +184,13 @@ def test_criterion_04_reference_inplane_convergence(bundled_runs):
     )
 
 
-def test_criterion_05_impulse_placement(bundled_runs):
+def test_criterion_05_impulse_placement():
     """Every z firing either happens at an r_z zero crossing (|r_z| below
     1e-3 of the max excursion) or is dwell-time-delayed (timer margin zero
     at trigger)."""
     classified = {"zero_crossing": 0, "dwell_delayed": 0}
     for name in ("z_fast", "z_slow", "full_ref"):
-        cfg, sol, p, spec, _ = bundled_runs[name]
+        cfg, sol, p, spec, _ = scenario_run(name)
         rz_max = float(np.max(np.abs(sol.states[:, RZ])))
         rz_pre = sol.states[sol.event_rows() - 1, RZ].tolist()  # each event's pre-jump r_z
         for ev, rz in zip(sol.events, rz_pre):
@@ -226,12 +211,13 @@ def test_criterion_05_impulse_placement(bundled_runs):
     )
 
 
-def test_criterion_06_dwell_time_spacing(bundled_runs):
+def test_criterion_06_dwell_time_spacing():
     """Consecutive firings on a channel are separated by at least
     tau^M * 2 pi / n minus one event tolerance, on all bundled scenarios and
     on the dwell-time sweep pair."""
     checked = 0
-    for name, (cfg, sol, p, spec, _) in bundled_runs.items():
+    for name in BUNDLED:
+        cfg, sol, p, spec, _ = scenario_run(name)
         taus = {"z": cfg.tau_m_z, "beta": cfg.tau_m_beta, "alpha": cfg.tau_m_alpha}
         by_channel = {}
         for ev in sol.events:
@@ -246,12 +232,12 @@ def test_criterion_06_dwell_time_spacing(bundled_runs):
     print(f"PASS criterion 6: dwell spacing held across {checked} firing gaps")
 
 
-def test_criterion_07_dwell_tradeoff(bundled_runs):
+def test_criterion_07_dwell_tradeoff():
     """Sweeping the z dwell threshold over {0.01, 0.25} from the pinned
     initial state: the short dwell converges strictly faster, the long dwell
     fires strictly fewer impulses."""
-    (_, fast_sol, p, fast_spec, _) = bundled_runs["z_fast"]
-    (_, slow_sol, _, slow_spec, _) = bundled_runs["z_slow"]
+    (_, fast_sol, p, fast_spec, _) = scenario_run("z_fast")
+    (_, slow_sol, _, slow_spec, _) = scenario_run("z_slow")
     fast_conv = convergence_time(fast_sol, p, fast_spec)
     slow_conv = convergence_time(slow_sol, p, slow_spec)
     assert fast_conv is not None and slow_conv is not None
@@ -318,18 +304,16 @@ def test_criterion_09_stm_against_rk4_oracle():
     )
 
 
-def test_criterion_10_priority_permutation_robustness(reference_runs):
+def test_criterion_10_priority_permutation_robustness():
     """All six jump-priority orders keep the certificates, the reference
     beta count, and convergence intact on every bundled scenario.  Each
     distinct order of a scenario's own channels is run once: permutations
     that differ only in absent channels are the same simulation, and a
-    reference scenario's own order is its shared run."""
+    scenario's own order is its shared run."""
     cases = 0
     for name in BUNDLED:
-        cfg = parse_config(scenario_path(name))
-        p = cfg.params()
+        cfg, own, p, spec, _ = scenario_run(name)
         system = build_system(p, cfg.thresholds(), subsystem=cfg.subsystem)
-        spec = cfg.attractor()
         by_name = {ch.name: ch for ch in system.channels}
         orders = dict.fromkeys(
             tuple(ch for ch in perm if ch in by_name)
@@ -337,8 +321,8 @@ def test_criterion_10_priority_permutation_robustness(reference_runs):
         )
         for perm in orders:
             channels = tuple(by_name[ch] for ch in perm)
-            if channels == system.channels and name in reference_runs:
-                sol = reference_runs[name][1]
+            if channels == system.channels:
+                sol = own
             else:
                 permuted = dataclasses.replace(system, channels=channels)
                 sol = simulate(permuted, cfg.initial_state(), cfg.options())

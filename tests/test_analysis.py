@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_rendezvous import analysis, engine
-from hybrid_rendezvous.cli import flow_drift_tolerance, run_scenario
+from hybrid_rendezvous.cli import flow_drift_tolerance
 from hybrid_rendezvous.closed_loop import (
     AttractorSpec,
     DwellThresholds,
@@ -21,11 +21,10 @@ from hybrid_rendezvous.closed_loop import (
     make_flow_to,
     make_state,
 )
-from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import HybridSystem, SimulationOptions, simulate
 from hybrid_rendezvous.hcw import RZ, OrbitParams
 
-from conftest import arcs_by_loop, scenario_path
+from conftest import RUNS, arcs_by_loop, scenario_run
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -48,7 +47,7 @@ def beta_only_system():
 
 class TestFlowInvariance:
     def test_closed_form_arcs_hold_tight_tolerance(self):
-        report = analysis.check_flow_invariance(z_solution(), P, tol=1e-12)
+        report = analysis.check_flow_invariance(scenario_run("z_fast_2orbits")[1], P, tol=1e-12)
         assert report.passed
         assert max(report.arc_drift.values()) <= 1e-12
 
@@ -59,7 +58,7 @@ class TestFlowInvariance:
         assert report.passed
 
     def test_violation_reported_with_location(self):
-        sol = z_solution()
+        sol = scenario_run("z_fast_2orbits")[1]
         report = analysis.check_flow_invariance(sol, P, tol=0.0)
         # Impossible tolerance: any nonzero rounding shows up as a violation.
         if report.violations:
@@ -68,8 +67,9 @@ class TestFlowInvariance:
 
     def test_infinite_v_is_a_violation(self):
         # V_z = inf at every sample makes each arc's drift inf - inf = NaN,
-        # which must fail the check, not pass it.
-        sol = z_solution()
+        # which must fail the check, not pass it.  It corrupts a copy.
+        sol = scenario_run("z_fast_2orbits")[1]
+        sol = dataclasses.replace(sol, states=sol.states.copy())
         sol.states[:, RZ] = np.inf
         with pytest.warns(RuntimeWarning, match="invalid value"):
             report = analysis.check_flow_invariance(sol, P, tol=1e-12)
@@ -83,9 +83,9 @@ class TestFlowInvariance:
         # Two orbits of full_ref hold z arcs and in-plane arcs with beta
         # live and zeroed; corrupted samples make NaN and inf drifts, and a
         # NaN or inf V_beta at an arc start.
-        cfg = parse_config(scenario_path("full_ref"), t_max_orbits=2.0)
-        sol, p, _ = run_scenario(cfg)
+        _, sol, p, _, _ = scenario_run("full_ref_2orbits")
         if corrupt:
+            sol = dataclasses.replace(sol, states=sol.states.copy())
             rng = np.random.default_rng(5)
             starts = [start for start, _ in arcs_by_loop(sol.j)]
             for col in range(sol.states.shape[1]):
@@ -130,11 +130,38 @@ def per_arc_flow_invariance(sol, p, tol):
     return report
 
 
+def event_margins(events):
+    """Each event's jump-decrease margin ``bound - delta_V``, with bound 0
+    and ``|delta_V|`` for a zero-input event."""
+    return [
+        0.0 - abs(ev.delta_lyap) if abs(ev.u_applied) <= analysis.IMPULSE_FLOOR
+        else ev.bound - ev.delta_lyap
+        for ev in events
+    ]
+
+
 class TestJumpDecrease:
     def test_reference_run_passes(self):
-        report = analysis.check_jump_decrease(z_solution())
+        report = analysis.check_jump_decrease(scenario_run("z_fast_2orbits")[1])
         assert report.passed
-        assert len(report.jump_margins) == len(z_solution().events)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_min_margin_is_the_min_of_the_event_margins(self, run):
+        sol = scenario_run(run)[1]
+        report = analysis.check_jump_decrease(sol)
+        assert repr(report.min_margin) == repr(min(event_margins(sol.events), default=None))
+
+    @pytest.mark.parametrize("nan_at", [0, 5])
+    def test_min_margin_orders_a_nan_as_min_does(self, nan_at):
+        # A NaN margin first is the minimum; a NaN after it, here last, is passed over.
+        sol = scenario_run("z_fast_2orbits")[1]
+        events = [*sol.events[:6]]
+        events[nan_at] = dataclasses.replace(events[nan_at], lyap_post=math.nan)
+        margins = event_margins(events)
+        assert math.isnan(margins[nan_at]) and not math.isnan(min(margins[1:]))
+        report = analysis.check_jump_decrease(dataclasses.replace(sol, events=events))
+        assert repr(report.min_margin) == repr(min(margins))
+        assert math.isnan(report.min_margin) == (nan_at == 0)
 
     def test_saturated_z_event_margin(self):
         # From rest at v_z = 0.5 the first firing removes 0.2:
@@ -164,7 +191,7 @@ class TestJumpDecrease:
         ids=["zero_input", "nonzero"],
     )
     def test_nan_delta_v_is_a_violation(self, u_applied, quantity):
-        sol = z_solution(r_z=0.0, v_z=0.5, t_orbits=0.01)
+        sol = scenario_run("z_fast_2orbits")[1]
         ev = dataclasses.replace(
             sol.events[0], t=1234.5, j_pre=6, u_applied=u_applied, lyap_post=math.nan
         )
@@ -183,7 +210,7 @@ class TestJumpDecrease:
         # -0.099999999999: that delta passes and the next float up fails.
         # bound - delta >= -JUMP_SLACK rounds differently: it would judge
         # both a violation.
-        sol = z_solution(r_z=0.0, v_z=0.5, t_orbits=0.01)
+        sol = scenario_run("z_fast_2orbits")[1]
         at_slack = -0.099999999999
         for delta, passed in ((at_slack, True), (math.nextafter(at_slack, math.inf), False)):
             ev = dataclasses.replace(
@@ -241,7 +268,7 @@ class TestBudget:
         assert bud.last_impulse_time is None
 
     def test_totals_match_event_sums(self):
-        sol = z_solution()
+        sol = scenario_run("z_fast_2orbits")[1]
         bud = analysis.budget(sol)
         expected = sum(
             abs(e.u_applied)
@@ -258,7 +285,7 @@ class TestBudget:
         assert bud.impulse_counts["z"] >= 3
 
     def test_additivity_over_segments(self):
-        sol = z_solution()
+        sol = scenario_run("z_fast_2orbits")[1]
         t_split = sol.t[-1] / 2
         first = [e for e in sol.events if e.t <= t_split]
         second = [e for e in sol.events if e.t > t_split]
@@ -296,31 +323,10 @@ class TestConvergenceTime:
         assert ht is None
 
 
-#: Runs whose checks go a block at a time, by id: a bundled scenario file
-#: plus config overrides.  Besides the scenarios: the two reference ones
-#: under rk4; inplane_ref with r_x, r_y and umax scaled by 2^9, which fails
-#: the flow check (ROADMAP's D3); and full_ref's z channel from v_y = 3e153,
-#: v_z = 1e154, whose V_alpha overflows to inf, with NaN drifts.
-BLOCK_RUNS = {
-    **{name: (name, {}) for name in ("z_fast", "z_slow", "inplane_ref", "full_ref")},
-    **{
-        f"{name}_rk4": (name, dict(integrator="rk4", step_h=10.0, t_max_orbits=2.0))
-        for name in ("inplane_ref", "full_ref")
-    },
-    "inplane_ref_x512": ("inplane_ref", dict(r_x=-60.0 * 512, r_y=1000.0 * 512, umax=0.2 * 512)),
-    "v_alpha_overflow": ("full_ref", dict(v_y=3e153, v_z=1e154, subsystem="z")),
-}
-
-
 class TestBlocks:
-    @pytest.mark.parametrize("run", BLOCK_RUNS)
-    def test_seven_row_blocks_report_as_one_block(self, run, reference_runs, monkeypatch):
-        name, overrides = BLOCK_RUNS[run]
-        if run in reference_runs:
-            cfg, sol, p, spec, _ = reference_runs[run]
-        else:
-            cfg = parse_config(scenario_path(name), **overrides)
-            sol, p, spec = run_scenario(cfg)
+    @pytest.mark.parametrize("run", [run for run in RUNS if not run.endswith("_2orbits")])
+    def test_seven_row_blocks_report_as_one_block(self, run, monkeypatch):
+        cfg, sol, p, spec, _ = scenario_run(run)
         tol = flow_drift_tolerance(cfg)
         reports = []
         for rows in (7, len(sol.t)):

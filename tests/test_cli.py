@@ -18,7 +18,7 @@ from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.engine import IntegrationFailure
 from hybrid_rendezvous.hcw import OrbitParams
 
-from conftest import flip_alpha_sign, scenario_path
+from conftest import RUNS, flip_alpha_sign, scenario_path, scenario_run
 
 
 def run(argv):
@@ -288,24 +288,17 @@ class TestCsvBytes:
         self.assert_entries_are_repr(block, at, text, blank)
 
     @pytest.mark.parametrize(
-        "name, orbits",
-        [("z_fast", None), ("full_ref", 2), ("inplane_ref", None)],
+        "shared", ["z_fast", "full_ref_2orbits", "inplane_ref"],
         ids=["z_fast", "full_ref", "inplane_ref"],
     )
-    def test_rows_match_per_sample_formatting(self, name, orbits, tmp_path, reference_runs):
-        text = scenario_path(name).read_text()
-        if orbits is not None:
-            assert "t_max_orbits = 20\n" in text
-            text = text.replace("t_max_orbits = 20\n", f"t_max_orbits = {orbits}\n")
+    def test_rows_match_per_sample_formatting(self, shared, tmp_path):
+        # the CLI's files against the shared run of the same config
+        name, overrides = RUNS[shared]
         cfg_path = tmp_path / f"{name}.cfg"
-        cfg_path.write_text(text)
+        cfg_path.write_text(set_keys(scenario_path(name).read_text(), **overrides))
         out = tmp_path / "out"
         assert run(["simulate", "--config", cfg_path, "--out", out]) == 0
-        cfg = parse_config(cfg_path)
-        if orbits is None and name in reference_runs:
-            _, sol, p, _, _ = reference_runs[name]
-        else:
-            sol, p, _ = cli.run_scenario(cfg)
+        cfg, sol, p, _, _ = scenario_run(shared)
         if name == "full_ref":
             assert len(sol.t) > cli.WRITE_ROWS  # rows span a block boundary
         if name == "inplane_ref":
@@ -327,11 +320,11 @@ def traced_peak(write, *args) -> int:
 
 
 class TestWriterMemory:
-    def test_a_writer_holds_one_block_at_any_length(self, tmp_path, reference_runs):
+    def test_a_writer_holds_one_block_at_any_length(self, tmp_path):
         # full_ref at 20 and at 60 orbits: each writer peaks at one block of
         # WRITE_ROWS rows, at most 0.6 MB, and the two lengths agree within
         # 10 %.  1024-row blocks peaked at about 1.6 MB at every length.
-        cfg, sol, p, _, _ = reference_runs["full_ref"]
+        cfg, sol, p, _, _ = scenario_run("full_ref")
         runs = {20: sol, 60: cli.run_scenario(replace(cfg, t_max_orbits=60))[0]}
         assert len(runs[60].events) > 2 * len(sol.events) > 2 * cli.WRITE_ROWS
         writers = {

@@ -18,7 +18,7 @@ from hybrid_rendezvous.hcw import (
     RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
-from conftest import flip_alpha_sign, plant_of, zeta_b
+from conftest import flip_alpha_sign, plant_of, scenario_run, zeta_b
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -437,16 +437,6 @@ class TestJumpSets:
             cl.build_system(P, THRESHOLDS, subsystem="lateral")
 
 
-def run_full_reference():
-    system = cl.build_system(P, THRESHOLDS, subsystem="full")
-    x0 = cl.make_state(
-        r=(-60.0, 1000.0, 500.0), q_alpha=-1.0,
-        tau_z=THRESHOLDS.z, tau_beta=THRESHOLDS.beta, tau_alpha=THRESHOLDS.alpha,
-    )
-    opts = SimulationOptions(step_h=10.0, t_max=3 * P.period, event_tol=1e-6)
-    return simulate(system, x0, opts)
-
-
 def event_states(sol):
     """Each event of ``sol`` with its pre- and post-jump sample rows."""
     rows = sol.event_rows()
@@ -457,7 +447,7 @@ class TestCompositionProperties:
     @pytest.fixture(scope="class")
     @staticmethod
     def sol():
-        return run_full_reference()
+        return scenario_run("full_ref")[1]
 
     def test_channel_decoupling_per_event(self, sol):
         # z impulses touch only (v_z, q_z, tau_z); beta only (v_y, tau_beta);

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_rendezvous import controllers, engine
-from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.closed_loop import (
     QZ,
     TAUZ,
@@ -30,10 +28,10 @@ from hybrid_rendezvous.engine import (
     rk4_step,
     simulate,
 )
-from hybrid_rendezvous.config import parse_config, replace
+from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams
 
-from conftest import arcs_by_loop, scenario_path, stm_matrix
+from conftest import RUNS, arcs_by_loop, scenario_path, scenario_run, stm_matrix
 
 P = OrbitParams()
 THRESHOLDS = DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -115,7 +113,7 @@ class TestLocateEvent:
 
     def test_rejects_bracket_already_inside(self, engine_calls):
         # locate_event no longer asks state_a, so the caller keeps this: on
-        # every call simulate makes over RUNS, the bracket starts outside.
+        # every call simulate makes over ENGINE_RUNS, the bracket starts outside.
         for run, (_, located, *_) in engine_calls.items():
             assert located, run
             assert all(found_a is None for found_a, *_ in located), run
@@ -227,7 +225,7 @@ class TestResolveJumps:
     def test_empty_active_set_is_an_error(self, engine_calls):
         # resolve_jumps no longer asks its start state (handed None, it would
         # fire nothing), so the caller keeps this: on every call simulate
-        # makes over RUNS, the channel handed in is active, the first one.
+        # makes over ENGINE_RUNS, the channel handed in is active, the first one.
         for run, (_, _, resolved, *_) in engine_calls.items():
             assert resolved, run
             for _, ch, first in resolved:
@@ -251,9 +249,7 @@ class TestSimulate:
         assert all(abs(e.u_applied) == 0.0 for e in sol.events)
 
     def test_hybrid_time_monotone(self):
-        system = build_system(P, THRESHOLDS, subsystem="z")
-        x0 = make_state(r=(0, 0, 500.0), tau_z=THRESHOLDS.z)
-        sol = simulate(system, x0, opts())
+        sol = scenario_run("z_fast_2orbits")[1]
         assert np.all(np.diff(sol.t) >= 0.0)
         dj = np.diff(sol.j)
         assert np.all((dj == 0) | (dj == 1))
@@ -286,12 +282,9 @@ class TestSimulate:
         assert len(sol.t) == 1
 
     def test_dwell_time_spacing(self):
-        system = build_system(P, THRESHOLDS, subsystem="z")
-        x0 = make_state(r=(0, 0, 500.0), tau_z=THRESHOLDS.z)
-        o = opts()
-        sol = simulate(system, x0, o)
+        cfg, sol, p, _, _ = scenario_run("z_fast_2orbits")
         times = [e.t for e in sol.events]
-        min_gap = THRESHOLDS.z * P.period - o.event_tol
+        min_gap = cfg.tau_m_z * p.period - cfg.event_tol
         assert all(b - a >= min_gap for a, b in zip(times, times[1:]))
 
     def test_nonfinite_initial_state_raises(self):
@@ -380,18 +373,14 @@ class TestSimulate:
         assert np.max(np.abs(final_rk - final_cf)) <= 1e-6
 
 
-#: Scenario runs, by id: a bundled scenario file plus config overrides.
-RUNS = {
-    **{name: (name, {}) for name in ("z_fast", "z_slow", "inplane_ref", "full_ref")},
-    "inplane_ref_rk4": ("inplane_ref", dict(integrator="rk4", step_h=10.0, t_max_orbits=2)),
-}
+#: The runs whose engine calls and flat records are checked: ids of
+#: :data:`conftest.RUNS`.
+ENGINE_RUNS = ("full_ref", "inplane_ref", "inplane_ref_rk4", "z_fast", "z_slow")
 
 
-def scenario_system(run):
-    """The built system and the config of one of :data:`RUNS`."""
-    name, overrides = RUNS[run]
-    cfg = replace(parse_config(scenario_path(name)), **overrides)
-    return build_system(cfg.params(), cfg.thresholds(), subsystem=cfg.subsystem), cfg
+def scenario_system(cfg):
+    """The system a scenario config builds."""
+    return build_system(cfg.params(), cfg.thresholds(), subsystem=cfg.subsystem)
 
 
 class TestCarriedAnswers:
@@ -402,30 +391,15 @@ class TestCarriedAnswers:
     Their callers keep these preconditions instead, on every recorded call."""
 
     @pytest.mark.parametrize("run", ["full_ref", "inplane_ref", "inplane_ref_rk4"])
-    def test_each_state_is_asked_once(self, run, monkeypatch):
+    def test_each_state_is_asked_once(self, run, engine_calls):
         # x0, every flow sample (step ends and bisection probes) and every
         # post-jump state: one query each, on the state's 11 floats.
-        system, cfg = scenario_system(run)
-        counts = Counter()
+        sol, _, _, steps, _, queries, flows = engine_calls[run]
+        assert sol.events and len(steps) + flows > 0
+        assert all(queries)
+        assert len(queries) == 1 + len(steps) + flows + len(sol.events)
 
-        def counted(name, fn):
-            def call(*args):
-                counts[name] += 1
-                if name == "asked":
-                    assert type(args[1]) is list and len(args[1]) == 11
-                    assert all(type(x) is float for x in args[1])
-                return fn(*args)
-
-            return call
-
-        monkeypatch.setattr(engine, "first_active", counted("asked", engine.first_active))
-        monkeypatch.setattr(engine, "rk4_step", counted("flow", engine.rk4_step))
-        system = dataclasses.replace(system, flow_to=counted("flow", system.flow_to))
-        sol = simulate(system, cfg.initial_state(), cfg.options())
-        assert sol.events and counts["flow"] > 0
-        assert counts["asked"] == 1 + counts["flow"] + len(sol.events)
-
-    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("run", ENGINE_RUNS)
     def test_callers_meet_the_unchecked_preconditions(self, run, engine_calls):
         # On every call: each bracket is t_a < t_b with a jump set entered at
         # t_b, the answers handed in and back are first_active's, resolve_jumps
@@ -433,7 +407,7 @@ class TestCarriedAnswers:
         # runs forward.  The bracket start and the channel handed in are
         # checked by TestLocateEvent::test_rejects_bracket_already_inside and
         # TestResolveJumps::test_empty_active_set_is_an_error.
-        sol, located, resolved, steps, dts = engine_calls[run]
+        sol, located, resolved, steps, dts, _, _ = engine_calls[run]
         assert located and resolved and sol.events
         for _, found_b, at_b, found, at_landing, t_a, t_b in located:
             assert t_a < t_b
@@ -443,28 +417,37 @@ class TestCarriedAnswers:
         assert all(same_channels for same_channels, _, _ in resolved)
         # rk4 runs flow the timers by timer_rate, closed-form runs never take
         # an RK4 step: each run makes one kind of call.
-        rk4 = scenario_system(run)[1].integrator == "rk4"
+        rk4 = scenario_run(run)[0].integrator == "rk4"
         assert bool(steps) == rk4 and bool(dts) != rk4
         assert all(h > 0 for h in steps)
         assert all(dt > 0 for dt in dts)
 
 
 def record_calls(run):
-    """Run one of :data:`RUNS`, asking :func:`first_active` at every
+    """Run one of :data:`ENGINE_RUNS`, asking :func:`first_active` at every
     ``locate_event`` and ``resolve_jumps`` call ``simulate`` makes, and
     recording the step of every ``rk4_step`` and ``timer_advance`` call.
 
-    Returns the solution and four lists.  Per ``locate_event`` call: the
+    Returns the solution and six records.  Per ``locate_event`` call: the
     answers at ``state_a``, handed in (``found_b``), at ``state_b``, handed
     back, and at the landing state, then the bracket ``t_a, t_b``.  Per
     ``resolve_jumps`` call: whether it got the system's channels, the channel
     handed in, and the answer at its state.  Then each ``rk4_step``'s ``h``
-    and each ``timer_advance``'s ``dt``.
+    and each ``timer_advance``'s ``dt``.  Per query ``simulate`` makes of
+    :func:`first_active`: whether it read a list of 11 floats.  Last, the
+    number of ``flow_to`` calls.
     """
-    system, cfg = scenario_system(run)
+    cfg = scenario_run(run)[0]
+    built = scenario_system(cfg)
     locate, resolve = engine.locate_event, engine.resolve_jumps
-    rk4, advance = engine.rk4_step, controllers.timer_advance
-    located, resolved, steps, dts = [], [], [], []
+    rk4, advance, query = engine.rk4_step, controllers.timer_advance, engine.first_active
+    located, resolved, steps, dts, queries, flows = [], [], [], [], [], []
+
+    def counted_flow_to(state, dt):
+        flows.append(dt)
+        return built.flow_to(state, dt)
+
+    system = dataclasses.replace(built, flow_to=counted_flow_to)
 
     def asked(state):
         return first_active(system.channels, state.tolist())
@@ -489,31 +472,36 @@ def record_calls(run):
         dts.append(dt)
         return advance(tau, dt, n)
 
+    def recording_query(channels, values):
+        floats = type(values) is list and all(type(x) is float for x in values)
+        queries.append(floats and len(values) == 11)
+        return query(channels, values)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "locate_event", recording_locate)
         mp.setattr(engine, "resolve_jumps", recording_resolve)
         mp.setattr(engine, "rk4_step", recording_rk4)
         mp.setattr(controllers, "timer_advance", recording_advance)
+        mp.setattr(engine, "first_active", recording_query)
         sol = simulate(system, cfg.initial_state(), cfg.options())
-    return sol, located, resolved, steps, dts
+    return sol, located, resolved, steps, dts, queries, len(flows)
 
 
 @pytest.fixture(scope="module")
 def engine_calls():
-    """:func:`record_calls` of every run in :data:`RUNS`, by run id."""
-    return {run: record_calls(run) for run in RUNS}
+    """:func:`record_calls` of every run in :data:`ENGINE_RUNS`, by run id."""
+    return {run: record_calls(run) for run in ENGINE_RUNS}
 
 
 class TestArcs:
     @pytest.mark.parametrize("t_max_orbits", [20.0, 0.0])
-    def test_matches_sample_loop(self, t_max_orbits, reference_runs, monkeypatch):
+    def test_matches_sample_loop(self, t_max_orbits, monkeypatch):
         # The blocks tile the samples with the arcs of the loop, whole: each
         # takes arcs while they fit in CHUNK_ROWS rows, and at least one.
-        if t_max_orbits == 20.0:
-            sol = reference_runs["full_ref"][1]
-        else:
-            cfg = parse_config(scenario_path("full_ref"))
-            sol, _, _ = run_scenario(replace(cfg, t_max_orbits=t_max_orbits))
+        # A run with no horizon is its first sample, x0.
+        sol = scenario_run("full_ref")[1]
+        if t_max_orbits == 0.0:
+            sol = dataclasses.replace(sol, t=sol.t[:1], j=sol.j[:1], states=sol.states[:1])
         stop_of = dict(arcs_by_loop(sol.j))
         for rows in (engine.CHUNK_ROWS, 7, 1):
             monkeypatch.setattr(engine, "CHUNK_ROWS", rows)
@@ -530,13 +518,10 @@ class TestArcs:
 
 
 class TestFlatRecord:
-    @pytest.mark.parametrize("run", sorted(RUNS))
-    def test_samples_are_one_block_and_events_their_rows(self, run, reference_runs):
-        system, cfg = scenario_system(run)
-        if run in reference_runs:
-            sol = reference_runs[run][1]
-        else:
-            sol = simulate(system, cfg.initial_state(), cfg.options())
+    @pytest.mark.parametrize("run", ENGINE_RUNS)
+    def test_samples_are_one_block_and_events_their_rows(self, run):
+        cfg, sol, *_ = scenario_run(run)
+        system = scenario_system(cfg)
         assert sol.states.dtype == np.float64 and sol.states.flags.c_contiguous
         assert sol.states.shape == (len(sol.t), 11)
         assert sol.t.dtype == np.float64
@@ -559,13 +544,23 @@ class TestFlatRecord:
             assert post.tobytes() == sol.states[row].tobytes()
             assert repr(again) == repr(ev)
 
+    def test_shared_runs_are_frozen(self):
+        # every test that reads a run of RUNS gets the same solution
+        for run in RUNS:
+            sol = scenario_run(run)[1]
+            for array in (sol.t, sol.j, sol.states):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[-1] = array[-1]
+            with pytest.raises(AttributeError):
+                sol.events.append(sol.events[0])
+
     def test_simulate_peaks_at_the_memory_it_keeps(self):
         # Under tracemalloc, a 2-orbit full_ref run: simulate's peak exceeds
         # what it keeps (the solution and the propagator's matrix cache) by
         # less than a quarter of that.  An array per sample, copied into one
         # at the end, put the peak 72 % above it.
-        system, cfg = scenario_system("full_ref")
-        opts = replace(cfg, t_max_orbits=2.0).options()
+        cfg = parse_config(scenario_path("full_ref"), t_max_orbits=2.0)
+        system, opts = scenario_system(cfg), cfg.options()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
