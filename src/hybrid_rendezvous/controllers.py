@@ -12,17 +12,17 @@ alone gates a series of follow-up impulses that finish the cancellation.
 This keeps a saturated firing from stranding the logic variable on the wrong
 side; a logic variable's start value can still strand its channel for good.
 
-Dwell timers flow as ``taudot = (n / 2 pi) (1 - dz(tau))``: linear at rate
-``n / 2 pi`` below 1 (so one timer unit is one orbit fraction), then relaxing
-asymptotically toward 2.  A channel may fire only once its timer has reached
-the threshold ``tau^M``; the jump resets the timer to 0.
+Dwell timers flow as ``taudot = (n / 2 pi) (1 - max(tau - 1, 0))``: linear
+at rate ``n / 2 pi`` below 1 (so one timer unit is one orbit fraction), then
+relaxing asymptotically toward 2.  A channel may fire only once its timer has
+reached the threshold ``tau^M``; the jump resets the timer to 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hcw import dz, sat
+from .hcw import sat
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,8 +33,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def timer_rate(tau: float, n: float) -> float:
-    """Right-hand side of the timer flow, ``(n / 2 pi) (1 - dz(tau))``."""
-    return (n / TWO_PI) * (1.0 - dz(tau))
+    """Right-hand side of the timer flow, ``(n / 2 pi) (1 - max(tau - 1, 0))``."""
+    return (n / TWO_PI) * (1.0 - (tau - 1.0 if tau > 1.0 else 0.0))
 
 
 def timer_advance(tau: float, dt: float, n: float) -> float:

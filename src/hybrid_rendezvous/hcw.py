@@ -69,15 +69,6 @@ def sat(u: float, umax: float) -> float:
     return u
 
 
-def dz(u: float) -> float:
-    """Unit dead-zone ``u - clamp(u, -1, 1)``; zero on ``[-1, 1]``."""
-    if u > 1.0:
-        return u - 1.0
-    if u < -1.0:
-        return u + 1.0
-    return 0.0
-
-
 def hcw_derivative(state, p: OrbitParams) -> tuple:
     """Unforced HCW vector field at a plant state.
 

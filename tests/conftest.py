@@ -1,13 +1,21 @@
+import contextlib
 import dataclasses
 import functools
+import io
+import os
+import re
+import tempfile
 import time
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hybrid_rendezvous import cli
 from hybrid_rendezvous import closed_loop as cl
-from hybrid_rendezvous.cli import run_scenario
 from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_stm, to_zeta
 
@@ -52,14 +60,109 @@ def scenario_run(run: str):
     arrays, the rows that are its events' states included, are read-only and
     its events a tuple, so a test that writes to a shared run fails instead
     of changing the next test's.  Tests that compare two runs, that patch the
-    engine, that run the CLI or that measure their own run make their own."""
+    engine or that measure their own run make their own; the CLI's shared
+    runs are :func:`cli_run`'s."""
     name, overrides = RUNS[run]
     cfg = parse_config(scenario_path(name), **overrides)
     start = time.perf_counter()
-    sol, p, spec = run_scenario(cfg)
+    sol, p, spec = cli.run_scenario(cfg)
     elapsed = time.perf_counter() - start
     sol.t.flags.writeable = sol.j.flags.writeable = sol.states.flags.writeable = False
     return cfg, dataclasses.replace(sol, events=tuple(sol.events)), p, spec, elapsed
+
+
+def set_keys(text, **keys):
+    """``text`` with each key's line set to its value (the line must exist)."""
+    for key, value in keys.items():
+        text, count = re.subn(rf"(?m)^{key} =.*$", f"{key} = {value}".rstrip(), text)
+        assert count == 1, key
+    return text
+
+
+def config_text(run: str) -> str:
+    """The config file of one of :data:`RUNS`: its scenario file with the
+    run's overrides set."""
+    name, overrides = RUNS[run]
+    return set_keys(scenario_path(name).read_text(), **overrides)
+
+
+class CliRun(NamedTuple):
+    """One ``hybrid-rdv`` run: the exit code, stdout without the elapsed
+    time and output path, and every file written, by path, read-only."""
+
+    code: int
+    out: str
+    files: Mapping[str, bytes]
+
+
+def run_cli(cwd: Path, text: str, argv) -> CliRun:
+    """Run ``hybrid-rdv argv[0] --config run.cfg argv[1:]`` in directory
+    ``cwd`` on config ``text``; the files are those written but ``run.cfg``,
+    by path relative to ``cwd``."""
+    cwd.mkdir(exist_ok=True)
+    (cwd / "run.cfg").write_text(text)
+    stdout, home = io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([argv[0], "--config", "run.cfg", *map(str, argv[1:])])
+    finally:
+        os.chdir(home)
+    files = {
+        str(f.relative_to(cwd)): f.read_bytes()
+        for f in sorted(cwd.rglob("*"))
+        if f.is_file() and f.name != "run.cfg"
+    }
+    out = re.sub(r"\(\d+\.\d+ s\) -> .*", "", stdout.getvalue())
+    return CliRun(code, out, MappingProxyType(files))
+
+
+def flip_alpha_sign(system, p):
+    """``system`` with the alpha channel's radial impulse applied with the
+    wrong sign, which breaks the jump-decrease certificate on purpose."""
+
+    def corrupt(jump):
+        def wrong_sign(state: np.ndarray, t: float, j_pre: int):
+            out, ev = jump(state, t, j_pre)
+            out[VX] = state[VX] - ev.u_applied
+            return out, dataclasses.replace(
+                ev,
+                u_applied=-ev.u_applied,
+                lyap_post=cl.lyapunov_values(out, p)["alpha"],
+            )
+
+        return wrong_sign
+
+    channels = tuple(
+        dataclasses.replace(ch, jump=corrupt(ch.jump)) if ch.name == "alpha" else ch
+        for ch in system.channels
+    )
+    return dataclasses.replace(system, channels=channels)
+
+
+#: Runs only the CLI tests take, by id: a :data:`RUNS` id, and a function
+#: that each system ``cli.build_system`` returns passes through.  The one
+#: entry is inplane_ref with the alpha channel's impulse sign-flipped, which
+#: fails the jump-decrease certificate.
+CLI_RUNS = {"inplane_ref_flipped": ("inplane_ref", flip_alpha_sign)}
+
+
+@functools.cache
+def cli_run(run: str, command: str) -> CliRun:
+    """``hybrid-rdv <command>`` (split at spaces) on the config file of one
+    of :data:`RUNS` or :data:`CLI_RUNS`, run once per session in a temporary
+    directory that is then deleted.  The record keeps the files' bytes, not
+    a directory that one test could change for the next."""
+    base, corrupt = CLI_RUNS.get(run, (run, None))
+    build = cli.build_system
+    patch = contextlib.nullcontext()
+    if corrupt is not None:
+        patch = mock.patch.object(
+            cli, "build_system",
+            lambda p, thresholds, subsystem="full": corrupt(build(p, thresholds, subsystem), p),
+        )
+    with tempfile.TemporaryDirectory() as cwd, patch:
+        return run_cli(Path(cwd), config_text(base), command.split())
 
 
 def arcs_by_loop(j) -> list[tuple[int, int]]:
@@ -73,6 +176,20 @@ def arcs_by_loop(j) -> list[tuple[int, int]]:
             start = i
     out.append((start, len(j)))
     return out
+
+
+def rk4(f, s, h, steps=1):
+    """``steps`` classical RK4 steps of length ``h`` on ``ds/dt = f(s)``, in
+    the array form ``s + (h/6) (k1 + 2 k2 + 2 k3 + k4)`` whose bits
+    ``engine.rk4_step`` reproduces: the test oracle.  ``s`` is a float or an
+    array, and ``f`` returns one of the same kind."""
+    for _ in range(steps):
+        k1 = f(s)
+        k2 = f(s + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h * k2)
+        k4 = f(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
 
 
 def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:
@@ -164,26 +281,3 @@ def zeta_b(n: float) -> np.ndarray:
             [0.0, -3.0],
         ]
     )
-
-
-def flip_alpha_sign(system, p):
-    """``system`` with the alpha channel's radial impulse applied with the
-    wrong sign, which breaks the jump-decrease certificate on purpose."""
-
-    def corrupt(jump):
-        def wrong_sign(state: np.ndarray, t: float, j_pre: int):
-            out, ev = jump(state, t, j_pre)
-            out[VX] = state[VX] - ev.u_applied
-            return out, dataclasses.replace(
-                ev,
-                u_applied=-ev.u_applied,
-                lyap_post=cl.lyapunov_values(out, p)["alpha"],
-            )
-
-        return wrong_sign
-
-    channels = tuple(
-        dataclasses.replace(ch, jump=corrupt(ch.jump)) if ch.name == "alpha" else ch
-        for ch in system.channels
-    )
-    return dataclasses.replace(system, channels=channels)

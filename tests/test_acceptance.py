@@ -41,6 +41,7 @@ from conftest import (
     BUNDLED,
     inplane_a0,
     inplane_b0,
+    rk4,
     scenario_run,
     stm_matrix,
     transform_matrix,
@@ -279,18 +280,7 @@ def test_criterion_09_stm_against_rk4_oracle():
     p = OrbitParams()
     s0 = np.array([1.0, 0.0, 0.7, 0.0, 0.0, 0.0])
     steps = 100_000
-    h = p.period / steps
-    s = s0.copy()
-
-    def f(x):
-        return np.array(hcw_derivative(x.tolist(), p))
-
-    for _ in range(steps):
-        k1 = f(s)
-        k2 = f(s + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h * k2)
-        k4 = f(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    s = rk4(lambda x: np.array(hcw_derivative(x.tolist(), p)), s0, p.period / steps, steps)
     prop = stm_matrix(p, p.period) @ s0
     scale = np.max(np.abs(s))
     err = np.max(np.abs(prop - s)) / scale

@@ -18,44 +18,46 @@ from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.engine import IntegrationFailure
 from hybrid_rendezvous.hcw import OrbitParams
 
-from conftest import RUNS, flip_alpha_sign, scenario_path, scenario_run
+from conftest import cli_run, config_text, run_cli, scenario_path, scenario_run, set_keys
+
+#: The shared simulate runs write into the run's own directory, so their
+#: files are keyed by name.
+SIMULATE = "simulate --out ."
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
 
 
-def strict_json(path):
-    """``path`` parsed as strict JSON: ``NaN`` or ``Infinity`` raise."""
+def strict_json(data):
+    """``data``, the text of a JSON file, parsed strictly: ``NaN`` or
+    ``Infinity`` raise."""
 
     def reject(constant):
-        raise ValueError(f"{path.name} holds {constant}")
+        raise ValueError(f"JSON holds {constant}")
 
-    return json.loads(path.read_text(), parse_constant=reject)
+    return json.loads(data, parse_constant=reject)
 
 
-@pytest.fixture()
-def z_out(tmp_path):
-    out = tmp_path / "zrun"
-    code = run(["simulate", "--config", scenario_path("z_fast"), "--out", out])
-    assert code == 0
-    return out
+def lines(data):
+    return data.decode().splitlines()
 
 
 class TestSimulate:
-    def test_writes_all_outputs(self, z_out):
-        for name in ("trajectory.csv", "events.csv", "summary.json", "plot.gp"):
-            assert (z_out / name).exists()
+    def test_writes_all_outputs(self):
+        record = cli_run("z_fast", SIMULATE)
+        assert record.code == 0
+        assert set(record.files) == {"trajectory.csv", "events.csv", "summary.json", "plot.gp"}
 
-    def test_csv_headers(self, z_out):
-        assert (z_out / "trajectory.csv").read_text().splitlines()[0] == (
-            cli.TRAJECTORY_COLUMNS
-        )
-        assert (z_out / "events.csv").read_text().splitlines()[0] == cli.EVENT_COLUMNS
+    def test_csv_headers(self):
+        files = cli_run("z_fast", SIMULATE).files
+        assert lines(files["trajectory.csv"])[0] == cli.TRAJECTORY_COLUMNS
+        assert lines(files["events.csv"])[0] == cli.EVENT_COLUMNS
 
-    def test_summary_roundtrips_from_events(self, z_out):
-        summary = strict_json(z_out / "summary.json")
-        rows = (z_out / "events.csv").read_text().splitlines()[1:]
+    def test_summary_roundtrips_from_events(self):
+        files = cli_run("z_fast", SIMULATE).files
+        summary = strict_json(files["summary.json"])
+        rows = lines(files["events.csv"])[1:]
         header = cli.EVENT_COLUMNS.split(",")
         u_col = header.index("u_applied")
         ch_col = header.index("channel")
@@ -71,11 +73,10 @@ class TestSimulate:
         assert sum(totals.values()) == summary["budget"]["total_delta_v"]
 
     def test_reproducible_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["simulate", "--config", scenario_path("z_slow"), "--out", a]) == 0
-        assert run(["simulate", "--config", scenario_path("z_slow"), "--out", b]) == 0
-        for name in ("trajectory.csv", "events.csv", "summary.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        # a fresh run against the shared one: two independent runs
+        fresh = run_cli(tmp_path, config_text("z_slow"), SIMULATE.split())
+        assert fresh.code == 0 and fresh.files
+        assert fresh == cli_run("z_slow", SIMULATE)
 
     def test_empty_horizon(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -84,7 +85,7 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
         events = (out / "events.csv").read_text().splitlines()
         assert events == [cli.EVENT_COLUMNS]
-        summary = strict_json(out / "summary.json")
+        summary = strict_json((out / "summary.json").read_text())
         assert summary["budget"]["event_counts"] == {}
         # No impulse fired, yet the total is a float like every other run's.
         total = summary["budget"]["total_delta_v"]
@@ -100,18 +101,11 @@ class TestSimulate:
              "--out", out]
         )
         assert code == 0
-        summary = strict_json(out / "summary.json")
+        summary = strict_json((out / "summary.json").read_text())
         assert summary["subsystem"] == "z"
         assert set(summary["budget"]["impulse_counts"]) <= {"z"}
-        # The flag is the same run as the config key.
-        text = scenario_path("full_ref").read_text()
-        assert "subsystem = full\n" in text
-        cfg_z = tmp_path / "full_ref_z.cfg"
-        cfg_z.write_text(text.replace("subsystem = full\n", "subsystem = z\n"))
-        keyed = tmp_path / "zkey"
-        assert run(["simulate", "--config", cfg_z, "--out", keyed]) == 0
-        for name in ("trajectory.csv", "events.csv", "summary.json"):
-            assert (out / name).read_bytes() == (keyed / name).read_bytes()
+        # TestFlagIsKey::test_flag_run_equals_keyed_copy[subsystem] checks
+        # that the flag's run is the keyed copy's.
 
     def test_jump_budget_exhaustion_is_numerical_failure(self, tmp_path):
         cfg = tmp_path / "zeno.cfg"
@@ -291,22 +285,19 @@ class TestCsvBytes:
         "shared", ["z_fast", "full_ref_2orbits", "inplane_ref"],
         ids=["z_fast", "full_ref", "inplane_ref"],
     )
-    def test_rows_match_per_sample_formatting(self, shared, tmp_path):
+    def test_rows_match_per_sample_formatting(self, shared):
         # the CLI's files against the shared run of the same config
-        name, overrides = RUNS[shared]
-        cfg_path = tmp_path / f"{name}.cfg"
-        cfg_path.write_text(set_keys(scenario_path(name).read_text(), **overrides))
-        out = tmp_path / "out"
-        assert run(["simulate", "--config", cfg_path, "--out", out]) == 0
+        record = cli_run(shared, SIMULATE)
+        assert record.code == 0
         cfg, sol, p, _, _ = scenario_run(shared)
-        if name == "full_ref":
+        if shared == "full_ref_2orbits":
             assert len(sol.t) > cli.WRITE_ROWS  # rows span a block boundary
-        if name == "inplane_ref":
+        if shared == "inplane_ref":
             assert len(sol.events) > cli.WRITE_ROWS  # and events do
         expected = [cli.TRAJECTORY_COLUMNS, *per_sample_trajectory_rows(sol, p)]
-        assert (out / "trajectory.csv").read_text() == "\n".join(expected) + "\n"
+        assert record.files["trajectory.csv"].decode() == "\n".join(expected) + "\n"
         expected = [cli.EVENT_COLUMNS, *per_event_rows(sol, p, cfg.event_tol)]
-        assert (out / "events.csv").read_text() == "\n".join(expected) + "\n"
+        assert record.files["events.csv"].decode() == "\n".join(expected) + "\n"
 
 
 def traced_peak(write, *args) -> int:
@@ -389,12 +380,12 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
     @pytest.mark.parametrize(
-        "command,edits,too_large",
+        "name,command,edits,too_large",
         [
             # r_x = 1e200 overflows V_beta and V_alpha, which would put NaN
             # into the certificates and summary.json.
             *(
-                pytest.param(c, {"r_x": "1e200"}, "V_beta, V_alpha", id=c)
+                pytest.param("full_ref", c, {"r_x": "1e200"}, "V_beta, V_alpha", id=c)
                 for c in ("simulate", "verify")
             ),
             # Each V is finite (V_z 1.0e308, V_beta 8.1e307, V_alpha
@@ -402,23 +393,33 @@ class TestExitCodes:
             # it would write "epsilon": Infinity and converge at t = 0.
             *(
                 pytest.param(
-                    c, {"v_y": "3e153", "v_z": "1e154"}, "attractor distance", id=f"sum-{c}"
+                    "full_ref", c, {"v_y": "3e153", "v_z": "1e154"}, "attractor distance",
+                    id=f"sum-{c}",
+                )
+                for c in ("simulate", "verify")
+            ),
+            # r_x = 1e308 and v_y = -1e308 make x = inf - inf, so V_alpha is
+            # NaN (and V_beta overflows): rejected as an overflow is.
+            *(
+                pytest.param(
+                    "inplane_ref", c, {"r_x": "1e308", "v_y": "-1e308"}, "V_beta, V_alpha",
+                    id=f"nan-{c}",
                 )
                 for c in ("simulate", "verify")
             ),
         ],
     )
     def test_overflowing_initial_state_is_config_error(
-        self, command, edits, too_large, tmp_path, monkeypatch, capsys
+        self, name, command, edits, too_large, tmp_path, monkeypatch, capsys
     ):
         # The error is the only output: NumPy warns of no overflow (the
         # suite turns warnings into errors).
+        if name == "inplane_ref":
+            state = make_state(r=(1e308, 1000.0, 0.0), v=(0.0, -1e308, 0.0), q_alpha=-1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(lyapunov_values(state, OrbitParams(n=0.0011))["alpha"])
         cfg = tmp_path / "overflow.cfg"
-        text = scenario_path("full_ref").read_text()
-        for key, value in edits.items():
-            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
-        assert all(f"\n{key} = {value}\n" in text for key, value in edits.items())
-        cfg.write_text(text)
+        cfg.write_text(set_keys(scenario_path(name).read_text(), **edits))
         monkeypatch.chdir(tmp_path)
         assert run([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -426,39 +427,30 @@ class TestExitCodes:
         assert f"initial state too large: {too_large} not finite" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.cfg"]
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_nan_initial_lyapunov_is_config_error(
-        self, command, tmp_path, monkeypatch, capsys
-    ):
-        # r_x = 1e308 and v_y = -1e308 make x = inf - inf, so V_alpha is NaN
-        # (and V_beta overflows): rejected as an overflow is, with no warning.
-        state = make_state(r=(1e308, 1000.0, 0.0), v=(0.0, -1e308, 0.0), q_alpha=-1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(lyapunov_values(state, OrbitParams(n=0.0011))["alpha"])
-        cfg = tmp_path / "nan.cfg"
-        text = scenario_path("inplane_ref").read_text()
-        text = re.sub(r"(?m)^r_x = .*$", "r_x = 1e308", text)
-        cfg.write_text(re.sub(r"(?m)^v_y = .*$", "v_y = -1e308", text))
-        monkeypatch.chdir(tmp_path)
-        assert run([command, "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "config error: " in err
-        assert "initial state too large: V_beta, V_alpha not finite" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.cfg"]
-
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", ["--out", "o"]),
+            ("verify", []),
+            ("sweep", ["--param", "umax", "--values", "0.1,0.2", "--out", "o"]),
+        ],
+        ids=["simulate", "verify", "sweep"],
+    )
     def test_integration_failure_is_numerical_error(
-        self, command, tmp_path, monkeypatch, capsys
+        self, command, flags, tmp_path, monkeypatch, capsys
     ):
+        # Nothing is written, and a sweep names the value that failed.
         def failing(cfg):
             raise IntegrationFailure("non-finite state during flow")
 
         monkeypatch.setattr(cli, "run_scenario", failing)
-        argv = [command, "--config", scenario_path("z_fast")]
-        if command == "simulate":
-            argv += ["--out", tmp_path / "o"]
-        assert run(argv) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--config", scenario_path("z_fast"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        if command == "sweep":
+            assert err == "numerical failure at umax=0.1: non-finite state during flow\n"
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_jump_budget_exhaustion_is_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "zeno.cfg"
@@ -519,30 +511,6 @@ class TestExitCodes:
             assert not (tmp_path / "o").exists()
 
 
-def set_keys(text, **keys):
-    """``text`` with each key's line set to its value (the line must exist)."""
-    for key, value in keys.items():
-        text, count = re.subn(rf"(?m)^{key} =.*$", f"{key} = {value}".rstrip(), text)
-        assert count == 1, key
-    return text
-
-
-def run_in(cwd, text, argv, monkeypatch, capsys):
-    """Run ``argv`` on config ``text`` from ``cwd``: the exit code, stdout
-    without the elapsed time and output path, and every file written."""
-    cwd.mkdir()
-    (cwd / "run.cfg").write_text(text)
-    monkeypatch.chdir(cwd)
-    code = run([argv[0], "--config", "run.cfg", *argv[1:]])
-    out = re.sub(r"\(\d+\.\d+ s\) -> .*", "", capsys.readouterr().out)
-    files = {
-        str(f.relative_to(cwd)): f.read_bytes()
-        for f in sorted(cwd.rglob("*"))
-        if f.is_file() and f.name != "run.cfg"
-    }
-    return code, out, files
-
-
 SWEEP_TAU_M_Z = ["sweep", "--param", "tau_m_z", "--values", "0.01,0.05"]
 
 
@@ -565,19 +533,15 @@ class TestFlagIsKey:
             ),
         ],
     )
-    def test_flag_run_equals_keyed_copy(
-        self, name, file_keys, argv, keyed, keyed_argv, tmp_path, monkeypatch, capsys
-    ):
+    def test_flag_run_equals_keyed_copy(self, name, file_keys, argv, keyed, keyed_argv, tmp_path):
         # A flag replaces the file's value of its key before validation, so a
         # file value it replaces is never checked: the run equals that of a
         # copy of the file that sets the key itself, and does not fail.
         text = set_keys(scenario_path(name).read_text(), **file_keys)
-        flagged = run_in(tmp_path / "flag", text, argv, monkeypatch, capsys)
-        copy = run_in(
-            tmp_path / "key", set_keys(text, **keyed), keyed_argv, monkeypatch, capsys
-        )
+        flagged = run_cli(tmp_path / "flag", text, argv)
+        copy = run_cli(tmp_path / "key", set_keys(text, **keyed), keyed_argv)
         assert flagged == copy
-        assert flagged[0] == 0 and flagged[2]
+        assert flagged.code == 0 and flagged.files
 
     def test_one_validation_per_run(self, tmp_path, monkeypatch):
         # One ScenarioConfig construction per simulate and verify, and one per
@@ -605,11 +569,11 @@ class TestFlagIsKey:
 
 
 class TestVerify:
-    def test_bundled_scenarios_pass(self, capsys):
+    def test_bundled_scenarios_pass(self):
         for name in ("z_fast", "z_slow", "inplane_ref"):
-            assert run(["verify", "--config", scenario_path(name)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+            record = cli_run(name, "verify")
+            assert record.code == 0
+            assert "PASS" in record.out and "FAIL" not in record.out
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Windows editors often start a UTF-8 file with a byte-order mark.
@@ -618,13 +582,11 @@ class TestVerify:
         assert parse_config(cfg) == parse_config(scenario_path("z_fast"))
         assert run(["verify", "--config", cfg]) == 0
 
-    def test_rk4_run_gets_the_fixed_step_tolerance(self, tmp_path, capsys):
+    def test_rk4_run_gets_the_fixed_step_tolerance(self):
         # flow_drift_tolerance allows fixed-step RK4 1e-8 per orbit.
-        cfg = tmp_path / "rk4.cfg"
-        text = scenario_path("inplane_ref").read_text()
-        cfg.write_text(set_keys(text, integrator="rk4", t_max_orbits=2))
-        assert run(["verify", "--config", cfg]) == 0
-        assert "(tol 2e-08)" in capsys.readouterr().out
+        record = cli_run("inplane_ref_rk4", "verify")
+        assert record.code == 0
+        assert "(tol 2e-08)" in record.out
 
     def test_zero_state_scenario_passes_vacuously(self, tmp_path):
         cfg = tmp_path / "rest.cfg"
@@ -641,25 +603,16 @@ class TestVerify:
             capsys.readouterr().out
         )
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
-        summary = strict_json(tmp_path / "out" / "summary.json")
+        summary = strict_json((tmp_path / "out" / "summary.json").read_text())
         margin = summary["certificates"]["jump_decrease"]["min_margin"]
         assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
 
-    def test_corrupted_jump_map_fails_with_certificate_code(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # Force a sign-flipped radial impulse into the built system and
-        # check the violation is reported with the dedicated exit code.
-        original = cli.build_system
-
-        def corrupted(p, thresholds, subsystem="full"):
-            return flip_alpha_sign(original(p, thresholds, subsystem), p)
-
-        monkeypatch.setattr(cli, "build_system", corrupted)
-        code = run(["verify", "--config", scenario_path("inplane_ref")])
-        assert code == 3
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "violation" in out
+    def test_corrupted_jump_map_fails_with_certificate_code(self):
+        # A sign-flipped radial impulse in the built system: the violation
+        # is reported with the dedicated exit code.
+        record = cli_run("inplane_ref_flipped", "verify")
+        assert record.code == 3
+        assert "FAIL" in record.out and "violation" in record.out
 
 
 VERIFY_ROW = re.compile(
@@ -693,28 +646,15 @@ class TestPlotScript:
 
 class TestOneRecord:
     @pytest.mark.parametrize(
-        "name", ["z_fast", "z_slow", "inplane_ref", "full_ref", "flip_alpha_sign"]
+        "run_id",
+        ["z_fast", "z_slow", "inplane_ref", "full_ref",
+         pytest.param("inplane_ref_flipped", id="flip_alpha_sign")],
     )
-    def test_verify_prints_the_simulate_certificates(
-        self, name, tmp_path, monkeypatch, capsys
-    ):
-        flipped = name == "flip_alpha_sign"
-        if flipped:
-            original = cli.build_system
-            monkeypatch.setattr(
-                cli,
-                "build_system",
-                lambda p, thresholds, subsystem="full": flip_alpha_sign(
-                    original(p, thresholds, subsystem), p
-                ),
-            )
-            name = "inplane_ref"
-        config = scenario_path(name)
-        sim_code = run(["simulate", "--config", config, "--out", tmp_path])
-        capsys.readouterr()
-        verify_code = run(["verify", "--config", config])
-        out = capsys.readouterr().out
-        certs = strict_json(tmp_path / "summary.json")["certificates"]
+    def test_verify_prints_the_simulate_certificates(self, run_id):
+        flipped = run_id == "inplane_ref_flipped"
+        simulated, verified = cli_run(run_id, SIMULATE), cli_run(run_id, "verify")
+        out = verified.out
+        certs = strict_json(simulated.files["summary.json"])["certificates"]
         flow, jump = certs["flow_invariance"], certs["jump_decrease"]
         margin = jump["min_margin"]
         assert VERIFY_ROW.match(out).groups() == (
@@ -728,7 +668,7 @@ class TestOneRecord:
         violations = flow["violations"] + jump["violations"]
         assert (violations > 0) == flipped
         assert out.count("\n      violation at ") == violations
-        assert (sim_code, verify_code) == ((0, 0) if violations == 0 else (3, 3))
+        assert (simulated.code, verified.code) == ((0, 0) if violations == 0 else (3, 3))
 
 
 class TestSweep:
@@ -755,11 +695,9 @@ class TestSweep:
              "--values", "0.01", "--out", out]
         ) == 0
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
-        sim_out = tmp_path / "sim"
-        assert run(
-            ["simulate", "--config", scenario_path("z_fast"), "--out", sim_out]
-        ) == 0
-        summary = strict_json(sim_out / "summary.json")
+        simulated = cli_run("z_fast", SIMULATE)
+        assert simulated.code == 0
+        summary = strict_json(simulated.files["summary.json"])
         assert int(row[1]) == sum(summary["budget"]["impulse_counts"].values())
         assert float(row[2]) == summary["budget"]["total_delta_v"]
         assert float(row[3]) == summary["convergence"]["t_orbits"]

@@ -18,7 +18,7 @@ from hybrid_rendezvous.hcw import (
     RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
-from conftest import flip_alpha_sign, plant_of, scenario_run, zeta_b
+from conftest import flip_alpha_sign, plant_of, rk4, scenario_run, zeta_b
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -316,15 +316,6 @@ class TestFlowToCache:
         assert not np.array_equal(flows[slow](s, 30.0), flows[fast](s, 30.0))
 
 
-def numpy_rk4_step(flow, state, h):
-    """One RK4 step written as whole-array NumPy expressions."""
-    k1 = np.array(flow(state))
-    k2 = np.array(flow(state + 0.5 * h * k1))
-    k3 = np.array(flow(state + 0.5 * h * k2))
-    k4 = np.array(flow(state + h * k3))
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class TestRk4Flow:
     @given(
         state=FULL_STATES,
@@ -340,7 +331,7 @@ class TestRk4Flow:
             state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
         flow = partial(cl.full_flow, P)
         got = rk4_step(flow, state, h)
-        expected = numpy_rk4_step(flow, state, h)
+        expected = rk4(lambda s: np.array(flow(s)), state, h)
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()  # signed zeros too
 

@@ -14,6 +14,8 @@ from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous import controllers as ctl
 from hybrid_rendezvous.hcw import RZ, VZ, OrbitParams
 
+from conftest import rk4
+
 P = OrbitParams()
 ORBIT = P.period
 Z, BETA, ALPHA = (cl.CHANNELS[name] for name in ("z", "beta", "alpha"))
@@ -73,6 +75,16 @@ class TestTimer:
         assert ctl.timer_rate(2.0, P.n) == 0.0
         assert ctl.timer_rate(0.5, P.n) == pytest.approx(P.n / (2 * np.pi))
 
+    @pytest.mark.parametrize("tau,share", [(0.0, 1.0), (1.0, 1.0), (1.5, 0.5), (2.0, 0.0)])
+    def test_rate_examples(self, tau, share):
+        # all of n / 2 pi up to 1, then falling linearly to none at 2
+        assert ctl.timer_rate(tau, P.n) == pytest.approx(share * P.n / (2 * np.pi))
+
+    @given(st.floats(-10, 10, allow_nan=False))
+    @settings(max_examples=200)
+    def test_rate_is_full_exactly_up_to_one(self, tau):
+        assert (ctl.timer_rate(tau, P.n) == P.n / (2 * np.pi)) == (tau <= 1.0)
+
     @given(
         tau0=st.floats(0.0, 2.0, allow_nan=False),
         dt=st.floats(0.0, 20 * ORBIT, allow_nan=False),
@@ -88,17 +100,10 @@ class TestTimer:
     )
     @settings(max_examples=50, deadline=None)
     def test_closed_form_matches_rk4_oracle(self, tau0, dt):
-        # Integrate taudot = (n/2pi)(1 - dz(tau)) numerically, including
-        # across the kink at tau = 1, and compare to the piecewise form.
+        # Integrate the timer rate numerically, including across the kink
+        # at tau = 1, and compare to the piecewise form.
         steps = 2000
-        h = dt / steps
-        tau = tau0
-        for _ in range(steps):
-            k1 = ctl.timer_rate(tau, P.n)
-            k2 = ctl.timer_rate(tau + 0.5 * h * k1, P.n)
-            k3 = ctl.timer_rate(tau + 0.5 * h * k2, P.n)
-            k4 = ctl.timer_rate(tau + h * k3, P.n)
-            tau += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tau = rk4(lambda tau: ctl.timer_rate(tau, P.n), tau0, dt / steps, steps)
         assert ctl.timer_advance(tau0, dt, P.n) == pytest.approx(tau, abs=1e-7)
 
 

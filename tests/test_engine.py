@@ -59,7 +59,7 @@ class TestRk4Step:
         assert np.array_equal(rk4_step(f, np.zeros(3), 17.0), np.zeros(3))
 
     def test_timer_linear_segment(self):
-        # taudot = (n/2pi)(1 - dz(tau)) is exactly linear below 1.
+        # taudot = (n/2pi)(1 - max(tau - 1, 0)) is exactly linear below 1.
         def f(s):
             return np.array([P.n / (2 * np.pi)])
 

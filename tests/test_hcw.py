@@ -15,7 +15,6 @@ from hybrid_rendezvous.hcw import (
     VZ,
     OrbitParams,
     apply_stm,
-    dz,
     hcw_derivative,
     hcw_stm,
     sat,
@@ -26,6 +25,7 @@ from conftest import (
     inplane_a0,
     inplane_b0,
     plant_of,
+    rk4,
     stm_matrix,
     transform_matrix,
     transform_matrix_inv,
@@ -86,21 +86,9 @@ def stm_reference(p, dt):
     return m
 
 
-def rk4_reference(state, p, t_final, steps):
+def rk4_reference(state, t_final, steps):
     """Brute-force RK4 integration of the plant, used as an oracle."""
-    h = t_final / steps
-    s = np.array(state, dtype=float)
-
-    def f(x):
-        return np.array(hcw_derivative(x.tolist(), p))
-
-    for _ in range(steps):
-        k1 = f(s)
-        k2 = f(s + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h * k2)
-        k4 = f(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return s
+    return rk4(lambda x: np.array(hcw_derivative(x.tolist(), P)), state, t_final / steps, steps)
 
 
 class TestOrbitParams:
@@ -212,7 +200,7 @@ class TestStm:
         # -(3/2) n T * 4 r_x0 = -12 pi r_x0 per orbit.
         s0 = np.zeros(6)
         s0[RX] = 1.0
-        oracle = rk4_reference(s0, P, P.period, 20_000)
+        oracle = rk4_reference(s0, P.period, 20_000)
         prop = stm_matrix(P, P.period) @ s0
         assert np.allclose(prop, oracle, atol=1e-8)
         assert prop[RY] == pytest.approx(-12 * np.pi, rel=1e-12)
@@ -221,7 +209,7 @@ class TestStm:
         rng = np.random.default_rng(3)
         s0 = rng.uniform(-1, 1, 6) * [500, 500, 500, 0.5, 0.5, 0.5]
         t = 0.37 * P.period
-        oracle = rk4_reference(s0, P, t, 20_000)
+        oracle = rk4_reference(s0, t, 20_000)
         prop = stm_matrix(P, t) @ s0
         assert np.max(np.abs(prop - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
@@ -288,15 +276,6 @@ class TestSatDz:
         assert abs(s) <= umax
         assert (u - s) * s >= 0.0
         assert sat(-u, umax) == -s
-
-    @pytest.mark.parametrize("u,expected", [(0.5, 0.0), (1.5, 0.5), (-2.0, -1.0), (1.0, 0.0)])
-    def test_dz_examples(self, u, expected):
-        assert dz(u) == expected
-
-    @given(st.floats(-10, 10, allow_nan=False))
-    @settings(max_examples=200)
-    def test_dz_vanishes_exactly_on_unit_interval(self, u):
-        assert (dz(u) == 0.0) == (abs(u) <= 1.0)
 
 
 class TestZetaTransform:
