@@ -153,13 +153,23 @@ def make_flow_to(p: OrbitParams):
     Every engine path calls it with ``dt > 0``, and the step lengths repeat:
     full steps share ``h``, and a probe of a step's bracket ``[t_a, t_b]``
     has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m``
-    of a bracket length that takes few values.  So the pure ``hcw_stm``,
-    bound to ``p`` as the propagator is built, is cached by ``dt``: the 256
-    most recent (as brackets need not recur), by this propagator alone (so no
-    two ``p`` mix).  Each call applies its entries in :func:`apply_stm`'s
-    order to one ``tolist()`` and advances the timers on Python floats.
+    of a bracket length that takes few values.  So the pure ``hcw_stm(p,
+    dt)`` is cached by ``dt``: the 256 most recent (as brackets need not
+    recur), about 0.2 MB.  One propagator serves every system built for an
+    equal ``p``, and the 16 most recently used are kept (so no two ``p`` mix).
+    The key holds the ``hcw_stm`` in force at the build too, so a system built
+    under a replacement (a counting wrapper) starts from an empty cache; a
+    miss calls ``hcw_stm`` as it is then.  Each call applies its entries in
+    :func:`apply_stm`'s order to one ``tolist()`` and advances the timers on
+    Python floats.
     """
-    stm = lru_cache(maxsize=256)(partial(hcw_stm, p))
+    return _propagator(p, hcw_stm)
+
+
+@lru_cache(maxsize=16)
+def _propagator(p: OrbitParams, stm_key: Callable):
+    """:func:`make_flow_to`'s propagator for ``p``; ``stm_key`` is only a key."""
+    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
         rx, ry, rz, vx, vy, vz, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()

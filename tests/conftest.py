@@ -17,6 +17,7 @@ import pytest
 from hybrid_rendezvous import cli
 from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous.config import parse_config
+from hybrid_rendezvous.engine import SimulationOptions
 from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_stm, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +164,32 @@ def cli_run(run: str, command: str) -> CliRun:
         )
     with tempfile.TemporaryDirectory() as cwd, patch:
         return run_cli(Path(cwd), config_text(base), command.split())
+
+
+def criterion2_case(rng, subsystem: str, p: OrbitParams, thresholds: cl.DwellThresholds):
+    """One of acceptance criterion 2's random starts for ``subsystem``, drawn
+    from ``rng``, and its options: ``(x0, SimulationOptions)``.  A z case
+    starts on the cross-track axis with a random dwell timer and runs 0.8
+    orbits at 120 s steps; an in-plane or full case starts anywhere in a box
+    around the target with armed timers and runs a quarter orbit at 60 s."""
+    if subsystem == "z":
+        x0 = cl.make_state(
+            r=(0, 0, rng.uniform(-1000, 1000)),
+            v=(0, 0, rng.uniform(-1, 1)),
+            q_z=rng.choice([-1.0, 1.0]),
+            tau_z=rng.uniform(0, 1),
+        )
+        return x0, SimulationOptions(step_h=120.0, t_max=0.8 * p.period, event_tol=1e-6)
+    x0 = cl.make_state(
+        r=(rng.uniform(-500, 500), rng.uniform(-1000, 1000), rng.uniform(-500, 500)),
+        v=rng.uniform(-0.5, 0.5, 3),
+        q_z=rng.choice([-1.0, 1.0]),
+        q_alpha=rng.choice([-1.0, 1.0]),
+        tau_z=thresholds.z,
+        tau_beta=thresholds.beta,
+        tau_alpha=thresholds.alpha,
+    )
+    return x0, SimulationOptions(step_h=60.0, t_max=0.25 * p.period, event_tol=1e-6)
 
 
 def arcs_by_loop(j) -> list[tuple[int, int]]:

@@ -39,6 +39,7 @@ from hybrid_rendezvous.hcw import (
 
 from conftest import (
     BUNDLED,
+    criterion2_case,
     inplane_a0,
     inplane_b0,
     rk4,
@@ -78,36 +79,12 @@ def test_criterion_01_lyapunov_flow_invariance():
     )
 
 
-def _random_z_case(rng, system, p):
-    x0 = make_state(
-        r=(0, 0, rng.uniform(-1000, 1000)),
-        v=(0, 0, rng.uniform(-1, 1)),
-        q_z=rng.choice([-1.0, 1.0]),
-        tau_z=rng.uniform(0, 1),
-    )
-    opts = SimulationOptions(step_h=120.0, t_max=0.8 * p.period, event_tol=1e-6)
-    return simulate(system, x0, opts)
-
-
-def _random_inplane_case(rng, system, p, thresholds):
-    x0 = make_state(
-        r=(rng.uniform(-500, 500), rng.uniform(-1000, 1000), rng.uniform(-500, 500)),
-        v=rng.uniform(-0.5, 0.5, 3),
-        q_z=rng.choice([-1.0, 1.0]),
-        q_alpha=rng.choice([-1.0, 1.0]),
-        tau_z=thresholds.z,
-        tau_beta=thresholds.beta,
-        tau_alpha=thresholds.alpha,
-    )
-    opts = SimulationOptions(step_h=60.0, t_max=0.25 * p.period, event_tol=1e-6)
-    return simulate(system, x0, opts)
-
-
 def test_criterion_02_jump_decrease_randomized():
     """Every nonzero-input firing obeys its jump-decrease bound with absolute
     slack 1e-12, over 1000 randomized initial conditions per subsystem.  One
-    system serves each subsystem's runs: its propagator's matrix cache is
-    exact, so a run's result does not depend on the runs before it."""
+    system serves each subsystem's runs, and one propagator all three: its
+    matrix cache is exact, so a run's result does not depend on the runs
+    before it (``TestFlowToCache`` in test_closed_loop.py)."""
     p = OrbitParams()
     thresholds = DwellThresholds()
     rng = np.random.default_rng(2024)
@@ -115,10 +92,7 @@ def test_criterion_02_jump_decrease_randomized():
     for subsystem in ("z", "inplane", "full"):
         system = build_system(p, thresholds, subsystem=subsystem)
         for _ in range(1000):
-            if subsystem == "z":
-                sol = _random_z_case(rng, system, p)
-            else:
-                sol = _random_inplane_case(rng, system, p, thresholds)
+            sol = simulate(system, *criterion2_case(rng, subsystem, p, thresholds))
             report = check_jump_decrease(sol)
             assert report.passed, f"{subsystem}: {report.violations[:3]}"
             checked += len(sol.events)

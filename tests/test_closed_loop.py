@@ -1,5 +1,6 @@
 """Composition of the plant with the three channels."""
 
+import weakref
 from dataclasses import fields
 from functools import partial
 
@@ -18,7 +19,7 @@ from hybrid_rendezvous.hcw import (
     RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
-from conftest import flip_alpha_sign, plant_of, rk4, scenario_run, zeta_b
+from conftest import criterion2_case, flip_alpha_sign, plant_of, rk4, scenario_run, zeta_b
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -91,7 +92,15 @@ class TestFullFlow:
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
         # Each step equals a freshly built matrix and timer advance; only a
-        # dt not in the propagator's bounded cache builds a new matrix.
+        # dt not in the propagator's bounded cache builds a new matrix.  The
+        # counting hcw_stm keys a propagator of its own, so the count starts
+        # from an empty cache, whatever ran before: the shared one has h.
+        s = cl.make_state(
+            r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05),
+            tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
+        )
+        shared = cl.make_flow_to(P)
+        shared(s, 10.0)
         stm_calls = []
 
         def counted_stm(p, dt):
@@ -100,10 +109,7 @@ class TestFullFlow:
 
         monkeypatch.setattr(cl, "hcw_stm", counted_stm)
         flow_to = cl.make_flow_to(P)
-        s = cl.make_state(
-            r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05),
-            tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
-        )
+        assert flow_to is not shared
 
         def step(s, dt):
             out = flow_to(s, dt)
@@ -314,6 +320,67 @@ class TestFlowToCache:
         for p in (slow, fast, slow):
             assert np.array_equal(flows[p](s, 30.0), fresh_flow_to(s, 30.0, p))
         assert not np.array_equal(flows[slow](s, 30.0), flows[fast](s, 30.0))
+
+
+    def test_a_miss_calls_hcw_stm_as_it_is_then(self, monkeypatch):
+        # The benchmark's tracer counts matrix builds by replacing
+        # closed_loop.hcw_stm: a propagator built before the replacement
+        # calls it on each miss, and calls nothing on a hit.
+        s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
+        before, after = [], []
+
+        def counted(calls, p, dt):
+            calls.append(dt)
+            return hcw_stm(p, dt)
+
+        monkeypatch.setattr(cl, "hcw_stm", partial(counted, before))
+        flow_to = cl.make_flow_to(P)
+        flow_to(s, 10.0)
+        monkeypatch.setattr(cl, "hcw_stm", partial(counted, after))
+        for dt in (10.0, 20.0, 20.0):
+            assert np.array_equal(flow_to(s, dt), fresh_flow_to(s, dt))
+        assert before == [10.0] and after == [20.0]
+
+    def test_runs_are_identical_from_an_empty_or_a_warm_cache(self, monkeypatch):
+        # Criterion 2's random starts on each subsystem, each run once on a
+        # propagator that starts empty, and once after systems with other
+        # dwell thresholds on the same orbit warmed it.
+        rng = np.random.default_rng(30)
+        cases = [
+            (subsystem, *criterion2_case(rng, subsystem, P, THRESHOLDS))
+            for subsystem in ("z", "inplane", "full")
+            for _ in range(4)
+        ]
+        builds = []
+
+        def counted(p, dt):
+            builds.append(dt)
+            return hcw_stm(p, dt)
+
+        def run(subsystem, x0, opts, thresholds=THRESHOLDS):
+            sol = simulate(cl.build_system(P, thresholds, subsystem), x0, opts)
+            return sol.t.tobytes(), sol.j.tobytes(), sol.states.tobytes(), repr(sol.events), sol.status
+
+        cold = []
+        for case in cases:
+            # a new hcw_stm keys a new propagator, whose cache is empty
+            monkeypatch.setattr(cl, "hcw_stm", partial(counted))
+            cold.append(run(*case))
+        cold_builds = len(builds)
+        for case in cases:
+            run(*case, thresholds=cl.DwellThresholds(z=0.05, beta=0.05, alpha=0.05))
+        builds.clear()
+        assert [run(*case) for case in cases] == cold
+        assert len(builds) < cold_builds
+
+    def test_propagators_beyond_the_bound_are_freed(self):
+        # One propagator per orbit, shared by its systems; building for twice
+        # as many orbits as the bound leaves only the latest bound alive.
+        bound = cl._propagator.cache_info().maxsize
+        orbits = [OrbitParams(n=0.001 + k * 1e-6) for k in range(2 * bound)]
+        alive = [weakref.ref(cl.build_system(p, THRESHOLDS, "z").flow_to) for p in orbits]
+        assert [ref() is not None for ref in alive] == [False] * bound + [True] * bound
+        assert cl.build_system(orbits[-1], cl.DwellThresholds(), "full").flow_to is alive[-1]()
 
 
 class TestRk4Flow:
