@@ -321,7 +321,6 @@ class TestFlowToCache:
             assert np.array_equal(flows[p](s, 30.0), fresh_flow_to(s, 30.0, p))
         assert not np.array_equal(flows[slow](s, 30.0), flows[fast](s, 30.0))
 
-
     def test_a_miss_calls_hcw_stm_as_it_is_then(self, monkeypatch):
         # The benchmark's tracer counts matrix builds by replacing
         # closed_loop.hcw_stm: a propagator built before the replacement
