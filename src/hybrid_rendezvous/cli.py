@@ -16,7 +16,8 @@ for the format), each reading one run record, :func:`build_summary`:
 Flags are config keys, put on top of the file's by :func:`config.parse_config`
 before its one validation (``--out ""`` is rejected); argparse checks syntax.
 Exit codes: 0 success, 1 usage (with argparse's message) or configuration
-error, 2 numerical failure, 3 certificate violation.
+error, 2 numerical failure (a non-finite state or derivative), 3 certificate
+violation.
 """
 
 from __future__ import annotations
@@ -299,21 +300,11 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, sol, p, spec) -> tuple[dic
 # ---------------------------------------------------------------------------
 
 
-def _budget_exhausted(sol: HybridSolution, where: str = "") -> bool:
-    """Report a run that spent its jump budget on stderr; true if it did."""
-    if sol.status != "jump_budget_exhausted":
-        return False
-    print(f"numerical failure{where}: jump budget exhausted (possible Zeno)", file=sys.stderr)
-    return True
-
-
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, subsystem=args.subsystem, output_dir=args.out)
     start = time.perf_counter()
     sol, p, spec = run_scenario(cfg)
     elapsed = time.perf_counter() - start
-    if _budget_exhausted(sol):
-        return EXIT_NUMERICAL
     out_dir = Path(cfg.output_dir)
     summary, violations = write_outputs(out_dir, cfg, sol, p, spec)
     print(
@@ -330,8 +321,6 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     sol, p, spec = run_scenario(cfg)
-    if _budget_exhausted(sol):
-        return EXIT_NUMERICAL
     summary, violations = build_summary(cfg, sol, p, spec)
     flow, jump = summary["certificates"].values()
     margin = "n/a" if jump["min_margin"] is None else f"{jump['min_margin']:.3e}"
@@ -374,8 +363,6 @@ def cmd_sweep(args) -> int:
             f"{value:>12.6g} {count:>9d} {total_dv:>10.4f} "
             f"{conv_str:>12} {summary['status']:>10}"
         )
-        if _budget_exhausted(sol, f" at {args.param}={value}"):
-            return EXIT_NUMERICAL
         floats.append((value, total_dv, conv_orbits))
         text.append((str(count), summary["status"]))
     # impulse_count goes before total_delta_v, status last; blank: a run that did not converge

@@ -80,7 +80,6 @@ class ScenarioConfig:
     integrator: str = SimulationOptions.integrator
     step_h: float = 30.0
     t_max_orbits: float = 10.0
-    j_max: int = SimulationOptions.j_max
     event_tol: float = SimulationOptions.event_tol
     # convergence radius; None means 1e-3 of the initial attractor distance
     convergence_eps: float | None = None
@@ -135,7 +134,6 @@ class ScenarioConfig:
         return SimulationOptions(
             step_h=self.step_h,
             t_max=self.t_max_orbits * 2.0 * np.pi / self.n,
-            j_max=self.j_max,
             event_tol=self.event_tol,
             integrator=self.integrator,
         )
@@ -151,9 +149,9 @@ class ScenarioConfig:
         return AttractorSpec(which=which, epsilon=eps)
 
 
-#: Each key's value type, from the field annotations: ``str``, ``int``, or
-#: float for the rest.
-_KINDS = {f.name: {"str": str, "int": int}.get(f.type, float) for f in fields(ScenarioConfig)}
+#: Each key's value type, from the field annotations: ``str``, or float for
+#: the rest.
+_KINDS = {f.name: str if f.type == "str" else float for f in fields(ScenarioConfig)}
 #: Only timers accept ``threshold``.
 _TIMER_KEYS = {"tau_z", "tau_beta", "tau_alpha"}
 
@@ -188,14 +186,11 @@ def parse_config(path: str | Path, **overrides) -> ScenarioConfig:
 
 
 def _convert(key: str, value: str, path: Path, lineno: int) -> object:
-    kind = _KINDS[key]
-    if kind is str:
+    if _KINDS[key] is str:
         return value
     if key in _TIMER_KEYS and value == "threshold":
         return None
     try:
-        if kind is int:
-            return int(value)
         number = float(value)
     except ValueError as exc:
         raise ConfigError(

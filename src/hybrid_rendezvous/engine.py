@@ -22,7 +22,9 @@ travels with it into :func:`locate_event` and :func:`resolve_jumps`.
 
 Jump sets are closed: margins are compared against zero with exact
 floating-point ``>=`` after localization, with no epsilon inflation.  A run
-ends at ``t_max`` or when ``j_max`` jumps are spent, never on convergence.
+ends at ``t_max``, never on convergence, and its jumps are not capped: the
+system's jump maps must leave their jump sets, or a drain at one ``t`` never
+ends.  The closed loop's do, by resetting the channel's dwell timer.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ import numpy as np
 
 class IntegrationFailure(Exception):
     """A flow step produced a non-finite state or derivative."""
-
-    def __init__(self, message: str, state: np.ndarray | None = None):
-        super().__init__(message)
-        self.state = state
 
 
 class HybridTime(NamedTuple):
@@ -107,14 +105,13 @@ class ImpulseEvent:
 
 @dataclass(frozen=True)
 class SimulationOptions:
-    """Fixed-step executor knobs.  A run always lasts until ``t_max`` or
-    ``j_max``; simultaneous guard activations resolve in the order of
+    """Fixed-step executor knobs.  A run always lasts until ``t_max``;
+    simultaneous guard activations resolve in the order of
     :attr:`HybridSystem.channels`.  ``event_tol`` must be at least the float
     spacing at ``t_max``: a finer bisection bracket cannot shrink."""
 
     step_h: float
     t_max: float
-    j_max: int = 100_000
     event_tol: float = 1e-6
     integrator: str = "closed_form"
 
@@ -133,8 +130,6 @@ class SimulationOptions:
                 f"event_tol must be at least the float spacing at t_max, "
                 f"{np.spacing(self.t_max):.2g}, got {self.event_tol}"
             )
-        if not self.j_max > 0:
-            raise ValueError(f"j_max must be a positive integer, got {self.j_max}")
         if self.integrator not in ("closed_form", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -163,7 +158,7 @@ class HybridSolution:
     incremented).  ``t``, ``j`` and the rows of ``states`` are views of the
     flat buffers :func:`simulate` filled, 104 bytes a sample for 11 floats;
     an event's states are two of those rows (:meth:`event_rows`), not copies.
-    ``status`` is ``"t_max"`` or ``"jump_budget_exhausted"``.
+    ``status``, the reason the run ended, is always ``"t_max"``.
     """
 
     t: np.ndarray
@@ -206,7 +201,7 @@ def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
     k3 = derivative_fn([x + half * k for x, k in zip(s, k2)])
     k4 = derivative_fn([x + h * k for x, k in zip(s, k3)])
     if not all(map(math.isfinite, k4)):
-        raise IntegrationFailure("non-finite derivative encountered", state)
+        raise IntegrationFailure("non-finite derivative encountered")
     w = h / 6.0
     return np.array([
         x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)
@@ -262,8 +257,7 @@ def resolve_jumps(
     j: int,
     ch: JumpChannel,
     channels: Sequence[JumpChannel],
-    j_max: int,
-) -> tuple[list[np.ndarray], list[ImpulseEvent], bool]:
+) -> tuple[list[np.ndarray], list[ImpulseEvent]]:
     """Apply jumps while any guard is active, one at a time in channel order.
 
     It fires ``ch``, the caller's :func:`first_active` of ``state``; guards
@@ -272,24 +266,21 @@ def resolve_jumps(
     that state.  Guards are re-evaluated on the post-jump state after every
     applied jump, so a later channel still active after an earlier one's
     jump fires next at the same ``t``.  Returns the post-jump states and the
-    events, in application order, and a flag set when ``j_max`` was hit
-    while guards were still active (the Zeno guard).
+    events, in application order.
     """
     states, events = [], []
     while ch is not None:
-        if j + len(events) >= j_max:
-            return states, events, True
         state, event = ch.jump(state, t, j + len(events))
         states.append(state)
         events.append(event)
         ch = first_active(channels, state.tolist())
-    return states, events, False
+    return states, events
 
 
 def simulate(
     system: HybridSystem, x0: np.ndarray, opts: SimulationOptions
 ) -> HybridSolution:
-    """Run the hybrid executor from ``x0`` until ``t_max`` or ``j_max``.
+    """Run the hybrid executor from ``x0`` until ``t_max``.
 
     It flows by ``system.flow_to``, or ``partial(rk4_step, system.flow)``
     under ``rk4``.  Each state is asked of :func:`first_active` once, and the
@@ -314,34 +305,28 @@ def simulate(
     state = np.array(x0, dtype=float)
     values = state.tolist()
     if not all(map(math.isfinite, values)):
-        raise IntegrationFailure("non-finite initial state", state)
+        raise IntegrationFailure("non-finite initial state")
     t, j = 0.0, 0
     ts, js, samples = array("d", [t]), array("q", [j]), bytearray(state.tobytes())
     events: list[ImpulseEvent] = []
-    status = "t_max"
 
     query = partial(first_active, system.channels)
     active = query(values)
     while t < opts.t_max:
         # Jumps preempt flow: drain the active set before integrating.
         if active is not None:
-            posts, new_events, budget_hit = resolve_jumps(
-                state, t, j, active, system.channels, opts.j_max
-            )
+            posts, new_events = resolve_jumps(state, t, j, active, system.channels)
             events += new_events
             for state in posts:  # the last one is where the flow resumes
                 j += 1
                 ts.append(t)
                 js.append(j)
                 samples += state.tobytes()
-            if budget_hit:
-                status = "jump_budget_exhausted"
-                break
         h = min(opts.step_h, opts.t_max - t)
         candidate = flow_to(state, h)
         values = candidate.tolist()
         if not all(map(math.isfinite, values)):
-            raise IntegrationFailure("non-finite state during flow", candidate)
+            raise IntegrationFailure("non-finite state during flow")
         active = query(values)
         if active is not None:
             # A guard activates inside this step; land exactly on it.  The
@@ -362,5 +347,5 @@ def simulate(
         j=np.frombuffer(js, dtype=np.int64).astype(int, copy=False),
         states=np.frombuffer(samples).reshape(len(ts), -1),
         events=events,
-        status=status,
+        status="t_max",
     )

@@ -107,13 +107,6 @@ class TestSimulate:
         # TestFlagIsKey::test_flag_run_equals_keyed_copy[subsystem] checks
         # that the flag's run is the keyed copy's.
 
-    def test_jump_budget_exhaustion_is_numerical_failure(self, tmp_path):
-        cfg = tmp_path / "zeno.cfg"
-        cfg.write_text(
-            "r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n"
-        )
-        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
-
 
 def fmt(x):
     """Reference formatting of one float: its shortest round-trip form."""
@@ -452,18 +445,27 @@ class TestExitCodes:
             assert err == "numerical failure at umax=0.1: non-finite state during flow\n"
         assert not any(tmp_path.iterdir())
 
-    def test_sweep_jump_budget_exhaustion_is_numerical_failure(self, tmp_path, capsys):
-        cfg = tmp_path / "zeno.cfg"
-        cfg.write_text(
-            "r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n"
-        )
-        argv = ["sweep", "--config", cfg, "--param", "umax", "--values", "0.1,0.2"]
-        assert run(argv + ["--out", tmp_path / "o"]) == 2
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", ["--out", "o"]),
+            ("verify", []),
+            ("sweep", ["--param", "umax", "--values", "0.1,0.2", "--out", "o"]),
+        ],
+        ids=["simulate", "verify", "sweep"],
+    )
+    def test_j_max_key_is_unknown(self, command, flags, tmp_path, monkeypatch, capsys):
+        # The dwell timers bound every run's jumps, so there is no jump
+        # budget to set: a file that sets one is a config error that runs
+        # and writes nothing.
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--config", cfg.name, *flags]) == 1
         captured = capsys.readouterr()
-        assert "jump_budget_exhausted" in captured.out.splitlines()[1]
-        assert captured.err == (
-            "numerical failure at umax=0.1: jump budget exhausted (possible Zeno)\n"
-        )
+        assert captured.out == ""
+        assert captured.err == "config error: budget.cfg:4: unknown key 'j_max'\n"
+        assert [*tmp_path.iterdir()] == [cfg]
 
     def test_nonfinite_sweep_value_is_config_error(self, tmp_path, capsys):
         # Every value is validated before the first run, so 0.2 neither runs
@@ -701,7 +703,8 @@ class TestSweep:
         assert int(row[1]) == sum(summary["budget"]["impulse_counts"].values())
         assert float(row[2]) == summary["budget"]["total_delta_v"]
         assert float(row[3]) == summary["convergence"]["t_orbits"]
-        assert row[4] == summary["status"]
+        # every run lasts its horizon: the only status is t_max
+        assert row[4] == summary["status"] == "t_max"
 
     def test_rows_match_per_field_formatting(self, tmp_path):
         # One sweep value (umax = 0.01) does not converge within z_fast's
@@ -717,6 +720,7 @@ class TestSweep:
             cfg = parse_config(scenario_path("z_fast"), umax=value)
             summary, _ = cli.build_summary(cfg, *cli.run_scenario(cfg))
             conv = summary["convergence"]["t_orbits"]
+            assert summary["status"] == "t_max"
             expected.append(
                 ",".join(
                     [fmt(value), str(sum(summary["budget"]["impulse_counts"].values())),

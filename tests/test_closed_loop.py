@@ -1,7 +1,8 @@
 """Composition of the plant with the three channels."""
 
+import math
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -500,6 +501,65 @@ def event_states(sol):
     return zip(sol.events, sol.states[rows - 1], sol.states[rows])
 
 
+def within_dwell_bound(times, tau_m, period):
+    """Whether the last of one channel's firing times ``times``, in order,
+    keeps the dwell bound: it is later than the firing before, and as the
+    k-th firing at ``t``, ``k <= 2 + floor(t / (tau_m period))``.
+
+    Each firing resets the channel's timer to 0, and the timer climbs at rate
+    ``1 / period`` up to 1 and slower after, so in exact arithmetic firings
+    are at least ``tau_m`` periods apart and ``k <= 1 + floor(...)``.  Landing
+    rounding needs the ``+ 1``: where flow steps end exactly on the dwell
+    (``step_h = tau_m period / m``), the float sum of the steps falls short
+    of ``tau_m period`` by up to 1.6e-14 of it, and ``1 + floor`` fails by
+    one (:class:`TestDwellBound` without the ``+ 1`` fails on such a run, as
+    at ``n = 2^-7``, ``tau_m = 1`` and ``m = 1``).
+    """
+    k, t = len(times), times[-1]
+    return (k == 1 or times[-2] < t) and k <= 2 + math.floor(t / (tau_m * period))
+
+
+class TestDwellBound:
+    """The dwell timers alone bound a run's jumps: no jump budget is needed
+    (Hespanha & Morse, 1999; Goebel, Sanfelice & Teel, 2012)."""
+
+    @given(
+        state=FULL_STATES,
+        n=st.floats(1e-4, 1e-2),
+        tau_m=st.tuples(*[st.floats(1e-4, 2.0, exclude_max=True)] * 3),
+        # The horizon and the step are in units of the shortest dwell: a tiny
+        # tau^M asks for many firings an orbit, as a tiny step_h asks for
+        # many steps.  Steps of 1/m of it end exactly on that dwell.
+        horizon=st.floats(0.0, 40.0),
+        step=st.integers(1, 5).map(lambda m: 1.0 / m) | st.floats(0.05, 2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_firing_keeps_its_channels_dwell_bound(self, state, n, tau_m, horizon, step):
+        # Each firing is checked as it happens, so a jump map that leaves its
+        # channel in its jump set fails here instead of draining forever.
+        p = OrbitParams(n=n)
+        thresholds = cl.DwellThresholds(*tau_m)
+        dwell = min(tau_m) * p.period
+        fired = []
+
+        def checked(ch):
+            tm, times = getattr(thresholds, ch.name), []
+
+            def jump(state, t, j_pre):
+                times.append(t)
+                fired.append(ch.name)
+                assert within_dwell_bound(times, tm, p.period), (ch.name, tm, times[-2:])
+                return ch.jump(state, t, j_pre)
+
+            return replace(ch, jump=jump)
+
+        system = cl.build_system(p, thresholds, "full")
+        system = replace(system, channels=tuple(map(checked, system.channels)))
+        opts = SimulationOptions(step_h=step * dwell, t_max=horizon * dwell, event_tol=1e-6)
+        sol = simulate(system, state, opts)
+        assert fired == [ev.channel for ev in sol.events]
+
+
 class TestCompositionProperties:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -532,8 +592,15 @@ class TestCompositionProperties:
                 pre = cl.lyapunov_values(state_pre, P)["alpha"]
                 assert post <= pre + 1e-12
 
-    def test_no_zeno_termination(self, sol):
-        assert sol.status != "jump_budget_exhausted"
+    def test_dwell_bound_per_channel(self, sol):
+        # Every firing of the run keeps its channel's dwell bound (TestDwellBound).
+        thresholds = scenario_run("full_ref")[0].thresholds()
+        times = {name: [] for name in cl.CHANNELS}
+        for ev in sol.events:
+            times[ev.channel].append(ev.t)
+            tau_m = getattr(thresholds, ev.channel)
+            assert within_dwell_bound(times[ev.channel], tau_m, P.period), ev
+        assert all(times.values())
 
     def test_zero_events_have_zero_lyapunov_change(self, sol):
         for ev in sol.events:

@@ -88,7 +88,8 @@ class TestErrors:
             ("step_h = -1", "step_h"),
             ("event_tol = 100", "event_tol"),
             ("event_tol = 1e-13", "event_tol"),  # float spacing at 1 orbit: 9.1e-13
-            ("j_max = 0", "j_max"),
+            # the dwell timers bound every run's jumps: no jump budget is set
+            ("j_max = 0", "unknown key 'j_max'"),
             ("n = -0.001", "n must be positive"),
             ("umax = 0", "umax must be positive"),
             ("convergence_eps = -1", "convergence_eps"),

@@ -66,13 +66,12 @@ class TestRk4Step:
         s = rk4_step(f, np.array([0.0]), 0.25 * P.period)
         assert s[0] == pytest.approx(0.25, rel=1e-12)
 
-    def test_nonfinite_derivative_raises_with_state(self):
+    def test_nonfinite_derivative_raises(self):
         def f(s):
             return np.array([np.inf])
 
-        with pytest.raises(IntegrationFailure) as exc:
+        with pytest.raises(IntegrationFailure, match="^non-finite derivative encountered$"):
             rk4_step(f, np.array([1.0]), 1.0)
-        assert exc.value.state is not None
 
 
 class TestLocateEvent:
@@ -127,11 +126,11 @@ class TestSimulationOptions:
             {"t_max": -1.0},
             {"event_tol": 0.0},
             {"event_tol": 60.0},  # must stay below step_h
-            {"j_max": 0},
             {"integrator": "euler"},
             {"t_max": float("nan")},
             {"event_tol": 1e-15},  # below the float spacing at t_max, 1.4e-14
             {"t_max": math.inf},
+            {"step_h": float("nan")},
         ],
     )
     def test_validation(self, bad):
@@ -181,8 +180,7 @@ class TestResolveJumps:
         system = self.system("z")
         state = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)
         ch = first_active(system.channels, state.tolist())
-        posts, events, budget_hit = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
-        assert not budget_hit
+        posts, events = resolve_jumps(state, 0.0, 0, ch, system.channels)
         assert [e.channel for e in events] == ["z"]
         # The event records the guard terms at the trigger state.
         assert events[0].margins == system.channels[0].guard.terms(state.tolist())
@@ -202,7 +200,7 @@ class TestResolveJumps:
             tau_beta=THRESHOLDS.beta,
         )
         ch = first_active(system.channels, state.tolist())
-        posts, events, _ = resolve_jumps(state, 0.0, 0, ch, system.channels, 100)
+        posts, events = resolve_jumps(state, 0.0, 0, ch, system.channels)
         assert len(posts) == len(events)
         assert [e.channel for e in events][:2] == ["z", "beta"]
         assert [e.j_pre for e in events] == list(range(len(events)))
@@ -219,7 +217,7 @@ class TestResolveJumps:
         z, beta, alpha = system.channels
         channels = (beta, alpha, z)
         ch = first_active(channels, state.tolist())
-        _, events, _ = resolve_jumps(state, 0.0, 0, ch, channels, 100)
+        _, events = resolve_jumps(state, 0.0, 0, ch, channels)
         assert events[0].channel == "beta"
 
     def test_empty_active_set_is_an_error(self, engine_calls):
@@ -267,13 +265,6 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert len(a.events) == len(b.events)
 
-    def test_jump_budget_flag(self):
-        system = build_system(P, THRESHOLDS, subsystem="z")
-        x0 = make_state(r=(0, 0, 500.0), tau_z=THRESHOLDS.z)
-        sol = simulate(system, x0, opts(j_max=1))
-        assert sol.status == "jump_budget_exhausted"
-        assert len(sol.events) == 1
-
     def test_empty_horizon_produces_no_events(self):
         system = build_system(P, THRESHOLDS, subsystem="z")
         x0 = make_state(v=(0, 0, 0.1), tau_z=THRESHOLDS.z)  # in the jump set
@@ -291,7 +282,7 @@ class TestSimulate:
         system = build_system(P, THRESHOLDS, subsystem="z")
         x0 = make_state()
         x0[RZ] = np.nan
-        with pytest.raises(IntegrationFailure):
+        with pytest.raises(IntegrationFailure, match="^non-finite initial state$"):
             simulate(system, x0, opts())
 
     @pytest.mark.parametrize("integrator", ["closed_form", "rk4"])
@@ -328,11 +319,8 @@ class TestSimulate:
 
         channel = JumpChannel("never", GuardConjunction(terms), jump=None)
         system = engine.HybridSystem(flow=flow, channels=(channel,), flow_to=flow_to)
-        with pytest.raises(IntegrationFailure, match="^non-finite state during flow$") as err:
+        with pytest.raises(IntegrationFailure, match="^non-finite state during flow$"):
             simulate(system, x0, opts(step_h=10.0, t_max=50.0, integrator=integrator))
-        expected = x0.copy()
-        expected[1] = bad
-        assert np.array_equal(err.value.state, expected, equal_nan=True)
         # x0 and the first step's end were asked; the non-finite state was not
         assert asked == [x0.tolist(), x0.tolist()]
 
@@ -460,9 +448,9 @@ def record_calls(run):
         located.append((found_a, found_b, at_b, found, asked(state), t_a, t_b))
         return t, state, found
 
-    def recording_resolve(state, t, j, ch, channels, j_max):
+    def recording_resolve(state, t, j, ch, channels):
         resolved.append((channels is system.channels, ch, asked(state)))
-        return resolve(state, t, j, ch, channels, j_max)
+        return resolve(state, t, j, ch, channels)
 
     def recording_rk4(derivative_fn, state, h):
         steps.append(h)
