@@ -37,19 +37,28 @@ BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
 
 #: Scenario runs, by id: a bundled scenario file and config overrides; the
 #: one place tests declare a scenario variant.  Besides the four scenarios:
-#: inplane_ref and full_ref under rk4 (2 orbits, 10 s steps); inplane_ref
-#: with r_x, r_y and umax scaled by 2^9, which fails the flow check
-#: (ROADMAP's D3); full_ref's z channel from v_y = 3e153, v_z = 1e154, whose
-#: V_alpha overflows to inf, with NaN drifts; and full_ref and z_fast at 2
-#: orbits.
+#: inplane_ref and full_ref under rk4, at 2 orbits and 10 s steps
+#: (``*_rk4``) and over their own 20 orbits (``*_rk4_20orbits``);
+#: inplane_ref with r_x, r_y and umax scaled by 2^9, which fails the flow
+#: check (ROADMAP's D3); full_ref's z channel alone (``full_ref_z``, as
+#: ``--subsystem z`` runs it), and from v_y = 3e153, v_z = 1e154, whose
+#: V_alpha overflows to inf, with NaN drifts (``v_alpha_overflow``);
+#: z_fast with r_z and umax scaled by 2^-20 and by 2^50 (``z_fast_tiny``,
+#: ``z_fast_huge``), whose floats reach the layouts 1e-05 .. 1e-09 and
+#: 1e+16 and up of their shortest round-trip text; and full_ref and z_fast
+#: at 2 orbits.
 RUNS = {
     **{name: (name, {}) for name in BUNDLED},
     **{
         f"{name}_rk4": (name, dict(integrator="rk4", step_h=10.0, t_max_orbits=2.0))
         for name in ("inplane_ref", "full_ref")
     },
+    **{f"{name}_rk4_20orbits": (name, dict(integrator="rk4")) for name in ("inplane_ref", "full_ref")},
     "inplane_ref_x512": ("inplane_ref", dict(r_x=-60.0 * 512, r_y=1000.0 * 512, umax=0.2 * 512)),
+    "full_ref_z": ("full_ref", dict(subsystem="z")),
     "v_alpha_overflow": ("full_ref", dict(v_y=3e153, v_z=1e154, subsystem="z")),
+    "z_fast_tiny": ("z_fast", dict(r_z=0.000476837158203125, umax=1.9073486328125e-07)),
+    "z_fast_huge": ("z_fast", dict(r_z=5.62949953421312e17, umax=225179981368524.8)),
     **{f"{name}_2orbits": (name, dict(t_max_orbits=2.0)) for name in ("full_ref", "z_fast")},
 }
 
@@ -150,18 +159,30 @@ CLI_RUNS = {"inplane_ref_flipped": ("inplane_ref", flip_alpha_sign)}
 
 @functools.cache
 def cli_run(run: str, command: str) -> CliRun:
-    """``hybrid-rdv <command>`` (split at spaces) on the config file of one
-    of :data:`RUNS` or :data:`CLI_RUNS`, run once per session in a temporary
-    directory that is then deleted.  The record keeps the files' bytes, not
-    a directory that one test could change for the next."""
-    base, corrupt = CLI_RUNS.get(run, (run, None))
-    build = cli.build_system
-    patch = contextlib.nullcontext()
-    if corrupt is not None:
+    """``hybrid-rdv <command>`` (``simulate`` or ``verify``, split at spaces)
+    on the config file of one of :data:`RUNS` or :data:`CLI_RUNS`, run once
+    per session in a temporary directory that is then deleted.  The record
+    keeps the files' bytes, not a directory that one test could change for
+    the next.  A :data:`RUNS` id does not simulate again: the CLI parses,
+    summarizes, writes and prints, but takes :func:`scenario_run`'s
+    solution, once the config it parsed is the shared one but for
+    ``output_dir``.  A :data:`CLI_RUNS` id simulates afresh."""
+    if run in CLI_RUNS:
+        base, corrupt = CLI_RUNS[run]
+        build = cli.build_system
         patch = mock.patch.object(
             cli, "build_system",
             lambda p, thresholds, subsystem="full": corrupt(build(p, thresholds, subsystem), p),
         )
+    else:
+        base = run
+        shared, sol, p, spec, _ = scenario_run(run)
+
+        def run_scenario(cfg):
+            assert cfg == dataclasses.replace(shared, output_dir=cfg.output_dir)
+            return sol, p, spec
+
+        patch = mock.patch.object(cli, "run_scenario", run_scenario)
     with tempfile.TemporaryDirectory() as cwd, patch:
         return run_cli(Path(cwd), config_text(base), command.split())
 

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hybrid_rendezvous import cli
+from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
 from hybrid_rendezvous.closed_loop import lyapunov_values, make_state, zeta_of
 from hybrid_rendezvous.config import parse_config, replace
 from hybrid_rendezvous.engine import IntegrationFailure
 from hybrid_rendezvous.hcw import OrbitParams
 
-from conftest import cli_run, config_text, run_cli, scenario_path, scenario_run, set_keys
+from conftest import BUNDLED, cli_run, config_text, run_cli, scenario_path, scenario_run, set_keys
 
 #: The shared simulate runs write into the run's own directory, so their
 #: files are keyed by name.
@@ -41,6 +42,18 @@ def strict_json(data):
 
 def lines(data):
     return data.decode().splitlines()
+
+
+def table(data, width):
+    """The data rows of a CSV file's bytes, split at commas; the header and
+    every row have ``width`` fields."""
+    head, *rows = [line.split(",") for line in lines(data)]
+    assert len(head) == width and all(len(r) == width for r in rows)
+    return rows
+
+
+def is_int(field):
+    return str(int(field)) == field
 
 
 class TestSimulate:
@@ -73,7 +86,8 @@ class TestSimulate:
         assert sum(totals.values()) == summary["budget"]["total_delta_v"]
 
     def test_reproducible_byte_identical(self, tmp_path):
-        # a fresh run against the shared one: two independent runs
+        # a fresh run against the shared record, which takes scenario_run's
+        # solution: the CLI's own simulate checks the shared one
         fresh = run_cli(tmp_path, config_text("z_slow"), SIMULATE.split())
         assert fresh.code == 0 and fresh.files
         assert fresh == cli_run("z_slow", SIMULATE)
@@ -293,6 +307,46 @@ class TestCsvBytes:
         assert record.files["events.csv"].decode() == "\n".join(expected) + "\n"
 
 
+#: The simulate runs whose files the CSV format contract covers: z_slow,
+#: full_ref, full_ref's z channel, z_fast at both scales and the V_alpha
+#: overflow, whose rows hold inf and NaN.  The files of z_fast and
+#: inplane_ref equal fmt's rows (test_rows_match_per_sample_formatting).
+CONTRACT_RUNS = ("z_slow", "full_ref", "full_ref_z", "z_fast_tiny", "z_fast_huge", "v_alpha_overflow")
+
+
+class TestCsvContract:
+    # Every row has its header's field count; j and impulse_count are ints;
+    # channel is z, beta or alpha; classification is set only on z rows, to
+    # one of two labels; h1 and h2 are blank exactly on beta rows;
+    # convergence_orbits is blank for a run that did not converge; every
+    # other field is fmt of its float (each distinct field checked once).
+    @pytest.mark.parametrize("run_id", CONTRACT_RUNS)
+    def test_simulate_files(self, run_id):
+        overflow = run_id == "v_alpha_overflow"
+        with np.errstate(all="ignore" if overflow else None):
+            record = cli_run(run_id, SIMULATE)
+        assert record.code == (3 if overflow else 0)
+        trajectory = table(record.files["trajectory.csv"], 21)
+        events = table(record.files["events.csv"], 20)
+        assert all(is_int(r[2]) for r in trajectory + events)
+        floats = {f for r in trajectory for f in r[:2] + r[3:]}
+        for r in events:
+            beta = r[3] == "beta"
+            assert r[3] in ("z", "beta", "alpha"), r
+            assert r[13] in (("dwell_delayed", "zero_crossing") if r[3] == "z" else ("",)), r
+            assert (r[8] == r[9] == "") == beta, r
+            floats.update(r[:2] + r[4:8] + r[8 + 2 * beta : 13] + r[14:])
+        assert [f for f in floats if fmt(f) != f] == []
+
+    def test_sweep_file(self, tmp_path):
+        argv = ["sweep", "--param", "tau_m_z", "--values", "0.01,0.05,0.1,0.25,0.5", "--out", "o"]
+        record = run_cli(tmp_path, config_text("z_fast"), argv)
+        assert record.code == 0
+        for r in table(record.files["o/sweep.csv"], 5):
+            assert fmt(r[0]) == r[0] and is_int(r[1]) and fmt(r[2]) == r[2], r
+            assert (r[3] == "" or fmt(r[3]) == r[3]) and r[4] == "t_max", r
+
+
 def traced_peak(write, *args) -> int:
     """The ``tracemalloc`` peak, in bytes, of one call ``write(*args)``."""
     tracemalloc.start()
@@ -371,6 +425,34 @@ class TestExitCodes:
         assert run(["simulate", "--config", cfg, "--out", ""]) == 1
         assert f"config error: {cfg}: output_dir must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
+
+    @pytest.mark.parametrize(
+        "keys, argv",
+        [
+            # it would write into the working directory; TestFlagIsKey's
+            # "out" case runs the same file under --out
+            pytest.param({"output_dir": ""}, ["simulate"], id="empty_output_dir"),
+            # below the float spacing at z_fast's horizon, 4 orbits: 3.6e-12
+            pytest.param({"event_tol": "1e-12"}, ["simulate", "--out", "o"], id="fine_event_tol"),
+        ],
+    )
+    def test_config_error_writes_nothing(self, keys, argv, tmp_path):
+        record = run_cli(tmp_path, set_keys(config_text("z_fast"), **keys), argv)
+        assert record.code == 1 and not record.files
+
+    def test_v_alpha_overflow_is_certificate_error(self):
+        # V_alpha overflows along the flow, so 11,502 trajectory rows and 240
+        # event rows hold inf or nan, and the jumps fail the jump-decrease
+        # certificate (exit 3); all four files are still written.
+        with np.errstate(all="ignore"):
+            record = cli_run("v_alpha_overflow", SIMULATE)
+        assert record.code == 3
+        assert set(record.files) == {"trajectory.csv", "events.csv", "summary.json", "plot.gp"}
+        nonfinite = [
+            sum("inf" in line or "nan" in line for line in lines(record.files[name]))
+            for name in ("trajectory.csv", "events.csv")
+        ]
+        assert nonfinite == [11502, 240]
 
     @pytest.mark.parametrize(
         "name,command,edits,too_large",
@@ -572,7 +654,7 @@ class TestFlagIsKey:
 
 class TestVerify:
     def test_bundled_scenarios_pass(self):
-        for name in ("z_fast", "z_slow", "inplane_ref"):
+        for name in BUNDLED:
             record = cli_run(name, "verify")
             assert record.code == 0
             assert "PASS" in record.out and "FAIL" not in record.out
@@ -583,6 +665,13 @@ class TestVerify:
         cfg.write_bytes(b"\xef\xbb\xbf" + scenario_path("z_fast").read_bytes())
         assert parse_config(cfg) == parse_config(scenario_path("z_fast"))
         assert run(["verify", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("name", ["inplane_ref", "full_ref"])
+    def test_rk4_scenarios_pass(self, name):
+        # each scenario's own 20 orbits under the fixed-step RK4 oracle
+        record = cli_run(f"{name}_rk4_20orbits", "verify")
+        assert record.code == 0
+        assert "(tol 2e-07)" in record.out and "FAIL" not in record.out
 
     def test_rk4_run_gets_the_fixed_step_tolerance(self):
         # flow_drift_tolerance allows fixed-step RK4 1e-8 per orbit.
@@ -705,6 +794,20 @@ class TestSweep:
         assert float(row[3]) == summary["convergence"]["t_orbits"]
         # every run lasts its horizon: the only status is t_max
         assert row[4] == summary["status"] == "t_max"
+
+    def test_one_sweep_equals_one_value_sweeps(self, tmp_path):
+        # Three values in one sweep share one orbit's propagator and its
+        # matrix cache: the data rows equal those of three one-value sweeps,
+        # each started, as the three-value one is, from an empty cache.
+        def data_rows(values):
+            cl._propagator.cache_clear()
+            argv = ["sweep", "--param", "tau_m_z", "--values", values, "--out", "o"]
+            record = run_cli(tmp_path / values, config_text("z_fast"), argv)
+            assert record.code == 0
+            return lines(record.files["o/sweep.csv"])[1:]
+
+        one_each = [row for v in ("0.01", "0.05", "0.1") for row in data_rows(v)]
+        assert data_rows("0.01,0.05,0.1") == one_each and len(one_each) == 3
 
     def test_rows_match_per_field_formatting(self, tmp_path):
         # One sweep value (umax = 0.01) does not converge within z_fast's
