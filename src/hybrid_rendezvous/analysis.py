@@ -3,10 +3,10 @@
 Checks the two halves of each channel's Lyapunov certificate on an actual
 :class:`~hybrid_rendezvous.engine.HybridSolution`:
 
-* **flow invariance** — V_z and V_beta = beta^2 must be constant along every
-  flow arc; V_alpha is a conditional invariant (its flow derivative is
-  (n^2/2) alpha beta) and is checked only on arcs where beta has already been
-  driven to zero;
+* **flow invariance** — along every flow arc each Lyapunov function must
+  follow the closed-form flow: V_z and V_beta = beta^2 stay constant, and
+  V_alpha, whose flow derivative is (n^2/2) alpha beta, gains its integral
+  over the arc's ramp alpha = alpha_0 + beta_0 t;
 * **jump decrease** — every applied impulse must not increase its channel's
   Lyapunov function by more than the per-channel algebraic bound, with only
   rounding slack; zero-input firings must leave it unchanged.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .closed_loop import AttractorSpec, distance_to_attractor, lyapunov_values
 from .engine import HybridSolution, HybridTime
-from .hcw import OrbitParams
+from .hcw import OrbitParams, to_zeta
 
 #: Impulses at or below this magnitude (m/s) are bookkept as zero firings:
 #: on-attractor timer resets and event-localization residue, not maneuvers.
@@ -38,11 +38,6 @@ DRIFT_FLOOR = 1e-12
 #: change may exceed its theorem bound, and a zero-input jump may move V,
 #: by at most this much.
 JUMP_SLACK = 1e-12
-
-#: |beta| (m/s) below which an arc counts as having beta = 0, enabling the
-#: V_alpha flow-invariance check (beta is constant along arcs, so this is a
-#: per-arc property).  Sized to the zero-firing residue scale.
-BETA_GATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,16 +90,17 @@ def check_flow_invariance(
     p: OrbitParams,
     tol: float,
 ) -> CertificateReport:
-    """Verify the Lyapunov functions are constant along every flow arc.
+    """Verify the Lyapunov functions follow the unforced flow on every arc.
 
-    V_z and V_beta are unconditional first integrals of the unforced flow.
-    V_alpha is checked only on arcs where |beta| is below :data:`BETA_GATE`
-    (beta is constant along arcs): while beta is nonzero, the drift offset
-    alpha ramps and V_alpha genuinely varies along the flow.
+    Each sample's V must equal its arc-start value advanced by the closed-form
+    flow: V_z and V_beta are first integrals, and V_alpha gains
+    ``n^2 beta_0 dt (alpha_0/2 + beta_0 dt/4)``, the integral of
+    ``(n^2/2) alpha beta`` along ``alpha = alpha_0 + beta_0 dt``, with
+    ``alpha_0`` and ``beta_0`` the arc start's and ``dt`` the time since it.
 
-    For each arc and each checked function, the drift is
-    ``max_t |V(t) - V(arc start)| / max(V(arc start), DRIFT_FLOOR)`` and
-    must not exceed ``tol``; a NaN drift fails.  The arcs are taken a
+    For each arc and each function, the drift is
+    ``max_t |V(t) - V_flow(t)| / max(V_flow(t), DRIFT_FLOOR)`` and must not
+    exceed ``tol``; a NaN drift fails.  The arcs are taken a
     :meth:`~HybridSolution.blocks` block at a time, so the temporaries are
     one block's, and the violations come in arc order.
     """
@@ -115,12 +111,14 @@ def check_flow_invariance(
         values = np.column_stack(tuple(lyap.values()))
         starts = np.flatnonzero(np.diff(sol.j[lo:hi], prepend=-1))  # the block's arcs
         stops = np.append(starts[1:], hi - lo)
-        ref = values[np.repeat(starts, stops - starts)]  # each sample's arc start
+        arc_of = np.repeat(np.arange(len(starts)), stops - starts)  # each sample's arc
+        ref = values[starts][arc_of]
+        _, _, alpha0, beta0 = (v[arc_of] for v in to_zeta(sol.states[lo + starts].T, p))
+        dt = sol.t[lo:hi] - sol.t[lo + starts][arc_of]
+        ref[:, names.index("alpha")] += p.n * p.n * beta0 * dt * (alpha0 / 2.0 + beta0 * dt / 4.0)
         drift = np.abs(values - ref) / np.maximum(ref, DRIFT_FLOOR)
         arc_worst = np.maximum.reduceat(drift, starts, axis=0)
-        checked = np.ones_like(arc_worst, dtype=bool)
-        checked[:, names.index("alpha")] = ~(lyap["beta"][starts] > BETA_GATE**2)  # V_beta = beta^2
-        for arc, k in zip(*np.nonzero(checked & ~(arc_worst <= tol))):
+        for arc, k in zip(*np.nonzero(~(arc_worst <= tol))):
             idx = lo + starts[arc] + int(np.argmax(drift[starts[arc] : stops[arc], k]))
             report.violations.append(Violation(
                 t=float(sol.t[idx]), j=int(sol.j[idx]), quantity=f"V_{names[k]} flow drift",
@@ -128,7 +126,7 @@ def check_flow_invariance(
             ))
         # Python's max, in arc order, leaves a NaN drift (a violation) out.
         for k, name in enumerate(names):
-            worst = [report.arc_drift.get(name, 0.0), *arc_worst[checked[:, k], k].tolist()]
+            worst = [report.arc_drift.get(name, 0.0), *arc_worst[:, k].tolist()]
             report.arc_drift[name] = max(worst)
     return report
 
@@ -205,7 +203,7 @@ def convergence_time(
     last block first, down to the last sample outside the ball."""
     idx = 0  # the sample after the last one outside the ball
     for lo, hi in reversed([*sol.blocks()]):
-        dist = distance_to_attractor(sol.states[lo:hi], p, spec)
+        dist = distance_to_attractor(sol.states[lo:hi], p, spec.which)
         outside = np.flatnonzero(~(dist <= spec.epsilon))
         if len(outside):
             idx = lo + int(outside[-1]) + 1

@@ -90,14 +90,14 @@ class AttractorSpec:
     Lyapunov functions.
     """
 
-    which: str = "full"
-    epsilon: float = 1e-3
+    which: str
+    epsilon: float
 
     def __post_init__(self):
         if self.which not in SUBSYSTEM_CHANNELS:
             raise ValueError(f"unknown subsystem {self.which!r}")
         if not self.epsilon > 0:
-            raise ValueError(f"convergence_eps must be positive, got {self.epsilon}")
+            raise ValueError(f"convergence radius must be positive, got {self.epsilon}")
 
 
 def make_state(
@@ -311,12 +311,8 @@ def lyapunov_values(state: np.ndarray, p: OrbitParams) -> dict[str, float | np.n
     return {name: law.lyapunov(state.T, zeta, p) for name, law in CHANNELS.items()}
 
 
-def distance_to_attractor(
-    state: np.ndarray,
-    p: OrbitParams,
-    spec: AttractorSpec,
-) -> float | np.ndarray:
-    """Distance of a state to the rest set named by ``spec.which``.
+def distance_to_attractor(state: np.ndarray, p: OrbitParams, which: str) -> float | np.ndarray:
+    """Distance of a state to the rest set of subsystem ``which``.
 
     This is the Lyapunov-consistent form: ``distance**2`` is the sum of the
     selected channels' Lyapunov functions, which makes convergence
@@ -326,7 +322,7 @@ def distance_to_attractor(
     an ``(N,)`` array of the per-row distances, bit for bit.
     """
     values = lyapunov_values(state, p)
-    total = sum(values[name] for name in SUBSYSTEM_CHANNELS[spec.which])
+    total = sum(values[name] for name in SUBSYSTEM_CHANNELS[which])
     dist = np.sqrt(total)
     return float(dist) if state.ndim == 1 else dist
 

@@ -24,9 +24,10 @@ the offending name.  Example::
 
 Initial timers default to the channel's own threshold (written as
 ``threshold``), so the first firing is not dwell-delayed; set a number in
-[0, 2] to override.  A :class:`ScenarioConfig` validates itself on
-construction, so a copy made with :func:`replace`, which is
-:func:`dataclasses.replace`, is checked too.
+[0, 2] to override.  The convergence radius is not a key: it is always
+1e-3 of the initial attractor distance (1e-9 from rest).  A
+:class:`ScenarioConfig` validates itself on construction, so a copy made
+with :func:`replace`, which is :func:`dataclasses.replace`, is checked too.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .closed_loop import (
-    AttractorSpec, DwellThresholds, distance_to_attractor, lyapunov_values, make_state,
+    SUBSYSTEM_CHANNELS, AttractorSpec, DwellThresholds, distance_to_attractor, lyapunov_values,
+    make_state,
 )
 from .engine import SimulationOptions
 from .hcw import OrbitParams
@@ -81,8 +83,6 @@ class ScenarioConfig:
     step_h: float = 30.0
     t_max_orbits: float = 10.0
     event_tol: float = SimulationOptions.event_tol
-    # convergence radius; None means 1e-3 of the initial attractor distance
-    convergence_eps: float | None = None
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -95,7 +95,7 @@ class ScenarioConfig:
         # An initial V that overflows is rejected on every channel, whatever the
         # subsystem: trajectory.csv and the flow certificate read all three.
         # So is an attractor distance that overflows although each V is
-        # finite: its default radius would be infinite, converged at t = 0.
+        # finite: its radius, 1e-3 of it, would be infinite: converged at t = 0.
         # The error names it, so NumPy's warnings on the way are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -107,10 +107,9 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             v0 = lyapunov_values(state, p)
-            d0 = distance_to_attractor(state, p, spec)
         if overflow := [f"V_{name}" for name, v in v0.items() if not np.isfinite(v)]:
             raise ConfigError(f"initial state too large: {', '.join(overflow)} not finite")
-        if not np.isfinite(d0):
+        if not np.isfinite(spec.epsilon):
             raise ConfigError("initial state too large: attractor distance not finite")
 
     def params(self) -> OrbitParams:
@@ -139,14 +138,12 @@ class ScenarioConfig:
         )
 
     def attractor(self) -> AttractorSpec:
-        """Attractor spec of the scenario's subsystem, resolving the default
-        convergence radius (1e-3 of the initial distance) if unset."""
-        which = self.subsystem
-        if self.convergence_eps is not None:
-            return AttractorSpec(which=which, epsilon=self.convergence_eps)
-        d0 = distance_to_attractor(self.initial_state(), self.params(), AttractorSpec(which))
-        eps = 1e-3 * d0 if d0 > 0 else 1e-9
-        return AttractorSpec(which=which, epsilon=eps)
+        """Attractor spec of the scenario's subsystem; its convergence radius
+        is 1e-3 of the initial distance (1e-9 from rest)."""
+        if self.subsystem not in SUBSYSTEM_CHANNELS:  # before the distance reads its channels
+            raise ValueError(f"unknown subsystem {self.subsystem!r}")
+        d0 = distance_to_attractor(self.initial_state(), self.params(), self.subsystem)
+        return AttractorSpec(which=self.subsystem, epsilon=1e-3 * d0 if d0 > 0 else 1e-9)
 
 
 #: Each key's value type, from the field annotations: ``str``, or float for

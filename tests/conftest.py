@@ -45,8 +45,11 @@ BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
 #: V_alpha overflows to inf, with NaN drifts (``v_alpha_overflow``);
 #: z_fast with r_z and umax scaled by 2^-20 and by 2^50 (``z_fast_tiny``,
 #: ``z_fast_huge``), whose floats reach the layouts 1e-05 .. 1e-09 and
-#: 1e+16 and up of their shortest round-trip text; and full_ref and z_fast
-#: at 2 orbits.
+#: 1e+16 and up of their shortest round-trip text; full_ref and z_fast at
+#: 2 orbits; z_fast and z_slow under rk4 at 60 s steps (``*_rk4_60s``), the
+#: largest RK4 flow drift of any run here; and criterion 2's full-system
+#: start #400 (seed 2024) under full_ref's orbit and thresholds, whose exact
+#: run fails the flow check by beta's rounding (ROADMAP's D5).
 RUNS = {
     **{name: (name, {}) for name in BUNDLED},
     **{
@@ -60,6 +63,15 @@ RUNS = {
     "z_fast_tiny": ("z_fast", dict(r_z=0.000476837158203125, umax=1.9073486328125e-07)),
     "z_fast_huge": ("z_fast", dict(r_z=5.62949953421312e17, umax=225179981368524.8)),
     **{f"{name}_2orbits": (name, dict(t_max_orbits=2.0)) for name in ("full_ref", "z_fast")},
+    **{
+        f"{name}_rk4_60s": (name, dict(integrator="rk4", step_h=60.0))
+        for name in ("z_fast", "z_slow")
+    },
+    "criterion2_full_400": ("full_ref", dict(
+        r_x=-431.70231256933954, r_y=812.8517908896492, r_z=146.5064684759368,
+        v_x=-0.36667801869228334, v_y=-0.4507606400999701, v_z=-0.41718585228657645,
+        q_z=-1.0, q_alpha=-1.0, step_h=60.0, t_max_orbits=0.25,
+    )),
 }
 
 
@@ -82,10 +94,14 @@ def scenario_run(run: str):
 
 
 def set_keys(text, **keys):
-    """``text`` with each key's line set to its value (the line must exist)."""
+    """``text`` with each key's line set to its value; a key that has no line
+    gets one at the end (and a misspelt key is the parser's error)."""
     for key, value in keys.items():
-        text, count = re.subn(rf"(?m)^{key} =.*$", f"{key} = {value}".rstrip(), text)
-        assert count == 1, key
+        line = f"{key} = {value}".rstrip()
+        text, count = re.subn(rf"(?m)^{key} =.*$", line, text)
+        assert count <= 1, key
+        if not count:
+            text += f"{line}\n"
     return text
 
 

@@ -549,6 +549,18 @@ class TestExitCodes:
         assert captured.err == "config error: budget.cfg:4: unknown key 'j_max'\n"
         assert [*tmp_path.iterdir()] == [cfg]
 
+    def test_convergence_eps_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # The convergence radius is always 1e-3 of the initial distance: a
+        # file that sets one is a config error that runs and writes nothing.
+        cfg = tmp_path / "radius.cfg"
+        cfg.write_text("r_z = 500.0\nsubsystem = z\nconvergence_eps = 0.01\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--config", cfg.name, "--out", "o"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: radius.cfg:3: unknown key 'convergence_eps'\n"
+        assert [*tmp_path.iterdir()] == [cfg]
+
     def test_nonfinite_sweep_value_is_config_error(self, tmp_path, capsys):
         # Every value is validated before the first run, so 0.2 neither runs
         # nor writes, and the message says why inf is out of range.
@@ -671,13 +683,38 @@ class TestVerify:
         # each scenario's own 20 orbits under the fixed-step RK4 oracle
         record = cli_run(f"{name}_rk4_20orbits", "verify")
         assert record.code == 0
-        assert "(tol 2e-07)" in record.out and "FAIL" not in record.out
+        assert "(tol 3e-10)" in record.out and "FAIL" not in record.out
+
+    @pytest.mark.parametrize("name", ["z_fast", "z_slow"])
+    def test_rk4_60s_runs_pass(self, name):
+        # RK4's largest drift here, 8.1e-8 and 1.1e-7, within its budget at
+        # theta = 0.066 over 381 steps
+        record = cli_run(f"{name}_rk4_60s", "verify")
+        assert record.code == 0
+        assert "(tol 4e-07)" in record.out and "FAIL" not in record.out
 
     def test_rk4_run_gets_the_fixed_step_tolerance(self):
-        # flow_drift_tolerance allows fixed-step RK4 1e-8 per orbit.
+        # RK4 scales an oscillator energy by 1 - theta^6/72 + theta^8/576 a
+        # step, theta = n h; the budget is that loss over the run's steps.
+        cfg = scenario_run("inplane_ref_rk4")[0]
+        theta, steps = cfg.n * cfg.step_h, math.ceil(cfg.options().t_max / cfg.step_h)
+        assert steps == 1143
+        tol = cli.flow_drift_tolerance(cfg)
+        assert tol == pytest.approx(1e-12 + steps * theta**6 / 72.0, rel=1e-4)
+        assert tol < 1e-12 + steps * theta**6 / 72.0
         record = cli_run("inplane_ref_rk4", "verify")
         assert record.code == 0
-        assert "(tol 2e-08)" in record.out
+        assert "(tol 3e-11)" in record.out
+
+    def test_exact_run_fails_by_beta_rounding(self):
+        # D5: beta = -6 n r_x - 3 v_y rounds relative to its operands, so
+        # after seven saturated firings leave beta near 1.5e-3, V_beta = beta^2
+        # carries a relative rounding error above the exact runs' 1e-12.
+        record = cli_run("criterion2_full_400", "verify")
+        assert record.code == 3
+        assert record.out.startswith("FAIL  flow invariance  worst drift 3.513e-12 (tol 1e-12)\n")
+        (violation,) = re.findall(r"violation at t=\S+ j=(\d+): (.*) observed", record.out)
+        assert violation == ("14", "V_beta flow drift")
 
     def test_zero_state_scenario_passes_vacuously(self, tmp_path):
         cfg = tmp_path / "rest.cfg"

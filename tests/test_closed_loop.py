@@ -134,23 +134,20 @@ class TestFullFlow:
 
 class TestLyapunovAndDistance:
     def test_distance_zero_on_attractor(self):
-        spec = cl.AttractorSpec(which="full", epsilon=1.0)
-        assert cl.distance_to_attractor(cl.make_state(), P, spec) == 0.0
+        assert cl.distance_to_attractor(cl.make_state(), P, "full") == 0.0
 
     def test_z_distance_is_sqrt_vz(self):
         s = cl.make_state(v=(0, 0, 0.5))
-        spec = cl.AttractorSpec(which="z", epsilon=1.0)
         assert cl.lyapunov_values(s, P)["z"] == 0.25
-        assert cl.distance_to_attractor(s, P, spec) == 0.5
+        assert cl.distance_to_attractor(s, P, "z") == 0.5
 
     def test_reference_inplane_energy(self):
         # IC (-60, 0, 1000, 0): V_alpha + V_beta =
         # n^2 * 180^2 + (n^2/4) * 1000^2 + 0.396^2 = 0.49852.
         s = cl.make_state(r=(-60.0, 1000.0, 0.0))
-        spec = cl.AttractorSpec(which="inplane", epsilon=1.0)
         expected = P.n**2 * 180.0**2 + 0.25 * P.n**2 * 1000.0**2 + 0.396**2
         assert expected == pytest.approx(0.49852, abs=1e-5)
-        assert cl.distance_to_attractor(s, P, spec) ** 2 == pytest.approx(
+        assert cl.distance_to_attractor(s, P, "inplane") ** 2 == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -188,15 +185,14 @@ class TestBlockViews:
     def test_block_rows_equal_single_state_calls(self, states):
         zeta = cl.zeta_of(states, P)
         lyap = cl.lyapunov_values(states, P)
-        specs = [cl.AttractorSpec(which=w) for w in cl.SUBSYSTEM_CHANNELS]
-        dists = [cl.distance_to_attractor(states, P, spec) for spec in specs]
+        dists = [cl.distance_to_attractor(states, P, w) for w in cl.SUBSYSTEM_CHANNELS]
         assert zeta.shape == (len(states), 4)
         for i, s in enumerate(states):
             assert (zeta[i] == cl.zeta_of(s, P)).all()
             for name, value in cl.lyapunov_values(s, P).items():
                 assert lyap[name][i] == value
-            for spec, dist in zip(specs, dists):
-                single = cl.distance_to_attractor(s, P, spec)
+            for which, dist in zip(cl.SUBSYSTEM_CHANNELS, dists):
+                single = cl.distance_to_attractor(s, P, which)
                 assert type(single) is float
                 assert dist[i] == single
 

@@ -92,6 +92,7 @@ class TestErrors:
             ("j_max = 0", "unknown key 'j_max'"),
             ("n = -0.001", "n must be positive"),
             ("umax = 0", "umax must be positive"),
+            # no key sets the convergence radius: "unknown key 'convergence_eps'"
             ("convergence_eps = -1", "convergence_eps"),
             ("t_max_orbits = nan", "t_max_orbits"),
             ("t_max_orbits = -1", "t_max_orbits must be non-negative"),
@@ -156,6 +157,6 @@ class TestReplaceAndAttractor:
         d0 = cfg.params().n * 500.0  # sqrt(V_z) of the initial state
         assert spec.epsilon == pytest.approx(1e-3 * d0, rel=1e-12)
 
-    def test_explicit_convergence_radius(self):
-        cfg = ScenarioConfig(r_z=500.0, subsystem="z", convergence_eps=0.01)
-        assert cfg.attractor().epsilon == 0.01
+    def test_convergence_radius_has_no_key(self):
+        with pytest.raises(TypeError, match="convergence_eps"):
+            ScenarioConfig(r_z=500.0, subsystem="z", convergence_eps=0.01)
