@@ -72,7 +72,7 @@ def _numbers(text: str) -> list[float]:
 def run_scenario(cfg: ScenarioConfig):
     """Simulate one scenario; returns (solution, params, attractor spec)."""
     p = cfg.params()
-    system = build_system(p, cfg.thresholds(), subsystem=cfg.subsystem)
+    system = build_system(p, cfg.thresholds(), cfg.subsystem, cfg.integrator)
     sol = simulate(system, cfg.initial_state(), cfg.options())
     return sol, p, cfg.attractor()
 

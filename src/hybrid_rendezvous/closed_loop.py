@@ -17,11 +17,11 @@ the view from their caller), and the components its jump edits.  The views
 state and a column for a block.  (``state[..., k]`` would give a 0-d array
 for one state, whose arithmetic is several times slower.)
 
-The per-sample hot path (the propagator, the guards, the jump maps and
-every stage of the RK4 flow) reads a state once with ``tolist()`` and
-passes the same definitions a list of Python floats, which round exactly as
-NumPy's float64 scalars do, without NumPy's per-call cost.  One
-:func:`make_channel` builds every channel's guard and jump map from its law.
+The per-sample hot path (both propagators, the guards and the jump maps)
+reads a state once with ``tolist()`` and passes the same definitions a list
+of Python floats, which round exactly as NumPy's float64 scalars do, without
+NumPy's per-call cost.  One :func:`make_channel` builds every channel's
+guard and jump map from its law.
 
 Subsystem variants (z only, in-plane only) run on the same 11-vector with the
 unused channels simply absent from the jump list.
@@ -29,6 +29,7 @@ unused channels simply absent from the jump list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import controllers as ctl
-from .engine import GuardConjunction, HybridSystem, ImpulseEvent, JumpChannel
+from .engine import GuardConjunction, HybridSystem, ImpulseEvent, IntegrationFailure, JumpChannel
 from .hcw import (
     RX,
     RY,
@@ -134,18 +135,6 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     return np.array(to_zeta(state.T, p)).T
 
 
-def full_flow(p: OrbitParams, s) -> tuple:
-    """Closed-loop vector field: HCW plant, frozen logic variables, timer
-    flows.  ``s`` is any sequence of the 11 components, read by index; the
-    result is a tuple of 11 entries in state order.  The RK4 derivative is
-    ``partial(full_flow, p)``: bound by keyword, each call would copy a dict."""
-    return (
-        *hcw_derivative(s[:6], p),
-        0.0, ctl.timer_rate(s[TAUZ], p.n), ctl.timer_rate(s[TAUB], p.n),
-        0.0, ctl.timer_rate(s[TAUA], p.n),
-    )
-
-
 def make_flow_to(p: OrbitParams):
     """Exact flow propagator: HCW transition matrix on the plant, closed-form
     timer advance, constant logic variables.
@@ -180,6 +169,45 @@ def _propagator(p: OrbitParams, stm_key: Callable):
         ], float)
 
     return flow_to
+
+
+def make_rk4_flow_to(p: OrbitParams):
+    """Fixed-step RK4 propagator (``integrator = rk4``): one classical step of
+    ``dt`` per call.  The flow couples no blocks, so the step runs on each
+    alone: the plant through ``hcw_derivative``, each timer as a scalar
+    through ``ctl.timer_rate`` (both looked up per call), the logic variables
+    carried; stages ``x + half * k`` and the update ``x + w * (k1 + 2 k2 + 2
+    k3 + k4)`` give the bits of the array form's step on the 11-vector."""
+
+    def timer(tau: float, h: float, half: float, w: float) -> float:
+        rate = ctl.timer_rate
+        k1 = rate(tau, p.n)
+        k2 = rate(tau + half * k1, p.n)
+        k3 = rate(tau + half * k2, p.n)
+        k4 = rate(tau + h * k3, p.n)
+        if not math.isfinite(k4):
+            raise IntegrationFailure("non-finite derivative encountered")
+        return tau + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def flow_to(state: np.ndarray, h: float) -> np.ndarray:
+        s = state.tolist()
+        plant, half, w = s[:6], 0.5 * h, h / 6.0
+        k1 = hcw_derivative(plant, p)
+        k2 = hcw_derivative([x + half * k for x, k in zip(plant, k1)], p)
+        k3 = hcw_derivative([x + half * k for x, k in zip(plant, k2)], p)
+        k4 = hcw_derivative([x + h * k for x, k in zip(plant, k3)], p)
+        if not all(map(math.isfinite, k4)):
+            raise IntegrationFailure("non-finite derivative encountered")
+        return np.fromiter([
+            *[x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(plant, k1, k2, k3, k4)],
+            s[QZ], timer(s[TAUZ], h, half, w), timer(s[TAUB], h, half, w),
+            s[QA], timer(s[TAUA], h, half, w),
+        ], float)
+
+    return flow_to
+
+
+PROPAGATORS = {"closed_form": make_flow_to, "rk4": make_rk4_flow_to}  # by ``integrator``
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +359,20 @@ def build_system(
     p: OrbitParams,
     thresholds: DwellThresholds,
     subsystem: str = "full",
+    integrator: str = "closed_form",
 ) -> HybridSystem:
     """Assemble the closed-loop hybrid system for a subsystem variant.
 
     ``subsystem`` selects the active channels: ``"z"``, ``"inplane"``
-    (beta + alpha), or ``"full"``.  The flow is always the full 11-vector
-    field; inactive channels simply never jump.
+    (beta + alpha), or ``"full"``.  ``flow_to`` is the ``integrator``'s
+    propagator.  No path reads ``flow``, ``None``: ``bench/tracer.py`` replaces it.
     """
     if subsystem not in SUBSYSTEM_CHANNELS:
         raise ValueError(f"unknown subsystem {subsystem!r}")
+    if integrator not in PROPAGATORS:
+        raise ValueError(f"unknown integrator {integrator!r}")
     channels = tuple(
         make_channel(name, p, getattr(thresholds, name))
         for name in SUBSYSTEM_CHANNELS[subsystem]
     )
-    return HybridSystem(
-        flow=partial(full_flow, p),
-        channels=channels,
-        flow_to=make_flow_to(p),
-    )
+    return HybridSystem(flow=None, channels=channels, flow_to=PROPAGATORS[integrator](p))

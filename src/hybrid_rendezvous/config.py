@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .closed_loop import (
-    SUBSYSTEM_CHANNELS, AttractorSpec, DwellThresholds, distance_to_attractor, lyapunov_values,
-    make_state,
+    PROPAGATORS, SUBSYSTEM_CHANNELS, AttractorSpec, DwellThresholds, distance_to_attractor,
+    lyapunov_values, make_state,
 )
 from .engine import SimulationOptions
 from .hcw import OrbitParams
@@ -79,7 +79,7 @@ class ScenarioConfig:
     tau_alpha: float | None = None
     # execution
     subsystem: str = "full"
-    integrator: str = SimulationOptions.integrator
+    integrator: str = "closed_form"
     step_h: float = 30.0
     t_max_orbits: float = 10.0
     event_tol: float = SimulationOptions.event_tol
@@ -103,6 +103,8 @@ class ScenarioConfig:
                 self.thresholds()
                 state = self.initial_state()
                 self.options()
+                if self.integrator not in PROPAGATORS:  # a config error, before any build
+                    raise ValueError(f"unknown integrator {self.integrator!r}")
                 spec = self.attractor()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
@@ -134,7 +136,6 @@ class ScenarioConfig:
             step_h=self.step_h,
             t_max=self.t_max_orbits * 2.0 * np.pi / self.n,
             event_tol=self.event_tol,
-            integrator=self.integrator,
         )
 
     def attractor(self) -> AttractorSpec:

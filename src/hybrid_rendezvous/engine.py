@@ -4,7 +4,7 @@ A hybrid system here is a continuous flow plus jump channels.  Each channel
 owns a guard (a conjunction of scalar margins; the state is in its jump set
 iff the smallest margin is >= 0) and a jump map, which returns the post-jump
 state and the :class:`ImpulseEvent` of its firing.  The executor alternates
-fixed-step flow integration with jump application:
+fixed steps of the system's propagator ``flow_to`` with jump application:
 
 * jumps preempt flow — whenever any guard is satisfied, jumps are applied
   before integrating further;
@@ -105,15 +105,15 @@ class ImpulseEvent:
 
 @dataclass(frozen=True)
 class SimulationOptions:
-    """Fixed-step executor knobs.  A run always lasts until ``t_max``;
-    simultaneous guard activations resolve in the order of
-    :attr:`HybridSystem.channels`.  ``event_tol`` must be at least the float
-    spacing at ``t_max``: a finer bisection bracket cannot shrink."""
+    """Fixed-step executor knobs; the propagator is the system's own
+    ``flow_to``.  A run always lasts until ``t_max``; simultaneous guard
+    activations resolve in the order of :attr:`HybridSystem.channels`.
+    ``event_tol`` must be at least the float spacing at ``t_max``: a finer
+    bisection bracket cannot shrink."""
 
     step_h: float
     t_max: float
     event_tol: float = 1e-6
-    integrator: str = "closed_form"
 
     def __post_init__(self):
         # Written as negated comparisons so that NaN fails them too.
@@ -130,16 +130,14 @@ class SimulationOptions:
                 f"event_tol must be at least the float spacing at t_max, "
                 f"{np.spacing(self.t_max):.2g}, got {self.event_tol}"
             )
-        if self.integrator not in ("closed_form", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
 class HybridSystem:
-    """Flow + jump channels + exact propagator.  ``channels`` is in jump
-    priority order."""
+    """Jump channels + propagator ``flow_to(state, dt)``.  ``channels`` is
+    in jump priority order.  No path reads ``flow``."""
 
-    flow: Callable[[Sequence[float]], Sequence[float]]
+    flow: Callable[[Sequence[float]], Sequence[float]] | None
     channels: tuple[JumpChannel, ...]
     flow_to: Callable[[np.ndarray, float], np.ndarray]
 
@@ -185,27 +183,6 @@ class HybridSolution:
                 hi = int(np.searchsorted(j, j[lo], side="right"))
             yield lo, hi
             lo = hi
-
-
-def rk4_step(derivative_fn, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update of step ``h > 0``, with
-    ``derivative_fn`` (first, so ``partial(rk4_step, flow)`` propagates)
-    from a list of floats to a sequence of floats.  The stages run on one
-    ``tolist()`` in the operation order of the array form
-    ``state + (h/6) (k1 + 2 k2 + 2 k3 + k4)``; elementwise float operations
-    round as NumPy's do, so the bits are the same at a fraction of the cost."""
-    s = state.tolist()
-    half = 0.5 * h
-    k1 = derivative_fn(s)
-    k2 = derivative_fn([x + half * k for x, k in zip(s, k1)])
-    k3 = derivative_fn([x + half * k for x, k in zip(s, k2)])
-    k4 = derivative_fn([x + h * k for x, k in zip(s, k3)])
-    if not all(map(math.isfinite, k4)):
-        raise IntegrationFailure("non-finite derivative encountered")
-    w = h / 6.0
-    return np.array([
-        x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)
-    ])
 
 
 def first_active(channels: Sequence[JumpChannel], values: Sequence[float]) -> JumpChannel | None:
@@ -282,26 +259,21 @@ def simulate(
 ) -> HybridSolution:
     """Run the hybrid executor from ``x0`` until ``t_max``.
 
-    It flows by ``system.flow_to``, or ``partial(rk4_step, system.flow)``
-    under ``rk4``.  Each state is asked of :func:`first_active` once, and the
-    answer is carried: ``x0`` before the loop, each step's candidate end
-    state after integrating it, and the probes and post-jump states inside
+    It flows by ``system.flow_to``, whichever propagator that is.  Each
+    state is asked of :func:`first_active` once, and the answer is carried:
+    ``x0`` before the loop, each step's candidate end state after
+    integrating it, and the probes and post-jump states inside
     :func:`locate_event` and :func:`resolve_jumps`.  ``x0`` and each
     candidate are read as floats once, which are checked finite before they
     are asked.  Jumps are drained at ``t = 0`` when ``x0`` is in the union,
     and after every landing on a guard before ``t_max``; a landing at
     exactly ``t_max`` is not drained.  Each sample's bytes, post-jump states
-    included, go onto one flat buffer, and ``t`` and ``j`` onto typed arrays,
-    which the solution views as they are: no array per sample or event is
-    kept, and nothing is copied at the end.
+    included, go onto one flat buffer, and ``t`` and ``j`` onto typed
+    arrays, which the solution views as they are: no array per sample or
+    event is kept, and nothing is copied at the end.
 
     Deterministic: identical ``(x0, opts)`` produce bit-identical solutions.
     """
-    if opts.integrator == "closed_form":
-        flow_to = system.flow_to
-    else:
-        flow_to = partial(rk4_step, system.flow)
-
     state = np.array(x0, dtype=float)
     values = state.tolist()
     if not all(map(math.isfinite, values)):
@@ -323,7 +295,7 @@ def simulate(
                 js.append(j)
                 samples += state.tobytes()
         h = min(opts.step_h, opts.t_max - t)
-        candidate = flow_to(state, h)
+        candidate = system.flow_to(state, h)
         values = candidate.tolist()
         if not all(map(math.isfinite, values)):
             raise IntegrationFailure("non-finite state during flow")
@@ -333,7 +305,7 @@ def simulate(
             # step's start state was accepted or drained, so it is not
             # inside here.
             t, state, active = locate_event(
-                query, flow_to, state, candidate, t, t + h, opts.event_tol, active
+                query, system.flow_to, state, candidate, t, t + h, opts.event_tol, active
             )
         else:
             state = candidate

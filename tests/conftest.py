@@ -16,9 +16,10 @@ import pytest
 
 from hybrid_rendezvous import cli
 from hybrid_rendezvous import closed_loop as cl
+from hybrid_rendezvous import controllers as ctl
 from hybrid_rendezvous.config import parse_config
 from hybrid_rendezvous.engine import SimulationOptions
-from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_stm, to_zeta
+from hybrid_rendezvous.hcw import RX, RY, VX, VY, OrbitParams, hcw_derivative, hcw_stm, to_zeta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -188,7 +189,9 @@ def cli_run(run: str, command: str) -> CliRun:
         build = cli.build_system
         patch = mock.patch.object(
             cli, "build_system",
-            lambda p, thresholds, subsystem="full": corrupt(build(p, thresholds, subsystem), p),
+            lambda p, thresholds, subsystem, integrator: corrupt(
+                build(p, thresholds, subsystem, integrator), p
+            ),
         )
     else:
         base = run
@@ -245,8 +248,9 @@ def arcs_by_loop(j) -> list[tuple[int, int]]:
 def rk4(f, s, h, steps=1):
     """``steps`` classical RK4 steps of length ``h`` on ``ds/dt = f(s)``, in
     the array form ``s + (h/6) (k1 + 2 k2 + 2 k3 + k4)`` whose bits
-    ``engine.rk4_step`` reproduces: the test oracle.  ``s`` is a float or an
-    array, and ``f`` returns one of the same kind."""
+    ``closed_loop.make_rk4_flow_to`` reproduces over :func:`full_flow`: the
+    test oracle.  ``s`` is a float or an array, and ``f`` returns one of the
+    same kind."""
     for _ in range(steps):
         k1 = f(s)
         k2 = f(s + 0.5 * h * k1)
@@ -254,6 +258,18 @@ def rk4(f, s, h, steps=1):
         k4 = f(s + h * k3)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return s
+
+
+def full_flow(p: OrbitParams, s) -> tuple:
+    """The closed loop's vector field, the RK4 oracle's: HCW plant, frozen
+    logic variables, timer flows.  ``s`` is any sequence of the 11
+    components, read by index; the result is a tuple of 11 entries in state
+    order."""
+    return (
+        *hcw_derivative(s[:6], p),
+        0.0, ctl.timer_rate(s[cl.TAUZ], p.n), ctl.timer_rate(s[cl.TAUB], p.n),
+        0.0, ctl.timer_rate(s[cl.TAUA], p.n),
+    )
 
 
 def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:

@@ -8,7 +8,6 @@ measured numbers.
 import dataclasses
 import itertools
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from hybrid_rendezvous.analysis import (
 from hybrid_rendezvous.closed_loop import (
     DwellThresholds,
     build_system,
-    full_flow,
     make_channel,
     make_flow_to,
     make_state,
@@ -113,7 +111,7 @@ def test_criterion_03_finite_time_beta():
         p = OrbitParams(umax=umax)
         expected = beta_jump_count(beta0, umax)
         system = HybridSystem(
-            flow=partial(full_flow, p),
+            flow=None,
             channels=(make_channel("beta", p, thresholds.beta),),
             flow_to=make_flow_to(p),
         )
@@ -127,7 +125,7 @@ def test_criterion_03_finite_time_beta():
     # reference scenario: exactly one firing of 0.132 m/s
     p = OrbitParams()
     system = HybridSystem(
-        flow=partial(full_flow, p),
+        flow=None,
         channels=(make_channel("beta", p, thresholds.beta),),
         flow_to=make_flow_to(p),
     )

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hybrid_rendezvous.closed_loop import (
     AttractorSpec,
     DwellThresholds,
     build_system,
-    full_flow,
     lyapunov_values,
     make_channel,
     make_flow_to,
@@ -41,7 +39,7 @@ def z_solution(r_z=500.0, v_z=0.0, t_orbits=2.0, **state_kw):
 
 def beta_only_system():
     return HybridSystem(
-        flow=partial(full_flow, P),
+        flow=None,
         channels=(make_channel("beta", P, THRESHOLDS.beta),),
         flow_to=make_flow_to(P),
     )

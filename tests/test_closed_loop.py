@@ -15,12 +15,14 @@ from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous import controllers as ctl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
-from hybrid_rendezvous.engine import SimulationOptions, rk4_step, simulate
+from hybrid_rendezvous.engine import SimulationOptions, simulate
 from hybrid_rendezvous.hcw import (
     RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
-from conftest import criterion2_case, flip_alpha_sign, plant_of, rk4, scenario_run, zeta_b
+from conftest import (
+    criterion2_case, flip_alpha_sign, full_flow, plant_of, rk4, scenario_run, zeta_b,
+)
 
 P = OrbitParams()
 THRESHOLDS = cl.DwellThresholds(z=0.01, beta=0.02, alpha=0.01)
@@ -61,22 +63,25 @@ class TestMakeState:
 
 
 class TestFullFlow:
+    """The RK4 oracle's vector field, ``conftest.full_flow``, and the
+    propagators against it."""
+
     def test_matches_plant_derivative(self):
         rng = np.random.default_rng(2)
         s = cl.make_state(r=rng.uniform(-100, 100, 3), v=rng.uniform(-1, 1, 3))
-        d = cl.full_flow(P, s)
+        d = full_flow(P, s)
         assert np.array_equal(d[:6], hcw_derivative(s[:6], P))
 
     def test_timers_run_at_orbit_rate(self):
         s = cl.make_state(tau_z=0.5, tau_beta=0.5, tau_alpha=0.5)
-        d = cl.full_flow(P, s)
+        d = full_flow(P, s)
         for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
             assert d[idx] == pytest.approx(P.n / (2 * np.pi))
         assert d[cl.QZ] == 0.0 and d[cl.QA] == 0.0
 
     def test_rest_state_with_saturated_timers_is_stationary(self):
         s = cl.make_state(tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
-        assert np.array_equal(cl.full_flow(P, s), np.zeros(cl.DIM))
+        assert np.array_equal(full_flow(P, s), np.zeros(cl.DIM))
 
     def test_closed_form_propagator_matches_rk4(self):
         rng = np.random.default_rng(9)
@@ -85,10 +90,10 @@ class TestFullFlow:
             tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
         )
         dt = 200.0
-        exact = cl.make_flow_to(P)(s, dt)
+        exact, rk4_flow_to = cl.make_flow_to(P)(s, dt), cl.make_rk4_flow_to(P)
         stepped = s
         for _ in range(100):
-            stepped = rk4_step(partial(cl.full_flow, P), stepped, dt / 100)
+            stepped = rk4_flow_to(stepped, dt / 100)
         assert np.max(np.abs(exact - stepped)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
@@ -392,17 +397,19 @@ class TestRk4Flow:
     def test_step_equals_array_form_bit_for_bit(self, state, knee, h):
         if knee is not None:
             state[[cl.TAUZ, cl.TAUB, cl.TAUA]] = knee
-        flow = partial(cl.full_flow, P)
-        got = rk4_step(flow, state, h)
-        expected = rk4(lambda s: np.array(flow(s)), state, h)
+        # the propagator steps each block alone: the bits of one array-form
+        # RK4 step over the whole 11-vector field
+        got = cl.make_rk4_flow_to(P)(state, h)
+        expected = rk4(lambda s: np.array(full_flow(P, s)), state, h)
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()  # signed zeros too
 
     def test_one_step_calls_the_traced_rates(self, monkeypatch):
         # The benchmark tracer counts calls of closed_loop.hcw_derivative
         # (hcw.derivative.calls) and controllers.timer_rate (part of
-        # controllers.timer.calls): one RK4 step evaluates the flow four
-        # times, each with one plant derivative and three timer rates.
+        # controllers.timer.calls), patched after the propagator is built:
+        # one RK4 step takes four plant derivatives and four rates a timer.
+        flow_to = cl.make_rk4_flow_to(P)
         calls = {"derivative": 0, "timer_rate": 0}
 
         def counted(key, fn):
@@ -415,8 +422,18 @@ class TestRk4Flow:
         monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
         monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
         state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.95)
-        rk4_step(partial(cl.full_flow, P), state, 10.0)
+        flow_to(state, 10.0)
         assert calls == {"derivative": 4, "timer_rate": 12}
+
+    def test_build_selects_the_propagator(self):
+        # build_system validates the integrator, as the entry point it is
+        rk4_system = cl.build_system(P, THRESHOLDS, "z", integrator="rk4")
+        state, h = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3), 10.0
+        assert rk4_system.flow is None and cl.build_system(P, THRESHOLDS, "z").flow is None
+        assert rk4_system.flow_to(state, h).tobytes() == cl.make_rk4_flow_to(P)(state, h).tobytes()
+        assert cl.build_system(P, THRESHOLDS, "z").flow_to is cl.make_flow_to(P)
+        with pytest.raises(ValueError, match="^unknown integrator 'euler'$"):
+            cl.build_system(P, THRESHOLDS, "z", integrator="euler")
 
 
 #: Each channel's thrust velocity, timer and logic variable (beta has none).

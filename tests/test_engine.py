@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_rendezvous import controllers, engine
+from hybrid_rendezvous import closed_loop, controllers, engine
 from hybrid_rendezvous.closed_loop import (
     QZ,
     TAUZ,
@@ -25,7 +25,6 @@ from hybrid_rendezvous.engine import (
     first_active,
     locate_event,
     resolve_jumps,
-    rk4_step,
     simulate,
 )
 from hybrid_rendezvous.config import parse_config
@@ -44,34 +43,35 @@ def opts(**kw):
 
 
 class TestRk4Step:
+    """The RK4 propagator that ``build_system(..., integrator="rk4")``
+    installs as ``flow_to``: one classical step per call."""
+
+    flow_to = staticmethod(build_system(P, THRESHOLDS, integrator="rk4").flow_to)
+
     def test_oscillator_against_closed_form(self):
         # z dynamics from (r_z, v_z) = (1, 0): r_z(t) = cos(n t).
-        def f(s):
-            return np.array([s[1], -P.n**2 * s[0]])
-
-        s = rk4_step(f, np.array([1.0, 0.0]), 1.0)
-        assert s[0] == pytest.approx(np.cos(P.n), abs=1e-12)
+        s = self.flow_to(make_state(r=(0.0, 0.0, 1.0)), 1.0)
+        assert s[RZ] == pytest.approx(np.cos(P.n), abs=1e-12)
 
     def test_equilibrium_is_fixed(self):
-        def f(s):
-            return np.zeros_like(s)
-
-        assert np.array_equal(rk4_step(f, np.zeros(3), 17.0), np.zeros(3))
+        # at rest with saturated timers every derivative is zero
+        x = make_state(tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
+        assert self.flow_to(x, 17.0).tobytes() == x.tobytes()
 
     def test_timer_linear_segment(self):
         # taudot = (n/2pi)(1 - max(tau - 1, 0)) is exactly linear below 1.
-        def f(s):
-            return np.array([P.n / (2 * np.pi)])
+        s = self.flow_to(make_state(tau_z=0.0), 0.25 * P.period)
+        assert s[TAUZ] == pytest.approx(0.25, rel=1e-12)
 
-        s = rk4_step(f, np.array([0.0]), 0.25 * P.period)
-        assert s[0] == pytest.approx(0.25, rel=1e-12)
-
-    def test_nonfinite_derivative_raises(self):
-        def f(s):
-            return np.array([np.inf])
-
-        with pytest.raises(IntegrationFailure, match="^non-finite derivative encountered$"):
-            rk4_step(f, np.array([1.0]), 1.0)
+    def test_nonfinite_derivative_raises(self, monkeypatch):
+        # The plant's stages overflow from v_x = 1e308; a timer's, here, from
+        # a rate that is not finite.  Each block checks its last stage.
+        match = "^non-finite derivative encountered$"
+        with pytest.raises(IntegrationFailure, match=match):
+            self.flow_to(make_state(v=(1e308, 0.0, 0.0)), 10.0)
+        monkeypatch.setattr(controllers, "timer_rate", lambda tau, n: np.inf)
+        with pytest.raises(IntegrationFailure, match=match):
+            self.flow_to(make_state(), 10.0)
 
 
 class TestLocateEvent:
@@ -126,7 +126,7 @@ class TestSimulationOptions:
             {"t_max": -1.0},
             {"event_tol": 0.0},
             {"event_tol": 60.0},  # must stay below step_h
-            {"integrator": "euler"},
+            {"event_tol": float("nan")},
             {"t_max": float("nan")},
             {"event_tol": 1e-15},  # below the float spacing at t_max, 1.4e-14
             {"t_max": math.inf},
@@ -291,38 +291,60 @@ class TestSimulate:
         [(np.inf, [1e308] * 4), (-np.inf, [-1e308] * 4), (np.nan, [1e308, -1e308, 1e308, 0.0])],
         ids=["inf", "-inf", "nan"],
     )
-    def test_nonfinite_flow_state_raises(self, integrator, bad, stages):
-        # A stub flow leaves x0 in place on the first step and puts `bad` in
-        # component 1 of the second, a plain step: no guard ever holds.
-        # Under rk4 its derivative is zero on the first step's four stages,
-        # then `stages` on the second's, finite, whose update overflows to `bad`.
-        x0 = np.array([1.0, 2.0, 3.0])
+    def test_nonfinite_flow_state_raises(self, integrator, bad, stages, monkeypatch):
+        # x0 stays in place on the first step, and the second, a plain step,
+        # puts `bad` in component 1: no guard ever holds.  Under closed_form a
+        # stub propagator does it.  Under rk4 the system's own propagator
+        # does, with its timers saturated and a stub plant derivative, zero on
+        # the first step's four stages, then `stages` in component 1 on the
+        # second's, finite, whose update overflows to `bad`.
+        x0 = make_state(r=(1.0, 2.0, 3.0), tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
         calls, asked = [], []
 
-        def flow_to(state, dt):
+        def stub_flow_to(state, dt):
             calls.append(dt)
             out = state.copy()
             if len(calls) == 2:
                 out[1] = bad
             return out
 
-        def flow(s):
-            calls.append(s)
-            k = [0.0, 0.0, 0.0]
-            if len(calls) > 4:
-                k[1] = stages[len(calls) - 5]
-            return k
+        def derivative(plant, p):
+            calls.append(plant)
+            return [0.0, stages[len(calls) - 5] if len(calls) > 4 else 0.0, 0.0, 0.0, 0.0, 0.0]
 
         def terms(values):
             asked.append(list(values))
             return (-1.0,)
 
-        channel = JumpChannel("never", GuardConjunction(terms), jump=None)
-        system = engine.HybridSystem(flow=flow, channels=(channel,), flow_to=flow_to)
+        monkeypatch.setattr(closed_loop, "hcw_derivative", derivative)
+        system = build_system(P, THRESHOLDS, integrator=integrator)
+        system = dataclasses.replace(
+            system,
+            channels=(JumpChannel("never", GuardConjunction(terms), jump=None),),
+            flow_to=stub_flow_to if integrator == "closed_form" else system.flow_to,
+        )
         with pytest.raises(IntegrationFailure, match="^non-finite state during flow$"):
-            simulate(system, x0, opts(step_h=10.0, t_max=50.0, integrator=integrator))
+            simulate(system, x0, opts(step_h=10.0, t_max=50.0))
         # x0 and the first step's end were asked; the non-finite state was not
         assert asked == [x0.tolist(), x0.tolist()]
+        assert len(calls) == (2 if integrator == "closed_form" else 8)
+
+    def test_nonfinite_rk4_derivative_raises(self, monkeypatch):
+        # The rk4 propagator's other failure, through simulate: the plant
+        # derivative is zero on the first step, then not finite at the
+        # second's last stage, and the step raises before it updates.
+        x0 = make_state(r=(1.0, 2.0, 3.0), tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
+        calls = []
+
+        def derivative(plant, p):
+            calls.append(plant)
+            return [0.0, np.inf if len(calls) == 8 else 0.0, 0.0, 0.0, 0.0, 0.0]
+
+        monkeypatch.setattr(closed_loop, "hcw_derivative", derivative)
+        system = build_system(P, THRESHOLDS, subsystem="z", integrator="rk4")
+        with pytest.raises(IntegrationFailure, match="^non-finite derivative encountered$"):
+            simulate(system, x0, opts(step_h=10.0, t_max=50.0))
+        assert len(calls) == 8
 
     def test_one_guard_evaluation_per_flow_sample(self):
         # x0 and each of the five step ends are checked once; from tau_z = 0
@@ -353,11 +375,10 @@ class TestSimulate:
     def test_rk4_integrator_matches_closed_form_between_jumps(self):
         system = build_system(P, THRESHOLDS, subsystem="z")
         x0 = make_state(r=(0, 0, 300.0), tau_z=THRESHOLDS.z)
-        h = P.period / 10_000
-        o_rk = opts(step_h=h, event_tol=1e-8, t_max=0.5 * P.period, integrator="rk4")
-        o_cf = opts(step_h=h, event_tol=1e-8, t_max=0.5 * P.period)
-        final_rk = simulate(system, x0, o_rk).states[-1]
-        final_cf = simulate(system, x0, o_cf).states[-1]
+        rk4_system = build_system(P, THRESHOLDS, subsystem="z", integrator="rk4")
+        o = opts(step_h=P.period / 10_000, event_tol=1e-8, t_max=0.5 * P.period)
+        final_rk = simulate(rk4_system, x0, o).states[-1]
+        final_cf = simulate(system, x0, o).states[-1]
         assert np.max(np.abs(final_rk - final_cf)) <= 1e-6
 
 
@@ -368,34 +389,36 @@ ENGINE_RUNS = ("full_ref", "inplane_ref", "inplane_ref_rk4", "z_fast", "z_slow")
 
 def scenario_system(cfg):
     """The system a scenario config builds."""
-    return build_system(cfg.params(), cfg.thresholds(), subsystem=cfg.subsystem)
+    return build_system(cfg.params(), cfg.thresholds(), cfg.subsystem, cfg.integrator)
 
 
 class TestCarriedAnswers:
     """``simulate`` asks :func:`first_active` of each state once and hands
     the answer on, so ``locate_event`` and ``resolve_jumps`` check no
-    precondition that costs a query.  Nor do ``locate_event``, ``rk4_step``
-    and ``timer_advance`` check the brackets and steps their callers make.
-    Their callers keep these preconditions instead, on every recorded call."""
+    precondition that costs a query.  Nor do ``locate_event``, the
+    propagators and ``timer_advance`` check the brackets and steps their
+    callers make.  Their callers keep these preconditions instead, on every
+    recorded call."""
 
     @pytest.mark.parametrize("run", ["full_ref", "inplane_ref", "inplane_ref_rk4"])
     def test_each_state_is_asked_once(self, run, engine_calls):
         # x0, every flow sample (step ends and bisection probes) and every
         # post-jump state: one query each, on the state's 11 floats.
-        sol, _, _, steps, _, queries, flows = engine_calls[run]
-        assert sol.events and len(steps) + flows > 0
+        sol, _, _, flows, _, _, queries = engine_calls[run]
+        assert sol.events and flows
         assert all(queries)
-        assert len(queries) == 1 + len(steps) + flows + len(sol.events)
+        assert len(queries) == 1 + len(flows) + len(sol.events)
 
     @pytest.mark.parametrize("run", ENGINE_RUNS)
     def test_callers_meet_the_unchecked_preconditions(self, run, engine_calls):
         # On every call: each bracket is t_a < t_b with a jump set entered at
         # t_b, the answers handed in and back are first_active's, resolve_jumps
-        # is handed the system's channels, and each RK4 step and timer advance
-        # runs forward.  The bracket start and the channel handed in are
-        # checked by TestLocateEvent::test_rejects_bracket_already_inside and
+        # is handed the system's channels, and each step and probe, under
+        # either integrator, is a forward system.flow_to call.  The bracket
+        # start and the channel handed in are checked by
+        # TestLocateEvent::test_rejects_bracket_already_inside and
         # TestResolveJumps::test_empty_active_set_is_an_error.
-        sol, located, resolved, steps, dts, _, _ = engine_calls[run]
+        sol, located, resolved, flows, dts, rates, _ = engine_calls[run]
         assert located and resolved and sol.events
         for _, found_b, at_b, found, at_landing, t_a, t_b in located:
             assert t_a < t_b
@@ -403,48 +426,55 @@ class TestCarriedAnswers:
             assert found_b is at_b
             assert found is at_landing
         assert all(same_channels for same_channels, _, _ in resolved)
-        # rk4 runs flow the timers by timer_rate, closed-form runs never take
-        # an RK4 step: each run makes one kind of call.
-        rk4 = scenario_run(run)[0].integrator == "rk4"
-        assert bool(steps) == rk4 and bool(dts) != rk4
-        assert all(h > 0 for h in steps)
+        # one flow_to call a step outside locate_event: a sample each
+        steps = [dt for dt, probe in flows if not probe]
+        assert len(steps) == len(sol.t) - 1 - len(sol.events)
+        assert all(dt > 0 for dt, _ in flows)
         assert all(dt > 0 for dt in dts)
+        # rk4 runs flow the timers by timer_rate, closed-form runs by
+        # timer_advance alone: each run makes one kind of call.
+        rk4 = scenario_run(run)[0].integrator == "rk4"
+        assert bool(rates) == rk4 and bool(dts) != rk4
 
 
 def record_calls(run):
     """Run one of :data:`ENGINE_RUNS`, asking :func:`first_active` at every
     ``locate_event`` and ``resolve_jumps`` call ``simulate`` makes, and
-    recording the step of every ``rk4_step`` and ``timer_advance`` call.
+    recording every ``system.flow_to``, ``timer_advance`` and ``timer_rate``
+    call.
 
     Returns the solution and six records.  Per ``locate_event`` call: the
     answers at ``state_a``, handed in (``found_b``), at ``state_b``, handed
     back, and at the landing state, then the bracket ``t_a, t_b``.  Per
     ``resolve_jumps`` call: whether it got the system's channels, the channel
-    handed in, and the answer at its state.  Then each ``rk4_step``'s ``h``
-    and each ``timer_advance``'s ``dt``.  Per query ``simulate`` makes of
-    :func:`first_active`: whether it read a list of 11 floats.  Last, the
-    number of ``flow_to`` calls.
+    handed in, and the answer at its state.  Per ``flow_to`` call: its
+    ``dt`` and whether it is a probe (made inside ``locate_event``).  Each
+    ``timer_advance``'s ``dt``, and each ``timer_rate``'s ``tau``.  Last,
+    per query ``simulate`` makes of :func:`first_active`: whether it read a
+    list of 11 floats.
     """
     cfg = scenario_run(run)[0]
     built = scenario_system(cfg)
     locate, resolve = engine.locate_event, engine.resolve_jumps
-    rk4, advance, query = engine.rk4_step, controllers.timer_advance, engine.first_active
-    located, resolved, steps, dts, queries, flows = [], [], [], [], [], []
+    advance, rate, query = controllers.timer_advance, controllers.timer_rate, engine.first_active
+    located, resolved, flows, dts, rates, queries, locating = [], [], [], [], [], [], []
 
-    def counted_flow_to(state, dt):
-        flows.append(dt)
+    def recording_flow_to(state, dt):
+        flows.append((dt, bool(locating)))
         return built.flow_to(state, dt)
 
-    system = dataclasses.replace(built, flow_to=counted_flow_to)
+    system = dataclasses.replace(built, flow_to=recording_flow_to)
 
     def asked(state):
         return first_active(system.channels, state.tolist())
 
     def recording_locate(query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b):
         found_a, at_b = asked(state_a), asked(state_b)
+        locating.append(True)
         t, state, found = locate(
             query, flow_to, state_a, state_b, t_a, t_b, event_tol, found_b
         )
+        locating.pop()
         located.append((found_a, found_b, at_b, found, asked(state), t_a, t_b))
         return t, state, found
 
@@ -452,13 +482,13 @@ def record_calls(run):
         resolved.append((channels is system.channels, ch, asked(state)))
         return resolve(state, t, j, ch, channels)
 
-    def recording_rk4(derivative_fn, state, h):
-        steps.append(h)
-        return rk4(derivative_fn, state, h)
-
     def recording_advance(tau, dt, n):
         dts.append(dt)
         return advance(tau, dt, n)
+
+    def recording_rate(tau, n):
+        rates.append(tau)
+        return rate(tau, n)
 
     def recording_query(channels, values):
         floats = type(values) is list and all(type(x) is float for x in values)
@@ -468,11 +498,11 @@ def record_calls(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "locate_event", recording_locate)
         mp.setattr(engine, "resolve_jumps", recording_resolve)
-        mp.setattr(engine, "rk4_step", recording_rk4)
         mp.setattr(controllers, "timer_advance", recording_advance)
+        mp.setattr(controllers, "timer_rate", recording_rate)
         mp.setattr(engine, "first_active", recording_query)
         sol = simulate(system, cfg.initial_state(), cfg.options())
-    return sol, located, resolved, steps, dts, queries, len(flows)
+    return sol, located, resolved, flows, dts, rates, queries
 
 
 @pytest.fixture(scope="module")
