@@ -174,14 +174,20 @@ def _propagator(p: OrbitParams, stm_key: Callable):
 def make_rk4_flow_to(p: OrbitParams):
     """Fixed-step RK4 propagator (``integrator = rk4``): one classical step of
     ``dt`` per call.  The flow couples no blocks, so the step runs on each
-    alone: the plant through ``hcw_derivative``, each timer as a scalar
-    through ``ctl.timer_rate`` (both looked up per call), the logic variables
-    carried; stages ``x + half * k`` and the update ``x + w * (k1 + 2 k2 + 2
-    k3 + k4)`` give the bits of the array form's step on the 11-vector."""
+    alone, on floats: the plant through ``hcw_derivative`` with its stages
+    ``x + a * k`` and update ``x + w * (k1 + 2 k2 + 2 k3 + k4)`` written out
+    per component, each timer as a scalar through ``ctl.timer_rate`` (both
+    looked up per call), the logic variables carried: the bits of the array
+    form's step on the 11-vector.  A timer whose ``tau + dt * k1`` stays at
+    or below the knee tau = 1 takes one rate, as every stage point lies in
+    between, where ``timer_rate`` is one constant (``test_controllers``'
+    ``test_rate_is_full_exactly_up_to_one``): k2 = k3 = k4 = k1, same bits."""
 
     def timer(tau: float, h: float, half: float, w: float) -> float:
         rate = ctl.timer_rate
         k1 = rate(tau, p.n)
+        if tau <= 1.0 and math.isfinite(k1) and tau + h * k1 <= 1.0:
+            return tau + w * (k1 + 2.0 * k1 + 2.0 * k1 + k1)  # every stage below the knee
         k2 = rate(tau + half * k1, p.n)
         k3 = rate(tau + half * k2, p.n)
         k4 = rate(tau + h * k3, p.n)
@@ -189,17 +195,29 @@ def make_rk4_flow_to(p: OrbitParams):
             raise IntegrationFailure("non-finite derivative encountered")
         return tau + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def stage(x, a: float, k) -> tuple:
+        return (x[0] + a * k[0], x[1] + a * k[1], x[2] + a * k[2],
+                x[3] + a * k[3], x[4] + a * k[4], x[5] + a * k[5])
+
+    def combine(x, w: float, a, b, c, d) -> tuple:
+        return (x[0] + w * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
+                x[1] + w * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
+                x[2] + w * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]),
+                x[3] + w * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]),
+                x[4] + w * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]),
+                x[5] + w * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]))
+
     def flow_to(state: np.ndarray, h: float) -> np.ndarray:
         s = state.tolist()
         plant, half, w = s[:6], 0.5 * h, h / 6.0
         k1 = hcw_derivative(plant, p)
-        k2 = hcw_derivative([x + half * k for x, k in zip(plant, k1)], p)
-        k3 = hcw_derivative([x + half * k for x, k in zip(plant, k2)], p)
-        k4 = hcw_derivative([x + h * k for x, k in zip(plant, k3)], p)
+        k2 = hcw_derivative(stage(plant, half, k1), p)
+        k3 = hcw_derivative(stage(plant, half, k2), p)
+        k4 = hcw_derivative(stage(plant, h, k3), p)
         if not all(map(math.isfinite, k4)):
             raise IntegrationFailure("non-finite derivative encountered")
         return np.fromiter([
-            *[x + w * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(plant, k1, k2, k3, k4)],
+            *combine(plant, w, k1, k2, k3, k4),
             s[QZ], timer(s[TAUZ], h, half, w), timer(s[TAUB], h, half, w),
             s[QA], timer(s[TAUA], h, half, w),
         ], float)

@@ -404,11 +404,34 @@ class TestRk4Flow:
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()  # signed zeros too
 
+    @given(
+        taus=st.tuples(*[st.floats(0.0, 2.0, exclude_max=True)] * 3),
+        h=st.floats(0.0, 600.0, exclude_min=True),
+    )
+    @example(taus=(0.5, 1.0, 1.5), h=60.0)
+    @settings(max_examples=200, deadline=None)
+    def test_timer_step_against_closed_form(self, taus, h):
+        # Below the knee the rate is one constant, so RK4 is exact but for
+        # rounding; from tau >= 1 on, tau relaxes as 2 - (2 - tau) e^{-k t}
+        # and RK4's update truncates e^{-kh} after its (kh)^4 term.  A step
+        # across the knee is held by the bit-for-bit test above.
+        got = cl.make_rk4_flow_to(P)(cl.make_state(tau_z=taus[0], tau_beta=taus[1], tau_alpha=taus[2]), h)
+        kh = P.n / (2.0 * math.pi) * h
+        for tau, idx in zip(taus, (cl.TAUZ, cl.TAUB, cl.TAUA)):
+            if tau + kh <= 1.0:
+                tol = 4.0 * math.ulp(1.0)
+            elif tau >= 1.0:
+                tol = (2.0 - tau) * kh**5 / 120.0 + 4.0 * math.ulp(2.0)
+            else:
+                continue
+            assert abs(got[idx] - timer_advance(tau, h, P.n)) <= tol, (tau, idx)
+
     def test_one_step_calls_the_traced_rates(self, monkeypatch):
         # The benchmark tracer counts calls of closed_loop.hcw_derivative
         # (hcw.derivative.calls) and controllers.timer_rate (part of
         # controllers.timer.calls), patched after the propagator is built:
-        # one RK4 step takes four plant derivatives and four rates a timer.
+        # one RK4 step takes four plant derivatives, and four rates a timer
+        # but one for a timer whose step stays at or below the knee.
         flow_to = cl.make_rk4_flow_to(P)
         calls = {"derivative": 0, "timer_rate": 0}
 
@@ -421,9 +444,10 @@ class TestRk4Flow:
 
         monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
         monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
-        state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.95)
+        # 10 s moves a timer by 0.00175: below, across and above the knee
+        state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.999, tau_alpha=1.5)
         flow_to(state, 10.0)
-        assert calls == {"derivative": 4, "timer_rate": 12}
+        assert calls == {"derivative": 4, "timer_rate": 1 + 4 + 4}
 
     def test_build_selects_the_propagator(self):
         # build_system validates the integrator, as the entry point it is

@@ -65,13 +65,16 @@ class TestRk4Step:
 
     def test_nonfinite_derivative_raises(self, monkeypatch):
         # The plant's stages overflow from v_x = 1e308; a timer's, here, from
-        # a rate that is not finite.  Each block checks its last stage.
+        # a rate that is not finite.  Each block checks its last stage, and
+        # a timer below the knee takes its one-rate step only on a finite
+        # rate (-inf would pass its test tau + h * k1 <= 1).
         match = "^non-finite derivative encountered$"
         with pytest.raises(IntegrationFailure, match=match):
             self.flow_to(make_state(v=(1e308, 0.0, 0.0)), 10.0)
-        monkeypatch.setattr(controllers, "timer_rate", lambda tau, n: np.inf)
-        with pytest.raises(IntegrationFailure, match=match):
-            self.flow_to(make_state(), 10.0)
+        for rate in (np.inf, -np.inf, np.nan):
+            monkeypatch.setattr(controllers, "timer_rate", lambda tau, n: rate)
+            with pytest.raises(IntegrationFailure, match=match):
+                self.flow_to(make_state(), 10.0)
 
 
 class TestLocateEvent:
