@@ -187,7 +187,7 @@ def make_rk4_flow_to(p: OrbitParams):
         rate = ctl.timer_rate
         k1 = rate(tau, p.n)
         if tau <= 1.0 and math.isfinite(k1) and tau + h * k1 <= 1.0:
-            return tau + w * (k1 + 2.0 * k1 + 2.0 * k1 + k1)  # every stage below the knee
+            return tau + w * (k1 + 2.0 * k1 + 2.0 * k1 + k1)  # every stage at or below the knee
         k2 = rate(tau + half * k1, p.n)
         k3 = rate(tau + half * k2, p.n)
         k4 = rate(tau + h * k3, p.n)

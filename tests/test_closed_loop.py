@@ -415,7 +415,8 @@ class TestRk4Flow:
         # rounding; from tau >= 1 on, tau relaxes as 2 - (2 - tau) e^{-k t}
         # and RK4's update truncates e^{-kh} after its (kh)^4 term.  A step
         # across the knee is held by the bit-for-bit test above.
-        got = cl.make_rk4_flow_to(P)(cl.make_state(tau_z=taus[0], tau_beta=taus[1], tau_alpha=taus[2]), h)
+        state = cl.make_state(tau_z=taus[0], tau_beta=taus[1], tau_alpha=taus[2])
+        got = cl.make_rk4_flow_to(P)(state, h)
         kh = P.n / (2.0 * math.pi) * h
         for tau, idx in zip(taus, (cl.TAUZ, cl.TAUB, cl.TAUA)):
             if tau + kh <= 1.0:
