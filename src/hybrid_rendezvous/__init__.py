@@ -3,8 +3,8 @@
 Modules
 -------
 hcw
-    Plant dynamics, exact propagation, saturation/dead-zone maps, and the
-    in-plane coordinate change.
+    Plant dynamics, exact propagation, the saturation map, and the in-plane
+    coordinate change.
 engine
     Generic hybrid executor: fixed-step flow, guard localization, prioritized
     jump resolution.

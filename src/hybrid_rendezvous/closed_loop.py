@@ -135,37 +135,32 @@ def zeta_of(state: np.ndarray, p: OrbitParams) -> np.ndarray:
     return np.array(to_zeta(state.T, p)).T
 
 
-def make_flow_to(p: OrbitParams):
-    """Exact flow propagator: HCW transition matrix on the plant, closed-form
-    timer advance, constant logic variables.
-
-    Every engine path calls it with ``dt > 0``, and the step lengths repeat:
+@lru_cache(maxsize=256)
+def _stm(build: Callable, n: float, dt: float) -> tuple:
+    """``build(n, dt)``, from the one matrix cache of the process, keyed by
+    orbit rate and step: every system on one ``n`` shares it.  Steps repeat:
     full steps share ``h``, and a probe of a step's bracket ``[t_a, t_b]``
-    has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m``
-    of a bracket length that takes few values.  So the pure ``hcw_stm(p,
-    dt)`` is cached by ``dt``: the 256 most recent (as brackets need not
-    recur), about 0.2 MB.  One propagator serves every system built for an
-    equal ``p``, and the 16 most recently used are kept (so no two ``p`` mix).
-    The key holds the ``hcw_stm`` in force at the build too, so a system built
-    under a replacement (a counting wrapper) starts from an empty cache; a
-    miss calls ``hcw_stm`` as it is then.  Each call applies its entries in
-    :func:`apply_stm`'s order to one ``tolist()`` and advances the timers on
-    Python floats.
-    """
-    return _propagator(p, hcw_stm)
+    has ``dt = mid - t_a``, exact, a dyadic fraction ``k (t_b - t_a)/2^m`` of
+    a bracket length that takes few values.  The 256 most recent are kept
+    (as brackets need not recur), about 0.2 MB.  ``build``, the ``hcw_stm``
+    in force at the call, is in the key so that a replacement (a counting
+    wrapper) starts from an empty cache."""
+    return build(n, dt)
 
 
-@lru_cache(maxsize=16)
-def _propagator(p: OrbitParams, stm_key: Callable):
-    """:func:`make_flow_to`'s propagator for ``p``; ``stm_key`` is only a key."""
-    stm = lru_cache(maxsize=256)(lambda dt: hcw_stm(p, dt))
+def make_flow_to(p: OrbitParams):
+    """Exact flow propagator, called with ``dt > 0`` on every engine path: the
+    plant by :func:`_stm`'s matrix, applied in :func:`apply_stm`'s order to
+    one ``tolist()``, the timers by their closed-form advance on Python
+    floats, the logic variables carried."""
+    n = p.n
 
     def flow_to(state: np.ndarray, dt: float) -> np.ndarray:
         rx, ry, rz, vx, vy, vz, q_z, tau_z, tau_b, q_a, tau_a = state.tolist()
         return np.fromiter([
-            *apply_stm(stm(dt), (rx, ry, rz, vx, vy, vz)), q_z,
-            ctl.timer_advance(tau_z, dt, p.n), ctl.timer_advance(tau_b, dt, p.n),
-            q_a, ctl.timer_advance(tau_a, dt, p.n),
+            *apply_stm(_stm(hcw_stm, n, dt), (rx, ry, rz, vx, vy, vz)), q_z,
+            ctl.timer_advance(tau_z, dt, n), ctl.timer_advance(tau_b, dt, n),
+            q_a, ctl.timer_advance(tau_a, dt, n),
         ], float)
 
     return flow_to

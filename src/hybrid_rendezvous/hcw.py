@@ -84,15 +84,15 @@ def hcw_derivative(state, p: OrbitParams) -> tuple:
     return (vx, vy, vz, 3.0 * n * n * rx + 2.0 * n * vy, -2.0 * n * vx, -n * n * rz)
 
 
-def hcw_stm(p: OrbitParams, dt: float) -> tuple:
-    """Exact state-transition matrix of the unforced HCW flow over ``dt``, as
-    the tuple of its 36 entries row by row, the form :func:`apply_stm` reads.
+def hcw_stm(n: float, dt: float) -> tuple:
+    """Exact state-transition matrix of the unforced HCW flow over ``dt`` at
+    orbit rate ``n``, as the tuple of its 36 entries row by row, the form
+    :func:`apply_stm` reads.
 
     Built from the trigonometric closed-form solution rather than a matrix
     exponential, with ``cos`` and ``sin`` taken once as Python floats.
     Negative ``dt`` propagates backward.
     """
-    n = p.n
     c = float(np.cos(n * dt))
     s = float(np.sin(n * dt))
     # Rows and columns in state order (r_x, r_y, r_z, v_x, v_y, v_z).  The

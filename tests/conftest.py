@@ -276,7 +276,7 @@ def stm_matrix(p: OrbitParams, dt: float) -> np.ndarray:
     """:func:`hcw.hcw_stm` as a 6 x 6 array, for tests that multiply by it.
     Satisfies the group property ``stm_matrix(a) @ stm_matrix(b) =
     stm_matrix(a + b)`` up to rounding (``test_hcw::test_group_property``)."""
-    return np.array(hcw_stm(p, dt)).reshape(6, 6)
+    return np.array(hcw_stm(p.n, dt)).reshape(6, 6)
 
 
 # The in-plane coordinate change as a matrix, built from ``hcw.to_zeta``,

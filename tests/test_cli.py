@@ -832,19 +832,23 @@ class TestSweep:
         # every run lasts its horizon: the only status is t_max
         assert row[4] == summary["status"] == "t_max"
 
-    def test_one_sweep_equals_one_value_sweeps(self, tmp_path):
-        # Three values in one sweep share one orbit's propagator and its
-        # matrix cache: the data rows equal those of three one-value sweeps,
-        # each started, as the three-value one is, from an empty cache.
+    @pytest.mark.parametrize(
+        "param,sweep", [("tau_m_z", "0.01,0.05,0.1"), ("umax", "0.2,0.05,0.01")]
+    )
+    def test_one_sweep_equals_one_value_sweeps(self, tmp_path, param, sweep):
+        # Three values in one sweep share one orbit rate's matrix cache (a
+        # umax value changes the orbit's parameters, not its rate): the data
+        # rows equal those of three one-value sweeps, each started, as the
+        # three-value one is, from an empty cache.
         def data_rows(values):
-            cl._propagator.cache_clear()
-            argv = ["sweep", "--param", "tau_m_z", "--values", values, "--out", "o"]
+            cl._stm.cache_clear()
+            argv = ["sweep", "--param", param, "--values", values, "--out", "o"]
             record = run_cli(tmp_path / values, config_text("z_fast"), argv)
             assert record.code == 0
             return lines(record.files["o/sweep.csv"])[1:]
 
-        one_each = [row for v in ("0.01", "0.05", "0.1") for row in data_rows(v)]
-        assert data_rows("0.01,0.05,0.1") == one_each and len(one_each) == 3
+        one_each = [row for v in sweep.split(",") for row in data_rows(v)]
+        assert data_rows(sweep) == one_each and len(one_each) == 3
 
     def test_rows_match_per_field_formatting(self, tmp_path):
         # One sweep value (umax = 0.01) does not converge within z_fast's

@@ -15,9 +15,9 @@ from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous import controllers as ctl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR, check_jump_decrease
 from hybrid_rendezvous.controllers import timer_advance
-from hybrid_rendezvous.engine import SimulationOptions, simulate
+from hybrid_rendezvous.engine import IntegrationFailure, SimulationOptions, simulate
 from hybrid_rendezvous.hcw import (
-    RX, RY, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
+    RX, RY, RZ, VX, VY, VZ, OrbitParams, apply_stm, hcw_derivative, hcw_stm, sat, to_zeta,
 )
 
 from conftest import (
@@ -33,7 +33,7 @@ def fresh_flow_to(s, dt, p=P):
     matrix, applied in :func:`apply_stm`'s fixed order, and the three timer
     advances."""
     expected = np.array(s)
-    expected[:6] = apply_stm(hcw_stm(p, dt), s[:6].tolist())
+    expected[:6] = apply_stm(hcw_stm(p.n, dt), s[:6].tolist())
     for idx in (cl.TAUZ, cl.TAUB, cl.TAUA):
         expected[idx] = timer_advance(s[idx], dt, p.n)
     return expected
@@ -98,24 +98,22 @@ class TestFullFlow:
 
     def test_transition_matrix_memo_is_exact(self, monkeypatch):
         # Each step equals a freshly built matrix and timer advance; only a
-        # dt not in the propagator's bounded cache builds a new matrix.  The
-        # counting hcw_stm keys a propagator of its own, so the count starts
-        # from an empty cache, whatever ran before: the shared one has h.
+        # dt not in the bounded matrix cache builds a new matrix.  The
+        # counting hcw_stm keys entries of its own, so the count starts from
+        # an empty cache, whatever ran before: the real hcw_stm's has h.
         s = cl.make_state(
             r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05),
             tau_z=0.3, tau_beta=0.9, tau_alpha=1.4,
         )
-        shared = cl.make_flow_to(P)
-        shared(s, 10.0)
+        cl.make_flow_to(P)(s, 10.0)
         stm_calls = []
 
-        def counted_stm(p, dt):
+        def counted_stm(n, dt):
             stm_calls.append(dt)
-            return hcw_stm(p, dt)
+            return hcw_stm(n, dt)
 
         monkeypatch.setattr(cl, "hcw_stm", counted_stm)
         flow_to = cl.make_flow_to(P)
-        assert flow_to is not shared
 
         def step(s, dt):
             out = flow_to(s, dt)
@@ -314,8 +312,8 @@ class TestFlowToCache:
             assert np.array_equal(flow_to(state, dt), fresh_flow_to(state, dt))
 
     def test_propagators_share_no_cache(self):
-        # One dt on two orbit rates: each propagator applies its own matrix,
-        # whichever was called first.
+        # One dt on two orbit rates: each propagator applies its own rate's
+        # matrix, whichever was called first.
         s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
         slow, fast = OrbitParams(n=0.0011), OrbitParams(n=0.0021)
         flows = {p: cl.make_flow_to(p) for p in (slow, fast)}
@@ -326,13 +324,15 @@ class TestFlowToCache:
     def test_a_miss_calls_hcw_stm_as_it_is_then(self, monkeypatch):
         # The benchmark's tracer counts matrix builds by replacing
         # closed_loop.hcw_stm: a propagator built before the replacement
-        # calls it on each miss, and calls nothing on a hit.
+        # calls it on each miss, and calls nothing on a hit.  The cache is
+        # keyed by the hcw_stm in force at the call, so the replacement's
+        # first 10.0 is a miss.
         s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
         before, after = [], []
 
-        def counted(calls, p, dt):
+        def counted(calls, n, dt):
             calls.append(dt)
-            return hcw_stm(p, dt)
+            return hcw_stm(n, dt)
 
         monkeypatch.setattr(cl, "hcw_stm", partial(counted, before))
         flow_to = cl.make_flow_to(P)
@@ -340,12 +340,12 @@ class TestFlowToCache:
         monkeypatch.setattr(cl, "hcw_stm", partial(counted, after))
         for dt in (10.0, 20.0, 20.0):
             assert np.array_equal(flow_to(s, dt), fresh_flow_to(s, dt))
-        assert before == [10.0] and after == [20.0]
+        assert before == [10.0] and after == [10.0, 20.0]
 
     def test_runs_are_identical_from_an_empty_or_a_warm_cache(self, monkeypatch):
-        # Criterion 2's random starts on each subsystem, each run once on a
-        # propagator that starts empty, and once after systems with other
-        # dwell thresholds on the same orbit warmed it.
+        # Criterion 2's random starts on each subsystem, each run once from
+        # an empty matrix cache, and once after systems with other dwell
+        # thresholds on the same orbit warmed it.
         rng = np.random.default_rng(30)
         cases = [
             (subsystem, *criterion2_case(rng, subsystem, P, THRESHOLDS))
@@ -354,9 +354,9 @@ class TestFlowToCache:
         ]
         builds = []
 
-        def counted(p, dt):
+        def counted(n, dt):
             builds.append(dt)
-            return hcw_stm(p, dt)
+            return hcw_stm(n, dt)
 
         def run(subsystem, x0, opts, thresholds=THRESHOLDS):
             sol = simulate(cl.build_system(P, thresholds, subsystem), x0, opts)
@@ -364,7 +364,7 @@ class TestFlowToCache:
 
         cold = []
         for case in cases:
-            # a new hcw_stm keys a new propagator, whose cache is empty
+            # a new hcw_stm keys entries of its own: the cache starts empty
             monkeypatch.setattr(cl, "hcw_stm", partial(counted))
             cold.append(run(*case))
         cold_builds = len(builds)
@@ -374,17 +374,71 @@ class TestFlowToCache:
         assert [run(*case) for case in cases] == cold
         assert len(builds) < cold_builds
 
-    def test_propagators_beyond_the_bound_are_freed(self):
-        # One propagator per orbit, shared by its systems; building for twice
-        # as many orbits as the bound leaves only the latest bound alive.
-        bound = cl._propagator.cache_info().maxsize
-        orbits = [OrbitParams(n=0.001 + k * 1e-6) for k in range(2 * bound)]
-        alive = [weakref.ref(cl.build_system(p, THRESHOLDS, "z").flow_to) for p in orbits]
-        assert [ref() is not None for ref in alive] == [False] * bound + [True] * bound
-        assert cl.build_system(orbits[-1], cl.DwellThresholds(), "full").flow_to is alive[-1]()
+    def test_orbits_with_one_rate_share_their_matrices(self, monkeypatch):
+        # The matrix depends on n and dt alone: systems that differ in umax
+        # only, as the values of a umax sweep do, build one matrix per dt.
+        s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
+        builds = []
+
+        def counted(n, dt):
+            builds.append((n, dt))
+            return hcw_stm(n, dt)
+
+        monkeypatch.setattr(cl, "hcw_stm", counted)
+        for umax in (0.2, 0.05):
+            p = OrbitParams(n=0.0011, umax=umax)
+            assert np.array_equal(cl.build_system(p, THRESHOLDS, "z").flow_to(s, 30.0),
+                                  fresh_flow_to(s, 30.0, p))
+        assert builds == [(0.0011, 30.0)]
+
+    def test_matrices_beyond_the_bound_are_freed(self):
+        # No propagator is kept once its system is gone, and the one matrix
+        # cache holds the latest bound of twice as many steps.
+        bound = cl._stm.cache_info().maxsize
+        s = cl.make_state(r=(-60.0, 1000.0, 500.0), v=(0.01, -0.02, 0.05))
+        flow_to = cl.build_system(P, THRESHOLDS, "z").flow_to
+        for k in range(2 * bound):
+            flow_to(s, 1000.0 + k)
+        alive = weakref.ref(flow_to)
+        del flow_to
+        assert alive() is None
+        assert cl._stm.cache_info().currsize == bound
 
 
 class TestRk4Flow:
+    """The RK4 propagator that ``build_system(..., integrator="rk4")``
+    installs as ``flow_to``: one classical step per call."""
+
+    flow_to = staticmethod(cl.build_system(P, THRESHOLDS, integrator="rk4").flow_to)
+
+    def test_oscillator_against_closed_form(self):
+        # z dynamics from (r_z, v_z) = (1, 0): r_z(t) = cos(n t).
+        s = self.flow_to(cl.make_state(r=(0.0, 0.0, 1.0)), 1.0)
+        assert s[RZ] == pytest.approx(np.cos(P.n), abs=1e-12)
+
+    def test_equilibrium_is_fixed(self):
+        # at rest with saturated timers every derivative is zero
+        x = cl.make_state(tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
+        assert self.flow_to(x, 17.0).tobytes() == x.tobytes()
+
+    def test_timer_linear_segment(self):
+        # taudot = (n/2pi)(1 - max(tau - 1, 0)) is exactly linear below 1.
+        s = self.flow_to(cl.make_state(tau_z=0.0), 0.25 * P.period)
+        assert s[cl.TAUZ] == pytest.approx(0.25, rel=1e-12)
+
+    def test_nonfinite_derivative_raises(self, monkeypatch):
+        # The plant's stages overflow from v_x = 1e308; a timer's, here, from
+        # a rate that is not finite.  Each block checks its last stage, and
+        # a timer below the knee takes its one-rate step only on a finite
+        # rate (-inf would pass its test tau + h * k1 <= 1).
+        match = "^non-finite derivative encountered$"
+        with pytest.raises(IntegrationFailure, match=match):
+            self.flow_to(cl.make_state(v=(1e308, 0.0, 0.0)), 10.0)
+        for rate in (np.inf, -np.inf, np.nan):
+            monkeypatch.setattr(ctl, "timer_rate", lambda tau, n: rate)
+            with pytest.raises(IntegrationFailure, match=match):
+                self.flow_to(cl.make_state(), 10.0)
+
     @given(
         state=FULL_STATES,
         # One step of at most 600 s moves a timer by at most 0.105, so timers
@@ -456,7 +510,9 @@ class TestRk4Flow:
         state, h = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3), 10.0
         assert rk4_system.flow is None and cl.build_system(P, THRESHOLDS, "z").flow is None
         assert rk4_system.flow_to(state, h).tobytes() == cl.make_rk4_flow_to(P)(state, h).tobytes()
-        assert cl.build_system(P, THRESHOLDS, "z").flow_to is cl.make_flow_to(P)
+        assert cl.build_system(P, THRESHOLDS, "z").flow_to(state, h).tobytes() == (
+            cl.make_flow_to(P)(state, h).tobytes()
+        )
         with pytest.raises(ValueError, match="^unknown integrator 'euler'$"):
             cl.build_system(P, THRESHOLDS, "z", integrator="euler")
 

@@ -42,41 +42,6 @@ def opts(**kw):
     return SimulationOptions(**base)
 
 
-class TestRk4Step:
-    """The RK4 propagator that ``build_system(..., integrator="rk4")``
-    installs as ``flow_to``: one classical step per call."""
-
-    flow_to = staticmethod(build_system(P, THRESHOLDS, integrator="rk4").flow_to)
-
-    def test_oscillator_against_closed_form(self):
-        # z dynamics from (r_z, v_z) = (1, 0): r_z(t) = cos(n t).
-        s = self.flow_to(make_state(r=(0.0, 0.0, 1.0)), 1.0)
-        assert s[RZ] == pytest.approx(np.cos(P.n), abs=1e-12)
-
-    def test_equilibrium_is_fixed(self):
-        # at rest with saturated timers every derivative is zero
-        x = make_state(tau_z=2.0, tau_beta=2.0, tau_alpha=2.0)
-        assert self.flow_to(x, 17.0).tobytes() == x.tobytes()
-
-    def test_timer_linear_segment(self):
-        # taudot = (n/2pi)(1 - max(tau - 1, 0)) is exactly linear below 1.
-        s = self.flow_to(make_state(tau_z=0.0), 0.25 * P.period)
-        assert s[TAUZ] == pytest.approx(0.25, rel=1e-12)
-
-    def test_nonfinite_derivative_raises(self, monkeypatch):
-        # The plant's stages overflow from v_x = 1e308; a timer's, here, from
-        # a rate that is not finite.  Each block checks its last stage, and
-        # a timer below the knee takes its one-rate step only on a finite
-        # rate (-inf would pass its test tau + h * k1 <= 1).
-        match = "^non-finite derivative encountered$"
-        with pytest.raises(IntegrationFailure, match=match):
-            self.flow_to(make_state(v=(1e308, 0.0, 0.0)), 10.0)
-        for rate in (np.inf, -np.inf, np.nan):
-            monkeypatch.setattr(controllers, "timer_rate", lambda tau, n: rate)
-            with pytest.raises(IntegrationFailure, match=match):
-                self.flow_to(make_state(), 10.0)
-
-
 class TestLocateEvent:
     """Localize the upward zero crossing of r_z(t) = cos(n t) at t = 3pi/2n."""
 

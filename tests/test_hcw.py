@@ -159,7 +159,7 @@ class TestStm:
     def test_matches_entrywise_reference(self, dt):
         # The one format, the tuple apply_stm reads: 36 Python floats, row by
         # row, byte for byte the entrywise reference, so signed zeros count.
-        m = hcw_stm(P, dt)
+        m = hcw_stm(P.n, dt)
         assert type(m) is tuple and len(m) == 36
         assert all(type(x) is float for x in m)
         assert np.array(m).tobytes() == stm_reference(P, dt).tobytes()
@@ -255,13 +255,13 @@ class TestApplyStm:
         u = UNIT_ROUNDOFF
         gamma_6 = 6 * u / (1 - 6 * u)
         m = stm_matrix(P, dt)
-        out = np.array(apply_stm(hcw_stm(P, dt), s))
+        out = np.array(apply_stm(hcw_stm(P.n, dt), s))
         bound = 2 * gamma_6 * (np.abs(m) @ np.abs(np.array(s)))
         assert (np.abs(out - m @ np.array(s)) <= bound).all()
         assert all(np.copysign(1.0, x) == 1.0 for x in out if x == 0.0)
 
 
-class TestSatDz:
+class TestSat:
     @pytest.mark.parametrize(
         "u,umax,expected",
         [(0.132, 0.2, 0.132), (0.5, 0.2, 0.2), (-0.3, 0.2, -0.2), (0.0, 0.2, 0.0)],
