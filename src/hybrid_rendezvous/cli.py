@@ -17,7 +17,7 @@ Flags are config keys, put on top of the file's by :func:`config.parse_config`
 before its one validation (``--out ""`` is rejected); argparse checks syntax.
 Exit codes: 0 success, 1 usage (with argparse's message) or configuration
 error, 2 numerical failure (a non-finite state or derivative), 3 certificate
-violation.
+violation (``sweep``: in any value's run, once every row is written).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .analysis import (
 from .closed_loop import SUBSYSTEM_CHANNELS, build_system, lyapunov_values, zeta_of
 from .config import ConfigError, ScenarioConfig, parse_config
 from .controllers import timer_rate
-from .engine import HybridSolution, IntegrationFailure, simulate
+from .engine import HybridSolution, IntegrationFailure, SimulationOptions, simulate
 from .hcw import OrbitParams
 
 EXIT_OK = 0
@@ -92,10 +92,10 @@ def flow_drift_tolerance(cfg: ScenarioConfig) -> float:
         return 1e-12 + abs(float(np.expm1(steps * per_step)))
 
 
-def classify_z_event(h3: float, p: OrbitParams, event_tol: float) -> str:
+def classify_z_event(h3: float, p: OrbitParams) -> str:
     """Label a z firing: dwell-delayed (timer margin at zero up to the event
     localization resolution) or triggered by an ``r_z`` zero crossing."""
-    h3_tol = 4.0 * timer_rate(0.0, p.n) * event_tol
+    h3_tol = 4.0 * timer_rate(0.0, p.n) * SimulationOptions.event_tol
     return "dwell_delayed" if h3 <= h3_tol else "zero_crossing"
 
 
@@ -177,9 +177,7 @@ def write_trajectory(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
     _write_csv(path, TRAJECTORY_COLUMNS, len(sol.t), partial(_trajectory_block, sol, p))
 
 
-def _event_block(
-    sol: HybridSolution, p: OrbitParams, event_tol: float, part: slice
-) -> list[str]:
+def _event_block(sol: HybridSolution, p: OrbitParams, part: slice) -> list[str]:
     """The lines of the events ``part``.  Guard terms fill ``h1..h3`` from the
     right (the last is the dwell margin); absent ones are blank."""
     events = sol.events[part]
@@ -194,7 +192,7 @@ def _event_block(
     )
     text = zip(*[
         (str(ev.j_pre + 1), ev.channel,
-         classify_z_event(ev.margins[-1], p, event_tol) if ev.channel == "z" else "")
+         classify_z_event(ev.margins[-1], p) if ev.channel == "z" else "")
         for ev in events
     ])
     # j and channel go before u_commanded, classification before r_x_pre; h1..h3 are floats 6..8
@@ -202,14 +200,12 @@ def _event_block(
     return _format_rows(floats, [2, 2, 11], [*text], blank)
 
 
-def write_events(
-    path: Path, sol: HybridSolution, p: OrbitParams, event_tol: float
-) -> None:
+def write_events(path: Path, sol: HybridSolution, p: OrbitParams) -> None:
     """Write ``events.csv``: one row per applied jump with its input, the
     Lyapunov change against its bound, the guard margins, the z firing's
     classification and the pre-jump plant state (columns
     :data:`EVENT_COLUMNS`)."""
-    _write_csv(path, EVENT_COLUMNS, len(sol.events), partial(_event_block, sol, p, event_tol))
+    _write_csv(path, EVENT_COLUMNS, len(sol.events), partial(_event_block, sol, p))
 
 
 def build_summary(
@@ -295,7 +291,7 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, sol, p, spec) -> tuple[dic
     """Write the four output files; returns the :func:`build_summary` record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(out_dir / "trajectory.csv", sol, p)
-    write_events(out_dir / "events.csv", sol, p, cfg.event_tol)
+    write_events(out_dir / "events.csv", sol, p)
     summary, violations = build_summary(cfg, sol, p, spec)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out_dir / "plot.gp").write_text(PLOT_TEMPLATE)
@@ -354,14 +350,15 @@ def cmd_sweep(args) -> int:
         f"{args.param:>12} {'impulses':>9} {'total_dv':>10} "
         f"{'conv_orbits':>12} {'status':>10}"
     )
-    floats, text = [], []
+    floats, text, failures = [], [], []
     for value, case in zip(args.values, cases):
         try:
             sol, p, spec = run_scenario(case)
         except IntegrationFailure as exc:
             print(f"numerical failure at {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        summary, _ = build_summary(case, sol, p, spec)
+        summary, violations = build_summary(case, sol, p, spec)
+        failures += [f"{args.param}={value}: {v.quantity}" for v in violations[:1]]
         count = sum(summary["budget"]["impulse_counts"].values())
         total_dv = summary["budget"]["total_delta_v"]
         conv_orbits = summary["convergence"]["t_orbits"]
@@ -379,7 +376,9 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"{args.param},impulse_count,total_delta_v,convergence_orbits,status"
     _write_csv(out_dir / "sweep.csv", header, len(lines), lines.__getitem__)
-    return EXIT_OK
+    for failure in failures:
+        print(f"certificate violation at {failure}", file=sys.stderr)
+    return EXIT_CERTIFICATE if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,16 +18,20 @@ the offending name.  Example::
     r_y = 1000.0
     v_x = 0.0
     v_y = 0.0
+    q_alpha = -1.0        # the sign of y - n*alpha/2: at +1 alpha never arms
 
     subsystem = inplane
+    step_h = 10.0         # 30 s steps miss alpha's jump-set windows
     t_max_orbits = 20
 
 Initial timers default to the channel's own threshold (written as
 ``threshold``), so the first firing is not dwell-delayed; set a number in
 [0, 2] to override.  The convergence radius is not a key: it is always
-1e-3 of the initial attractor distance (1e-9 from rest).  A
-:class:`ScenarioConfig` validates itself on construction, so a copy made
-with :func:`replace`, which is :func:`dataclasses.replace`, is checked too.
+1e-3 of the initial attractor distance (1e-9 from rest).  Nor is the event
+resolution: every run localizes events to 1e-6 s, and a file that sets
+``event_tol`` is rejected as an unknown key.  A :class:`ScenarioConfig`
+validates itself on construction, so a copy made with :func:`replace`,
+which is :func:`dataclasses.replace`, is checked too.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ class ScenarioConfig:
     integrator: str = "closed_form"
     step_h: float = 30.0
     t_max_orbits: float = 10.0
-    event_tol: float = SimulationOptions.event_tol
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -132,11 +135,8 @@ class ScenarioConfig:
         )
 
     def options(self) -> SimulationOptions:
-        return SimulationOptions(
-            step_h=self.step_h,
-            t_max=self.t_max_orbits * 2.0 * np.pi / self.n,
-            event_tol=self.event_tol,
-        )
+        t_max = self.t_max_orbits * 2.0 * np.pi / self.n
+        return SimulationOptions(step_h=self.step_h, t_max=t_max)
 
     def attractor(self) -> AttractorSpec:
         """Attractor spec of the scenario's subsystem; its convergence radius

@@ -123,12 +123,12 @@ class SimulationOptions:
             raise ValueError(f"t_max must be finite and non-negative, got {self.t_max}")
         if not 0 < self.event_tol < self.step_h:
             raise ValueError(
-                f"event_tol must satisfy 0 < event_tol < step_h, got {self.event_tol}"
+                f"step_h must exceed the {self.event_tol:g} s event resolution, got {self.step_h}"
             )
         if not self.event_tol >= np.spacing(self.t_max):
             raise ValueError(
-                f"event_tol must be at least the float spacing at t_max, "
-                f"{np.spacing(self.t_max):.2g}, got {self.event_tol}"
+                f"horizon t_max = {self.t_max:.3g} s is too long for the {self.event_tol:g} s "
+                f"event resolution: the float spacing there is {np.spacing(self.t_max):.2g} s"
             )
 
 

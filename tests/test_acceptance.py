@@ -61,9 +61,7 @@ def test_criterion_01_lyapunov_flow_invariance():
         worst_cf = max(worst_cf, max(report.arc_drift.values()))
         # rk4 variant over one orbit at the mandated step
         h = p.period / 10_000
-        rk_cfg = dataclasses.replace(
-            cfg, integrator="rk4", step_h=h, event_tol=h / 100, t_max_orbits=1.0
-        )
+        rk_cfg = dataclasses.replace(cfg, integrator="rk4", step_h=h, t_max_orbits=1.0)
         start = time.perf_counter()
         rk_sol, _, _ = cli.run_scenario(rk_cfg)
         rk_elapsed = time.perf_counter() - start
@@ -169,7 +167,7 @@ def test_criterion_05_impulse_placement():
         for ev, rz in zip(sol.events, rz_pre):
             if ev.channel != "z":
                 continue
-            label = cli.classify_z_event(float(ev.margins[2]), p, cfg.event_tol)
+            label = cli.classify_z_event(float(ev.margins[2]), p)
             classified[label] += 1
             if label == "zero_crossing":
                 assert abs(rz) <= rz_max * 1e-3, (
@@ -196,7 +194,7 @@ def test_criterion_06_dwell_time_spacing():
         for ev in sol.events:
             by_channel.setdefault(ev.channel, []).append(ev.t)
         for channel, times in by_channel.items():
-            min_gap = taus[channel] * p.period - cfg.event_tol
+            min_gap = taus[channel] * p.period - cfg.options().event_tol
             for a, b in zip(times, times[1:]):
                 assert b - a >= min_gap, (
                     f"{name}/{channel}: gap {b - a:.6f} < {min_gap:.6f}"

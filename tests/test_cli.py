@@ -140,7 +140,7 @@ def per_sample_trajectory_rows(sol, p):
         )
 
 
-def per_event_rows(sol, p, event_tol):
+def per_event_rows(sol, p):
     """Reference formatting of events.csv, one event at a time."""
     orbit = 2.0 * np.pi / p.n
     for ev, row in zip(sol.events, sol.event_rows().tolist()):
@@ -149,7 +149,7 @@ def per_event_rows(sol, p, event_tol):
             h, cls = ["", "", fmt(m[0])], ""
         else:
             h = [fmt(m[0]), fmt(m[1]), fmt(m[2])]
-            cls = cli.classify_z_event(m[2], p, event_tol) if ev.channel == "z" else ""
+            cls = cli.classify_z_event(m[2], p) if ev.channel == "z" else ""
         values = (ev.u_commanded, ev.u_applied, ev.delta_lyap, ev.bound)
         yield ",".join(
             [fmt(ev.t), fmt(ev.t / orbit), str(ev.j_pre + 1), ev.channel]
@@ -303,7 +303,7 @@ class TestCsvBytes:
             assert len(sol.events) > cli.WRITE_ROWS  # and events do
         expected = [cli.TRAJECTORY_COLUMNS, *per_sample_trajectory_rows(sol, p)]
         assert record.files["trajectory.csv"].decode() == "\n".join(expected) + "\n"
-        expected = [cli.EVENT_COLUMNS, *per_event_rows(sol, p, cfg.event_tol)]
+        expected = [cli.EVENT_COLUMNS, *per_event_rows(sol, p)]
         assert record.files["events.csv"].decode() == "\n".join(expected) + "\n"
 
 
@@ -367,7 +367,7 @@ class TestWriterMemory:
         assert len(runs[60].events) > 2 * len(sol.events) > 2 * cli.WRITE_ROWS
         writers = {
             "trajectory": lambda s: cli.write_trajectory(tmp_path / "t.csv", s, p),
-            "events": lambda s: cli.write_events(tmp_path / "e.csv", s, p, cfg.event_tol),
+            "events": lambda s: cli.write_events(tmp_path / "e.csv", s, p),
         }
         for name, write in writers.items():
             write(sol)  # the first call loads what the writers import
@@ -427,18 +427,39 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.cfg"]
 
     @pytest.mark.parametrize(
-        "keys, argv",
+        "keys, argv, error",
         [
             # it would write into the working directory; TestFlagIsKey's
             # "out" case runs the same file under --out
-            pytest.param({"output_dir": ""}, ["simulate"], id="empty_output_dir"),
-            # below the float spacing at z_fast's horizon, 4 orbits: 3.6e-12
-            pytest.param({"event_tol": "1e-12"}, ["simulate", "--out", "o"], id="fine_event_tol"),
+            pytest.param(
+                {"output_dir": ""}, ["simulate"], "run.cfg: output_dir must not be empty",
+                id="empty_output_dir",
+            ),
+            # every run localizes events to 1e-6 s, which no key sets; the two
+            # limits it puts on a run name what the file sets, not event_tol
+            pytest.param(
+                {"event_tol": "1e-6"}, ["simulate", "--out", "o"],
+                "run.cfg:19: unknown key 'event_tol'", id="event_tol_key",
+            ),
+            pytest.param(
+                {"step_h": "1e-7"}, ["simulate", "--out", "o"],
+                "run.cfg: step_h must exceed the 1e-06 s event resolution, got 1e-07",
+                id="step_below_event_resolution",
+            ),
+            # floats at 2e6 orbits are 1.9e-6 s apart
+            pytest.param(
+                {"t_max_orbits": "2e6"}, ["simulate", "--out", "o"],
+                "run.cfg: horizon t_max = 1.14e+10 s is too long for the 1e-06 s event resolution: "
+                "the float spacing there is 1.9e-06 s",
+                id="horizon_past_event_resolution",
+            ),
         ],
     )
-    def test_config_error_writes_nothing(self, keys, argv, tmp_path):
+    def test_config_error_writes_nothing(self, keys, argv, error, tmp_path, capsys):
         record = run_cli(tmp_path, set_keys(config_text("z_fast"), **keys), argv)
         assert record.code == 1 and not record.files
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert ("event_tol" in error) == ("event_tol" in keys)
 
     def test_v_alpha_overflow_is_certificate_error(self):
         # V_alpha overflows along the flow, so 11,502 trajectory rows and 240
@@ -849,6 +870,20 @@ class TestSweep:
 
         one_each = [row for v in sweep.split(",") for row in data_rows(v)]
         assert data_rows(sweep) == one_each and len(one_each) == 3
+
+    def test_certificate_violation_exits_3_after_every_row(self, tmp_path, capsys):
+        # D5's exact run (TestVerify::test_exact_run_fails_by_beta_rounding)
+        # at umax = 0.2 fails the flow check, at 0.1 not: the table and
+        # sweep.csv keep both rows, and stderr names the failing value and
+        # its first violated quantity.
+        argv = ["sweep", "--param", "umax", "--values", "0.2,0.1", "--out", "o"]
+        record = run_cli(tmp_path, config_text("criterion2_full_400"), argv)
+        assert record.code == 3
+        assert capsys.readouterr().err == "certificate violation at umax=0.2: V_beta flow drift\n"
+        assert [row.split()[0] for row in record.out.splitlines()[1:]] == ["0.2", "0.1"]
+        assert lines(record.files["o/sweep.csv"])[1:] == [
+            "0.2,15,2.64618198466159,,t_max", "0.1,27,2.7,,t_max"
+        ]
 
     def test_rows_match_per_field_formatting(self, tmp_path):
         # One sweep value (umax = 0.01) does not converge within z_fast's

@@ -2,13 +2,15 @@
 
 import dataclasses
 from dataclasses import fields
+from itertools import takewhile
 
 import numpy as np
 import pytest
 
+from hybrid_rendezvous import config
 from hybrid_rendezvous.config import ConfigError, ScenarioConfig, parse_config, replace
 
-from conftest import scenario_path
+from conftest import REPO_ROOT, scenario_path
 
 
 def write_cfg(tmp_path, text):
@@ -86,8 +88,12 @@ class TestErrors:
             ("subsystem = sideways", "subsystem"),
             ("integrator = euler", "integrator"),
             ("step_h = -1", "step_h"),
-            ("event_tol = 100", "event_tol"),
-            ("event_tol = 1e-13", "event_tol"),  # float spacing at 1 orbit: 9.1e-13
+            # every run localizes events to 1e-6 s: a step must be longer,
+            ("step_h = 1e-7", "step_h must exceed the 1e-06"),
+            # and floats at the horizon no farther apart (1.9e-6 s at 2e6 orbits)
+            ("t_max_orbits = 2e6", "too long for the 1e-06 s"),
+            # and no key sets that resolution
+            ("event_tol = 1e-6", "unknown key 'event_tol'"),
             # the dwell timers bound every run's jumps: no jump budget is set
             ("j_max = 0", "unknown key 'j_max'"),
             ("n = -0.001", "n must be positive"),
@@ -96,7 +102,7 @@ class TestErrors:
             ("convergence_eps = -1", "convergence_eps"),
             ("t_max_orbits = nan", "t_max_orbits"),
             ("t_max_orbits = -1", "t_max_orbits must be non-negative"),
-            # horizons that overflow to inf name t_max, not event_tol
+            # horizons that overflow to inf name t_max, not the event resolution
             ("t_max_orbits = 1e308", "t_max must be finite"),
             ("n = 1e-320", "t_max must be finite"),
             ("r_x = inf", "r_x"),
@@ -139,8 +145,6 @@ class TestReplaceAndAttractor:
     def test_construction_validates(self):
         # replace is dataclasses.replace: the config checks itself however
         # it is made.
-        import hybrid_rendezvous.config as config
-
         assert config.replace is dataclasses.replace
         with pytest.raises(ConfigError, match="dwell threshold"):
             dataclasses.replace(ScenarioConfig(), tau_m_z=2.5)
@@ -160,3 +164,24 @@ class TestReplaceAndAttractor:
     def test_convergence_radius_has_no_key(self):
         with pytest.raises(TypeError, match="convergence_eps"):
             ScenarioConfig(r_z=500.0, subsystem="z", convergence_eps=0.01)
+
+
+def readme_example() -> str:
+    """README's ``ini`` block."""
+    return (REPO_ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def docstring_example() -> str:
+    """The indented example of the :mod:`hybrid_rendezvous.config` docstring."""
+    rows = config.__doc__.split("Example::\n", 1)[1].splitlines()
+    return "\n".join(row[4:] for row in takewhile(lambda r: r[:4] in ("", "    "), rows))
+
+
+class TestDocumentedExamples:
+    @pytest.mark.parametrize("example", [readme_example, docstring_example])
+    def test_example_is_inplane_ref(self, example, tmp_path):
+        # Run as documented, each converges as inplane_ref does.  Without
+        # q_alpha = -1 only beta fires (ROADMAP's D2); with it but at 30 s
+        # steps, alpha fires twice and the run never converges (D1).
+        cfg = parse_config(write_cfg(tmp_path, example()))
+        assert cfg == replace(parse_config(scenario_path("inplane_ref")), output_dir=cfg.output_dir)

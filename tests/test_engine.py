@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_rendezvous import closed_loop, controllers, engine
+from hybrid_rendezvous.analysis import budget
 from hybrid_rendezvous.closed_loop import (
     QZ,
     TAUZ,
@@ -243,8 +244,20 @@ class TestSimulate:
     def test_dwell_time_spacing(self):
         cfg, sol, p, _, _ = scenario_run("z_fast_2orbits")
         times = [e.t for e in sol.events]
-        min_gap = cfg.tau_m_z * p.period - cfg.event_tol
+        min_gap = cfg.tau_m_z * p.period - cfg.options().event_tol
         assert all(b - a >= min_gap for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("name, impulses", [("z_fast", 4), ("full_ref", 12)])
+    def test_event_resolution_changes_which_impulses_fire(self, name, impulses):
+        # Pins a knob dependence the paper's laws do not have: a 1e-3 s
+        # bisection bracket books one more nonzero z impulse than the default
+        # (z_fast's at t ~ 7254.2 s).  The CLI always runs at the default; a
+        # minimum impulse bit in the jump sets (ROADMAP item 3) should move it.
+        cfg, sol, *_ = scenario_run(name)
+        options = dataclasses.replace(cfg.options(), event_tol=1e-3)
+        coarse = simulate(scenario_system(cfg), cfg.initial_state(), options)
+        fine, coarse = budget(sol).impulse_counts, budget(coarse).impulse_counts
+        assert sum(fine.values()) == impulses and coarse == {**fine, "z": fine["z"] + 1}
 
     def test_nonfinite_initial_state_raises(self):
         system = build_system(P, THRESHOLDS, subsystem="z")
