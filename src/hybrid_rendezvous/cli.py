@@ -212,18 +212,15 @@ def build_summary(
     cfg: ScenarioConfig, sol: HybridSolution, p: OrbitParams, spec
 ) -> tuple[dict, list]:
     """The run record: the ``summary.json`` dict and the certificate
-    violations, flow then jump."""
+    violations, flow then jump.  Its ``config`` holds the run's inputs: every
+    field but ``output_dir``, ``None`` for a timer at its threshold."""
     tol = flow_drift_tolerance(cfg)
     conv = convergence_time(sol, p, spec)
     flow_report = check_flow_invariance(sol, p, tol=tol)
     jump_report = check_jump_decrease(sol)
     summary = {
         "version": __version__,
-        "subsystem": cfg.subsystem,
-        "integrator": cfg.integrator,
-        "n": cfg.n,
-        "umax": cfg.umax,
-        "thresholds": asdict(cfg.thresholds()),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "output_dir"},
         "status": sol.status,
         "t_final": float(sol.t[-1]),
         "t_final_orbits": float(sol.t[-1]) / p.period,

@@ -31,7 +31,9 @@ Initial timers default to the channel's own threshold (written as
 resolution: every run localizes events to 1e-6 s, and a file that sets
 ``event_tol`` is rejected as an unknown key.  A :class:`ScenarioConfig`
 validates itself on construction, so a copy made with :func:`replace`,
-which is :func:`dataclasses.replace`, is checked too.
+which is :func:`dataclasses.replace`, is checked too: each value by the
+record that uses it, and the subsystem and integrator by building the run's
+system, the :func:`closed_loop.build_system` call that a run makes.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .closed_loop import (
-    PROPAGATORS, SUBSYSTEM_CHANNELS, AttractorSpec, DwellThresholds, distance_to_attractor,
-    lyapunov_values, make_state,
+    AttractorSpec, DwellThresholds, build_system, distance_to_attractor, lyapunov_values,
+    make_state,
 )
 from .engine import SimulationOptions
 from .hcw import OrbitParams
@@ -103,11 +105,11 @@ class ScenarioConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 p = self.params()
-                self.thresholds()
+                thresholds = self.thresholds()
                 state = self.initial_state()
                 self.options()
-                if self.integrator not in PROPAGATORS:  # a config error, before any build
-                    raise ValueError(f"unknown integrator {self.integrator!r}")
+                # the run's own build: it names an unknown subsystem or integrator
+                build_system(p, thresholds, self.subsystem, self.integrator)
                 spec = self.attractor()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
@@ -141,8 +143,6 @@ class ScenarioConfig:
     def attractor(self) -> AttractorSpec:
         """Attractor spec of the scenario's subsystem; its convergence radius
         is 1e-3 of the initial distance (1e-9 from rest)."""
-        if self.subsystem not in SUBSYSTEM_CHANNELS:  # before the distance reads its channels
-            raise ValueError(f"unknown subsystem {self.subsystem!r}")
         d0 = distance_to_attractor(self.initial_state(), self.params(), self.subsystem)
         return AttractorSpec(which=self.subsystem, epsilon=1e-3 * d0 if d0 > 0 else 1e-9)
 

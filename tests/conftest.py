@@ -41,9 +41,12 @@ BUNDLED = ("z_fast", "z_slow", "inplane_ref", "full_ref")
 #: inplane_ref and full_ref under rk4, at 2 orbits and 10 s steps
 #: (``*_rk4``) and over their own 20 orbits (``*_rk4_20orbits``);
 #: inplane_ref with r_x, r_y and umax scaled by 2^9, which fails the flow
-#: check (ROADMAP's D3); full_ref's z channel alone (``full_ref_z``, as
-#: ``--subsystem z`` runs it), and from v_y = 3e153, v_z = 1e154, whose
-#: V_alpha overflows to inf, with NaN drifts (``v_alpha_overflow``);
+#: check (ROADMAP's D3); inplane_ref at 30 s steps, where alpha fires
+#: twice and the run never converges (D1), and with q_alpha = +1, the
+#: default, where only beta fires (D2); full_ref's z channel alone
+#: (``full_ref_z``, as ``--subsystem z`` runs it), and from v_y = 3e153,
+#: v_z = 1e154, whose V_alpha overflows to inf, with NaN drifts
+#: (``v_alpha_overflow``);
 #: z_fast with r_z and umax scaled by 2^-20 and by 2^50 (``z_fast_tiny``,
 #: ``z_fast_huge``), whose floats reach the layouts 1e-05 .. 1e-09 and
 #: 1e+16 and up of their shortest round-trip text; full_ref and z_fast at
@@ -59,6 +62,8 @@ RUNS = {
     },
     **{f"{name}_rk4_20orbits": (name, dict(integrator="rk4")) for name in ("inplane_ref", "full_ref")},
     "inplane_ref_x512": ("inplane_ref", dict(r_x=-60.0 * 512, r_y=1000.0 * 512, umax=0.2 * 512)),
+    "inplane_ref_30s": ("inplane_ref", dict(step_h=30.0)),
+    "inplane_ref_q_alpha_plus": ("inplane_ref", dict(q_alpha=1.0)),
     "full_ref_z": ("full_ref", dict(subsystem="z")),
     "v_alpha_overflow": ("full_ref", dict(v_y=3e153, v_z=1e154, subsystem="z")),
     "z_fast_tiny": ("z_fast", dict(r_z=0.000476837158203125, umax=1.9073486328125e-07)),

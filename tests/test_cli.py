@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hybrid_rendezvous import cli
 from hybrid_rendezvous import closed_loop as cl
 from hybrid_rendezvous.analysis import IMPULSE_FLOOR
 from hybrid_rendezvous.closed_loop import lyapunov_values, make_state, zeta_of
-from hybrid_rendezvous.config import parse_config, replace
+from hybrid_rendezvous.config import ScenarioConfig, parse_config, replace
 from hybrid_rendezvous.engine import IntegrationFailure
 from hybrid_rendezvous.hcw import OrbitParams
 
@@ -116,10 +117,25 @@ class TestSimulate:
         )
         assert code == 0
         summary = strict_json((out / "summary.json").read_text())
-        assert summary["subsystem"] == "z"
+        assert summary["config"]["subsystem"] == "z"
         assert set(summary["budget"]["impulse_counts"]) <= {"z"}
         # TestFlagIsKey::test_flag_run_equals_keyed_copy[subsystem] checks
         # that the flag's run is the keyed copy's.
+
+    @pytest.mark.parametrize("run_id", [*BUNDLED, "inplane_ref_rk4"])
+    def test_summary_config_reruns_the_run(self, run_id, tmp_path):
+        # summary.json's config, written back as key = value lines (floats by
+        # repr, a timer at its threshold left out), runs afresh to the same
+        # exit code, stdout and files: a key the record drops fails it.
+        recorded = cli_run(run_id, SIMULATE)
+        config = strict_json(recorded.files["summary.json"])["config"]
+        assert set(config) == {f.name for f in fields(ScenarioConfig)} - {"output_dir"}
+        text = "".join(
+            f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+            for key, value in config.items()
+            if value is not None
+        )
+        assert run_cli(tmp_path, text, SIMULATE.split()) == recorded
 
 
 def fmt(x):
@@ -441,6 +457,33 @@ class TestExitCodes:
                 {"event_tol": "1e-6"}, ["simulate", "--out", "o"],
                 "run.cfg:19: unknown key 'event_tol'", id="event_tol_key",
             ),
+            # the dwell timers bound every run's jumps, so there is no jump
+            # budget to set, under any subcommand
+            *(
+                pytest.param(
+                    {"j_max": "1"}, argv, "run.cfg:19: unknown key 'j_max'",
+                    id=f"j_max_key-{argv[0]}",
+                )
+                for argv in (
+                    ["simulate", "--out", "o"],
+                    ["verify"],
+                    ["sweep", "--param", "umax", "--values", "0.1,0.2", "--out", "o"],
+                )
+            ),
+            # the convergence radius is always 1e-3 of the initial distance
+            pytest.param(
+                {"convergence_eps": "0.01"}, ["simulate", "--out", "o"],
+                "run.cfg:19: unknown key 'convergence_eps'", id="convergence_eps_key",
+            ),
+            # the run's own build names the subsystem and the integrator
+            pytest.param(
+                {"subsystem": "x"}, ["simulate", "--out", "o"],
+                "run.cfg: unknown subsystem 'x'", id="unknown_subsystem",
+            ),
+            pytest.param(
+                {"integrator": "euler"}, ["simulate", "--out", "o"],
+                "run.cfg: unknown integrator 'euler'", id="unknown_integrator",
+            ),
             pytest.param(
                 {"step_h": "1e-7"}, ["simulate", "--out", "o"],
                 "run.cfg: step_h must exceed the 1e-06 s event resolution, got 1e-07",
@@ -457,7 +500,8 @@ class TestExitCodes:
     )
     def test_config_error_writes_nothing(self, keys, argv, error, tmp_path, capsys):
         record = run_cli(tmp_path, set_keys(config_text("z_fast"), **keys), argv)
-        assert record.code == 1 and not record.files
+        assert record.code == 1 and not record.files and record.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert ("event_tol" in error) == ("event_tol" in keys)
 
@@ -547,40 +591,6 @@ class TestExitCodes:
         if command == "sweep":
             assert err == "numerical failure at umax=0.1: non-finite state during flow\n"
         assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize(
-        "command,flags",
-        [
-            ("simulate", ["--out", "o"]),
-            ("verify", []),
-            ("sweep", ["--param", "umax", "--values", "0.1,0.2", "--out", "o"]),
-        ],
-        ids=["simulate", "verify", "sweep"],
-    )
-    def test_j_max_key_is_unknown(self, command, flags, tmp_path, monkeypatch, capsys):
-        # The dwell timers bound every run's jumps, so there is no jump
-        # budget to set: a file that sets one is a config error that runs
-        # and writes nothing.
-        cfg = tmp_path / "budget.cfg"
-        cfg.write_text("r_z = 500.0\nsubsystem = z\nt_max_orbits = 2\nj_max = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert run([command, "--config", cfg.name, *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "config error: budget.cfg:4: unknown key 'j_max'\n"
-        assert [*tmp_path.iterdir()] == [cfg]
-
-    def test_convergence_eps_key_is_unknown(self, tmp_path, monkeypatch, capsys):
-        # The convergence radius is always 1e-3 of the initial distance: a
-        # file that sets one is a config error that runs and writes nothing.
-        cfg = tmp_path / "radius.cfg"
-        cfg.write_text("r_z = 500.0\nsubsystem = z\nconvergence_eps = 0.01\n")
-        monkeypatch.chdir(tmp_path)
-        assert run(["simulate", "--config", cfg.name, "--out", "o"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "config error: radius.cfg:3: unknown key 'convergence_eps'\n"
-        assert [*tmp_path.iterdir()] == [cfg]
 
     def test_nonfinite_sweep_value_is_config_error(self, tmp_path, capsys):
         # Every value is validated before the first run, so 0.2 neither runs
@@ -736,6 +746,25 @@ class TestVerify:
         assert record.out.startswith("FAIL  flow invariance  worst drift 3.513e-12 (tol 1e-12)\n")
         (violation,) = re.findall(r"violation at t=\S+ j=(\d+): (.*) observed", record.out)
         assert violation == ("14", "V_beta flow drift")
+
+    @pytest.mark.parametrize(
+        "run_id, impulses, events",
+        [
+            pytest.param("inplane_ref_30s", {"beta": 1, "alpha": 2}, 1002, id="D1"),
+            pytest.param("inplane_ref_q_alpha_plus", {"beta": 1}, 1000, id="D2"),
+        ],
+    )
+    def test_stalled_inplane_ref_passes(self, run_id, impulses, events):
+        # ROADMAP's D1 and D2: inplane_ref at 30 s steps, where alpha fires
+        # twice, and with q_alpha = +1, where only beta fires, never converge,
+        # yet pass both certificates and exit 0.  A stall exit code (ROADMAP
+        # item 7) and an absolute step grid (item 22) are to move these pins.
+        verified, simulated = cli_run(run_id, "verify"), cli_run(run_id, SIMULATE)
+        assert (verified.code, simulated.code) == (0, 0)
+        assert VERIFY_ROW.fullmatch(verified.out).group(1, 4, 5) == ("PASS", "PASS", str(events))
+        summary = strict_json(simulated.files["summary.json"])
+        assert summary["budget"]["impulse_counts"] == impulses
+        assert summary["convergence"]["converged"] is False
 
     def test_zero_state_scenario_passes_vacuously(self, tmp_path):
         cfg = tmp_path / "rest.cfg"

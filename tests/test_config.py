@@ -182,6 +182,7 @@ class TestDocumentedExamples:
     def test_example_is_inplane_ref(self, example, tmp_path):
         # Run as documented, each converges as inplane_ref does.  Without
         # q_alpha = -1 only beta fires (ROADMAP's D2); with it but at 30 s
-        # steps, alpha fires twice and the run never converges (D1).
+        # steps, alpha fires twice and the run never converges (D1); test_cli's
+        # TestVerify::test_stalled_inplane_ref_passes pins both.
         cfg = parse_config(write_cfg(tmp_path, example()))
         assert cfg == replace(parse_config(scenario_path("inplane_ref")), output_dir=cfg.output_dir)
