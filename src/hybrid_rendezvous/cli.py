@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
     margin = "n/a" if jump["min_margin"] is None else f"{jump['min_margin']:.3e}"
     drift = max(flow["worst_drift"].values())
     for name, cert, detail in (
-        ("flow invariance", flow, f"worst drift {drift:.3e} (tol {flow['tolerance']:.0e})"),
+        ("flow invariance", flow, f"worst drift {drift:.3e} (tol {flow['tolerance']:.3g})"),
         ("jump decrease", jump, f"{jump['events_checked']} events, min margin {margin}"),
     ):
         print(f"{'PASS' if cert['passed'] else 'FAIL'}  {name:<16} {detail}")

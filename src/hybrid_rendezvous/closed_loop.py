@@ -168,53 +168,52 @@ def make_flow_to(p: OrbitParams):
 
 def make_rk4_flow_to(p: OrbitParams):
     """Fixed-step RK4 propagator (``integrator = rk4``): one classical step of
-    ``dt`` per call.  The flow couples no blocks, so the step runs on each
-    alone, on floats: the plant through ``hcw_derivative`` with its stages
-    ``x + a * k`` and update ``x + w * (k1 + 2 k2 + 2 k3 + k4)`` written out
-    per component, each timer as a scalar through ``ctl.timer_rate`` (both
-    looked up per call), the logic variables carried: the bits of the array
-    form's step on the 11-vector.  A timer whose ``tau + dt * k1`` stays at
-    or below the knee tau = 1 takes one rate, as every stage point lies in
-    between, where ``timer_rate`` is one constant (``test_controllers``'
-    ``test_rate_is_full_exactly_up_to_one``): k2 = k3 = k4 = k1, same bits."""
+    ``dt`` per call, in one frame.  The flow couples no blocks, so each runs
+    alone, on float locals: the plant's stages ``x + a * k`` and update
+    ``x + w * (k1 + 2 k2 + 2 k3 + k4)`` per component, each timer as a scalar,
+    the logic variables carried: the bits of the array form's step on the
+    11-vector.  ``hcw_derivative`` and ``ctl.timer_rate`` are each read once
+    per call, so a patch is seen from the next call on.  A timer whose
+    ``tau + dt * k1`` stays at or below the knee tau = 1 takes one rate, as
+    every stage point lies in between, where ``timer_rate`` is one constant
+    (``test_controllers``' ``test_rate_is_full_exactly_up_to_one``):
+    k2 = k3 = k4 = k1, same bits."""
+    n, isfinite = p.n, math.isfinite
 
-    def timer(tau: float, h: float, half: float, w: float) -> float:
-        rate = ctl.timer_rate
-        k1 = rate(tau, p.n)
-        if tau <= 1.0 and math.isfinite(k1) and tau + h * k1 <= 1.0:
+    def timer(rate, tau: float, h: float, half: float, w: float) -> float:
+        k1 = rate(tau, n)
+        if tau <= 1.0 and isfinite(k1) and tau + h * k1 <= 1.0:
             return tau + w * (k1 + 2.0 * k1 + 2.0 * k1 + k1)  # every stage at or below the knee
-        k2 = rate(tau + half * k1, p.n)
-        k3 = rate(tau + half * k2, p.n)
-        k4 = rate(tau + h * k3, p.n)
-        if not math.isfinite(k4):
+        k2 = rate(tau + half * k1, n)
+        k3 = rate(tau + half * k2, n)
+        k4 = rate(tau + h * k3, n)
+        if not isfinite(k4):
             raise IntegrationFailure("non-finite derivative encountered")
         return tau + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def stage(x, a: float, k) -> tuple:
-        return (x[0] + a * k[0], x[1] + a * k[1], x[2] + a * k[2],
-                x[3] + a * k[3], x[4] + a * k[4], x[5] + a * k[5])
-
-    def combine(x, w: float, a, b, c, d) -> tuple:
-        return (x[0] + w * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
-                x[1] + w * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
-                x[2] + w * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]),
-                x[3] + w * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]),
-                x[4] + w * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]),
-                x[5] + w * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]))
-
     def flow_to(state: np.ndarray, h: float) -> np.ndarray:
-        s = state.tolist()
-        plant, half, w = s[:6], 0.5 * h, h / 6.0
-        k1 = hcw_derivative(plant, p)
-        k2 = hcw_derivative(stage(plant, half, k1), p)
-        k3 = hcw_derivative(stage(plant, half, k2), p)
-        k4 = hcw_derivative(stage(plant, h, k3), p)
-        if not all(map(math.isfinite, k4)):
+        f, rate = hcw_derivative, ctl.timer_rate
+        rx, ry, rz, vx, vy, vz, qz, tz, tb, qa, ta = state.tolist()
+        half, w = 0.5 * h, h / 6.0
+        a0, a1, a2, a3, a4, a5 = f((rx, ry, rz, vx, vy, vz), p)
+        b0, b1, b2, b3, b4, b5 = f((rx + half * a0, ry + half * a1, rz + half * a2,
+                                    vx + half * a3, vy + half * a4, vz + half * a5), p)
+        c0, c1, c2, c3, c4, c5 = f((rx + half * b0, ry + half * b1, rz + half * b2,
+                                    vx + half * b3, vy + half * b4, vz + half * b5), p)
+        d0, d1, d2, d3, d4, d5 = f((rx + h * c0, ry + h * c1, rz + h * c2,
+                                    vx + h * c3, vy + h * c4, vz + h * c5), p)
+        if not (isfinite(d0) and isfinite(d1) and isfinite(d2)
+                and isfinite(d3) and isfinite(d4) and isfinite(d5)):
             raise IntegrationFailure("non-finite derivative encountered")
         return np.fromiter([
-            *combine(plant, w, k1, k2, k3, k4),
-            s[QZ], timer(s[TAUZ], h, half, w), timer(s[TAUB], h, half, w),
-            s[QA], timer(s[TAUA], h, half, w),
+            rx + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            ry + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            rz + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            vx + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            vy + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            vz + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+            qz, timer(rate, tz, h, half, w), timer(rate, tb, h, half, w),
+            qa, timer(rate, ta, h, half, w),
         ], float)
 
     return flow_to

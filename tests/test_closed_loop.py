@@ -1,8 +1,9 @@
 """Composition of the plant with the three channels."""
 
+import hashlib
 import math
 import weakref
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from functools import partial
 
 import numpy as np
@@ -447,6 +448,11 @@ class TestRk4Flow:
         h=st.floats(0.0, 600.0, exclude_min=True),
     )
     @example(state=cl.make_state(r=(-60.0, 1000.0, 5.0), tau_beta=0.95), knee=None, h=600.0)
+    # both sides of the one-rate shortcut: tau + h * timer_rate(tau, n) is
+    # exactly 1.0 from the first tau (one rate), the next float above 1.0
+    # from the second (four rates)
+    @example(state=cl.make_state(tau_beta=0.9982492956259892), knee=None, h=10.0)
+    @example(state=cl.make_state(tau_beta=0.9982492956259893), knee=None, h=10.0)
     @settings(max_examples=200, deadline=None)
     def test_step_equals_array_form_bit_for_bit(self, state, knee, h):
         if knee is not None:
@@ -484,10 +490,15 @@ class TestRk4Flow:
     def test_one_step_calls_the_traced_rates(self, monkeypatch):
         # The benchmark tracer counts calls of closed_loop.hcw_derivative
         # (hcw.derivative.calls) and controllers.timer_rate (part of
-        # controllers.timer.calls), patched after the propagator is built:
-        # one RK4 step takes four plant derivatives, and four rates a timer
-        # but one for a timer whose step stays at or below the knee.
+        # controllers.timer.calls), patched after the propagator is built
+        # and after it has run: one RK4 step takes four plant derivatives,
+        # and four rates a timer but one for a timer whose step stays at or
+        # below the knee.  The propagator reads each name once per call, so
+        # the patch is seen from the next call on.
         flow_to = cl.make_rk4_flow_to(P)
+        # 10 s moves a timer by 0.00175: below, across and above the knee
+        state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.999, tau_alpha=1.5)
+        unpatched = flow_to(state, 10.0)
         calls = {"derivative": 0, "timer_rate": 0}
 
         def counted(key, fn):
@@ -499,10 +510,30 @@ class TestRk4Flow:
 
         monkeypatch.setattr(cl, "hcw_derivative", counted("derivative", cl.hcw_derivative))
         monkeypatch.setattr(ctl, "timer_rate", counted("timer_rate", ctl.timer_rate))
-        # 10 s moves a timer by 0.00175: below, across and above the knee
-        state = cl.make_state(r=(-60.0, 1000.0, 5.0), tau_z=0.3, tau_beta=0.999, tau_alpha=1.5)
-        flow_to(state, 10.0)
+        assert flow_to(state, 10.0).tobytes() == unpatched.tobytes()
         assert calls == {"derivative": 4, "timer_rate": 1 + 4 + 4}
+
+    #: SHA-256 of each run's sol.t, sol.j (as <i8), sol.states and the repr
+    #: of each event's fields
+    RUN_DIGESTS = {
+        "inplane_ref_rk4": "b09ac816003547c7afeb9ce933016315fc48e8ea6a0f3e53bd44615c1d65cc4b",
+        "full_ref_rk4": "59b3bdb7cd742ba1b276a3270e323c11dda20ffc8ec74f7bcf92375299d1a09d",
+        "z_fast_rk4_60s": "de184bfbb09116e99c16bfcac36441fb6be55b333d7c57d88ce259f787489150",
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUN_DIGESTS))
+    def test_run_record_digest(self, run):
+        # An rk4 run makes only Python-float + - * / and comparisons, each
+        # one IEEE operation, and no exp, cos, sin or BLAS call, so its
+        # record has the same bytes on every host (unlike closed_form's,
+        # ROADMAP D6): any change to the step's arithmetic shows here.
+        sol = scenario_run(run)[1]
+        digest = hashlib.sha256()
+        for values, dtype in ((sol.t, "<f8"), (sol.j, "<i8"), (sol.states, "<f8")):
+            digest.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        for ev in sol.events:
+            digest.update(repr(astuple(ev)).encode())
+        assert digest.hexdigest() == self.RUN_DIGESTS[run]
 
     def test_build_selects_the_propagator(self):
         # build_system validates the integrator, as the entry point it is
